@@ -51,7 +51,6 @@ from .pauli import (
     fully_commute,
     parse_hamiltonian,
     qubit_wise_commute,
-    qwc_implies_commute,
 )
 from .removal import (
     DEFAULT_NODE_BUDGET,
@@ -105,7 +104,6 @@ __all__ = [
     "minimum_coloring",
     "parse_hamiltonian",
     "qubit_wise_commute",
-    "qwc_implies_commute",
     "ramsey_clique",
     "rlf_coloring",
     "sequential_coloring",

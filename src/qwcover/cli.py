@@ -109,7 +109,6 @@ def _load(path: str) -> Hamiltonian:
 def _solve_one(
     h: Hamiltonian,
     g: TermGraph,
-    complement: TermGraph,
     heuristic: Heuristic,
     args: argparse.Namespace,
     explicit: bool,
@@ -122,9 +121,7 @@ def _solve_one(
         return result
     started = time.perf_counter()
     try:
-        cover = solve_mcc(
-            g, heuristic, complement_graph=complement, node_budget=args.bkt_budget
-        )
+        cover = solve_mcc(g, heuristic, node_budget=args.bkt_budget)
     except BudgetExceededError as exc:
         result.error = str(exc)
         return result
@@ -141,10 +138,9 @@ def _solve_one(
 def _solve_file(path: str, args: argparse.Namespace) -> tuple[Hamiltonian, list[_HeuristicResult]]:
     h = _load(path)
     g = build_qwc_graph(h)
-    complement = g.complement()
     heuristics = _selected_heuristics(args.algorithm)
     explicit = args.algorithm != "all"
-    return h, [_solve_one(h, g, complement, hx, args, explicit) for hx in heuristics]
+    return h, [_solve_one(h, g, hx, args, explicit) for hx in heuristics]
 
 
 def _result_record(result: _HeuristicResult, total_terms: int, with_timings: bool) -> dict:
@@ -229,12 +225,8 @@ def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]], ar
     for path, total, results in rows:
         entry: dict = {"input": path, "total_terms": total, "groups": {}}
         for r in results:
-            if r.stats is not None:
-                entry["groups"][r.heuristic.value] = r.stats.n_groups
-            elif r.skipped is not None:
-                entry["groups"][r.heuristic.value] = None
-            else:
-                entry["groups"][r.heuristic.value] = None
+            # Skipped and failed heuristics both read null.
+            entry["groups"][r.heuristic.value] = None if r.stats is None else r.stats.n_groups
         report.append(entry)
     return json.dumps({"inputs": report}, indent=2) + "\n"
 

@@ -244,12 +244,27 @@ def db_coloring(g: TermGraph) -> Coloring:
     if g.n == 0:
         return Coloring((), 0)
     state = _MergeState(g)
+    rows = state.rows
     while True:
         best_pair = None
         best_count = -1
-        for u in iter_bits(state.active):
-            for v in iter_bits(state.non_neighbors(u) >> (u + 1) << (u + 1)):
-                count = state.common_neighbors(u, v)
+        later = state.active
+        while later:
+            bit_u = later & -later
+            later ^= bit_u
+            u = bit_u.bit_length() - 1
+            row_u = rows[u]
+            # Exact skip: only a count above best_count wins, and every
+            # common neighbor of (u, v) lies in row u.  Merging clears
+            # merged-away vertices from every row, so no ``& active``.
+            if row_u.bit_count() <= best_count:
+                continue
+            partners = later & ~row_u
+            while partners:
+                bit_v = partners & -partners
+                partners ^= bit_v
+                v = bit_v.bit_length() - 1
+                count = (row_u & rows[v]).bit_count()
                 if count > best_count:
                     best_count = count
                     best_pair = (u, v)

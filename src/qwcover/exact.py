@@ -18,6 +18,13 @@ __all__ = ["EXACT_MCC_MAX_VERTICES", "exact_mcc", "minimum_coloring"]
 EXACT_MCC_MAX_VERTICES = 16
 
 
+def _check_capacity(g: TermGraph) -> None:
+    if g.n > EXACT_MCC_MAX_VERTICES:
+        raise CapacityError(
+            f"exact solver capped at {EXACT_MCC_MAX_VERTICES} vertices, got {g.n}"
+        )
+
+
 def _greedy_clique_size(g: TermGraph) -> int:
     """Any clique bounds the chromatic number from below; take a greedy one
     grown by degree (ties by index)."""
@@ -72,10 +79,7 @@ def minimum_coloring(g: TermGraph) -> Coloring:
     Raises:
         CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
     """
-    if g.n > EXACT_MCC_MAX_VERTICES:
-        raise CapacityError(
-            f"exact solver capped at {EXACT_MCC_MAX_VERTICES} vertices, got {g.n}"
-        )
+    _check_capacity(g)
     if g.n == 0:
         return Coloring((), 0)
     upper = dsatur_coloring(g)
@@ -97,8 +101,5 @@ def exact_mcc(g: TermGraph) -> CliqueCover:
     Raises:
         CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
     """
-    if g.n > EXACT_MCC_MAX_VERTICES:
-        raise CapacityError(
-            f"exact solver capped at {EXACT_MCC_MAX_VERTICES} vertices, got {g.n}"
-        )
+    _check_capacity(g)
     return cover_from_coloring(g, minimum_coloring(g.complement()), provenance=None)

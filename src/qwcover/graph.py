@@ -2,9 +2,10 @@
 
 One vertex per Hamiltonian term; an edge joins every qubit-wise commuting
 pair.  Adjacency is stored as one arbitrary-precision integer bitset per
-row, which makes complementation, induced subgraphs and common-neighbor
-counting cheap bitwise work.  Complements of QWC graphs are typically
-near-complete, so dense storage costs nothing over sparse lists here.
+row, which makes complementation, residual neighborhoods (``row & alive``)
+and common-neighbor counting cheap bitwise work.  Complements of QWC
+graphs are typically near-complete, so dense storage costs nothing over
+sparse lists here.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class TermGraph:
     :meth:`check_consistency` verifies it explicitly for tests.
     """
 
-    __slots__ = ("n", "_rows", "_degrees")
+    __slots__ = ("n", "_rows", "_degrees", "_complement")
 
     def __init__(self, rows: Sequence[int]):
         n = len(rows)
@@ -67,6 +68,7 @@ class TermGraph:
         self.n = n
         self._rows = tuple(rows)
         self._degrees: tuple[int, ...] | None = None
+        self._complement: TermGraph | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TermGraph":
@@ -107,30 +109,14 @@ class TermGraph:
                 yield (i, j)
 
     def complement(self) -> "TermGraph":
-        """Graph on the same vertices with exactly the missing edges."""
-        full = (1 << self.n) - 1
-        return TermGraph([full & ~(row | (1 << i)) for i, row in enumerate(self._rows)])
-
-    def subgraph_without(self, removed: Iterable[int]) -> tuple["TermGraph", tuple[int, ...]]:
-        """Induced subgraph after deleting ``removed`` vertices.
-
-        Returns the subgraph together with an index map: position ``k`` of
-        the map holds the original label of the subgraph's vertex ``k``.
-        """
-        removed = set(removed)
-        for v in removed:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} not in graph")
-        kept = [v for v in range(self.n) if v not in removed]
-        rows = []
-        for old_i in kept:
-            row = self._rows[old_i]
-            new_row = 0
-            for new_j, old_j in enumerate(kept):
-                if row >> old_j & 1:
-                    new_row |= 1 << new_j
-            rows.append(new_row)
-        return TermGraph(rows), tuple(kept)
+        """Graph on the same vertices with exactly the missing edges;
+        built once per graph."""
+        if self._complement is None:
+            full = (1 << self.n) - 1
+            self._complement = TermGraph(
+                [full & ~(row | (1 << i)) for i, row in enumerate(self._rows)]
+            )
+        return self._complement
 
     def adjacency_lines(self) -> list[str]:
         """Debug dump, one ``"i: j k l"`` adjacency line per vertex."""

@@ -39,7 +39,6 @@ __all__ = [
     "fully_commute",
     "parse_hamiltonian",
     "qubit_wise_commute",
-    "qwc_implies_commute",
 ]
 
 # Terms whose merged coefficient falls below this magnitude are dropped:
@@ -222,15 +221,6 @@ def fully_commute(a: PauliWord, b: PauliWord) -> bool:
     common = a.support_mask & b.support_mask
     differing = ((a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)) & common
     return differing.bit_count() % 2 == 0
-
-
-def qwc_implies_commute(a: PauliWord, b: PauliWord) -> bool:
-    """Property-test helper: QWC pairs must also commute ordinarily.
-
-    Returns ``(not qubit_wise_commute(a, b)) or fully_commute(a, b)``,
-    which holds for all word pairs.
-    """
-    return (not qubit_wise_commute(a, b)) or fully_commute(a, b)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,11 +6,15 @@ node budget) and a polynomial recursive pivot construction that returns a
 maximal clique.  Extracting a clique, removing it, and repeating yields an
 approximate minimum clique cover; even with the exact finder the result
 can exceed the true minimum.
+
+Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
+over the original rows, and both finders search the subgraph it induces,
+reading each residual neighborhood as ``rows[v] & alive``.  Vertices keep
+their labels, so every pivot, color order and tie-break is the one a
+relabelled induced subgraph would give.
 """
 
 from __future__ import annotations
-
-import sys
 
 from .cover import CliqueCover, Heuristic
 from .graph import TermGraph, iter_bits
@@ -34,19 +38,31 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-def max_clique_bkt(g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> frozenset[int]:
+def _alive_mask(g: TermGraph, alive: int | None) -> int:
+    full = (1 << g.n) - 1
+    if alive is not None and alive & ~full:
+        raise ValueError("alive mask references vertices outside the graph")
+    return full if alive is None else alive
+
+
+def max_clique_bkt(
+    g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, alive: int | None = None
+) -> frozenset[int]:
     """Exact maximum clique via pivoting branch and bound.
 
-    Candidates are greedily colored at every node; a vertex whose color
-    bound cannot beat the incumbent prunes the whole remaining branch.
-    Fully deterministic, so ties between maximum cliques always resolve
-    the same way.
+    Searches the subgraph induced by the ``alive`` bitmask (default: every
+    vertex).  Candidates are greedily colored at every node; a vertex whose
+    color bound cannot beat the incumbent prunes the whole remaining
+    branch.  Fully deterministic, so ties between maximum cliques always
+    resolve the same way.  The search runs on an explicit stack, so clique
+    size is not limited by the interpreter's recursion limit.
 
     Raises:
-        ValueError: the graph has no vertices.
+        ValueError: no vertex is alive.
         BudgetExceededError: more than ``node_budget`` search nodes.
     """
-    if g.n == 0:
+    alive = _alive_mask(g, alive)
+    if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
     rows = g.rows
     best_mask = 0
@@ -70,36 +86,39 @@ def max_clique_bkt(g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET) -> froz
                 available &= ~(bit | rows[v])
         return order
 
-    def expand(run_mask: int, run_size: int, candidates: int) -> None:
-        nonlocal best_mask, best_size, expanded
+    # Frame: [run_mask, run_size, color order still to visit, remaining
+    # candidates]; the order is visited from its end, largest bound first.
+    stack: list[list] = []
+
+    def push(run_mask: int, run_size: int, candidates: int) -> None:
+        nonlocal expanded
         expanded += 1
         if expanded > node_budget:
             raise BudgetExceededError(
                 f"maximum-clique search exceeded {node_budget} nodes"
             )
-        remaining = candidates
-        for v, bound in reversed(color_order(candidates)):
-            if run_size + bound <= best_size:
-                return
-            bit = 1 << v
-            extended = remaining & rows[v]
-            if extended:
-                expand(run_mask | bit, run_size + 1, extended)
-            elif run_size + 1 > best_size:
-                best_mask = run_mask | bit
-                best_size = run_size + 1
-            remaining ^= bit
+        stack.append([run_mask, run_size, color_order(candidates), candidates])
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 1000))
-    try:
-        expand(0, 0, (1 << g.n) - 1)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    push(0, 0, alive)
+    while stack:
+        frame = stack[-1]
+        run_mask, run_size, order, remaining = frame
+        if not order or run_size + order[-1][1] <= best_size:
+            stack.pop()
+            continue
+        v, _ = order.pop()
+        bit = 1 << v
+        frame[3] = remaining ^ bit
+        extended = remaining & rows[v]
+        if extended:
+            push(run_mask | bit, run_size + 1, extended)
+        elif run_size + 1 > best_size:
+            best_mask = run_mask | bit
+            best_size = run_size + 1
     return frozenset(iter_bits(best_mask))
 
 
-def _ramsey_clique_mask(rows: tuple[int, ...], root: int) -> int:
+def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
     """Recursive pivot construction, evaluated with an explicit stack.
 
     Pivot on the lowest-index candidate v; the result is the larger of
@@ -107,7 +126,7 @@ def _ramsey_clique_mask(rows: tuple[int, ...], root: int) -> int:
     preferring the pivot branch on ties.
     """
     CALL, AFTER_FIRST, AFTER_SECOND = 0, 1, 2
-    stack: list[list[int]] = [[root, CALL, 0, 0]]
+    stack: list[list[int]] = [[alive, CALL, 0, 0]]
     result = 0
     while stack:
         frame = stack[-1]
@@ -140,20 +159,18 @@ def _ramsey_clique_mask(rows: tuple[int, ...], root: int) -> int:
     return result
 
 
-def ramsey_clique(g: TermGraph) -> frozenset[int]:
+def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:
     """Maximal clique in polynomial time.
 
-    The recursive pivot construction can return a clique that is not
-    maximal, so the result is greedily extended (ascending index) until no
-    vertex is adjacent to all members.
+    Searches the subgraph induced by the ``alive`` bitmask (default: every
+    vertex).  The recursive pivot construction can return a clique that is
+    not maximal, so the result is greedily extended (ascending index over
+    the alive vertices) until no alive vertex is adjacent to all members.
     """
-    if g.n == 0:
-        return frozenset()
+    alive = _alive_mask(g, alive)
     rows = g.rows
-    clique = _ramsey_clique_mask(rows, (1 << g.n) - 1)
-    for v in range(g.n):
-        if clique >> v & 1:
-            continue
+    clique = _ramsey_clique_mask(rows, alive)
+    for v in iter_bits(alive & ~clique):
         if not clique & ~rows[v]:
             clique |= 1 << v
     return frozenset(iter_bits(clique))
@@ -166,9 +183,9 @@ def clique_removal_cover(
 ) -> CliqueCover:
     """Cover by repeated clique extraction.
 
-    Finds a clique with the selected finder, records it, removes its
-    vertices, and repeats until the graph is empty.  Groups are reported
-    in extraction order.
+    Finds a clique among the alive vertices with the selected finder,
+    records it, clears its vertices from the alive mask, and repeats until
+    no vertex is alive.  Groups are reported in extraction order.
 
     Raises:
         BudgetExceededError: propagated from the exact finder.
@@ -176,14 +193,13 @@ def clique_removal_cover(
     if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
         raise ValueError(f"not a clique-removal method: {finder}")
     groups: list[frozenset[int]] = []
-    current = g
-    labels = tuple(range(g.n))
-    while current.n:
+    alive = (1 << g.n) - 1
+    while alive:
         if finder is Heuristic.BKT:
-            local = max_clique_bkt(current, node_budget)
+            clique = max_clique_bkt(g, node_budget, alive=alive)
         else:
-            local = ramsey_clique(current)
-        groups.append(frozenset(labels[v] for v in local))
-        current, kept = current.subgraph_without(local)
-        labels = tuple(labels[old] for old in kept)
+            clique = ramsey_clique(g, alive=alive)
+        groups.append(clique)
+        for v in clique:
+            alive ^= 1 << v
     return CliqueCover(tuple(groups), finder)

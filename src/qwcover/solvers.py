@@ -40,18 +40,16 @@ def solve_mcc(
     g: TermGraph,
     heuristic: Heuristic,
     *,
-    complement_graph: TermGraph | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CliqueCover:
     """Approximate (or, for small graphs and BKT, exactly extracted)
     minimum clique cover of ``g`` with the chosen heuristic.
 
-    Coloring heuristics run on the complement graph; pass
-    ``complement_graph`` to share one materialized complement across
-    several calls.  ``node_budget`` only affects BKT.
+    Coloring heuristics run on the complement graph, which ``g`` builds
+    once and shares across calls.  ``node_budget`` only affects BKT.
     """
     if heuristic in COLORING_HEURISTICS:
-        comp = complement_graph if complement_graph is not None else g.complement()
+        comp = g.complement()
         if heuristic in _ORDERING_RULES:
             coloring = sequential_coloring(comp, _ORDERING_RULES[heuristic](comp))
         else:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (dense
 matrices, subset enumeration, subset dynamic programming) and shares no
-algorithmic machinery with the package under test.
+algorithmic machinery with the package under test.  The one exception,
+:func:`relabelling_clique_removal`, runs the package's own clique finders on
+rebuilt subgraphs, so that it checks only the removal loop around them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,17 @@ from functools import reduce
 
 import numpy as np
 
-from qwcover import Hamiltonian, PauliAxis, PauliWord, TermGraph
+from qwcover import (
+    Hamiltonian,
+    Heuristic,
+    PauliAxis,
+    PauliWord,
+    TermGraph,
+    fully_commute,
+    max_clique_bkt,
+    qubit_wise_commute,
+    ramsey_clique,
+)
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -50,6 +62,43 @@ def dense_qubit_wise_commute(a: PauliWord, b: PauliWord, n_qubits: int) -> bool:
         if not matrices_commute(ma, mb):
             return False
     return True
+
+
+def qwc_implies_commute(a: PauliWord, b: PauliWord) -> bool:
+    """QWC pairs must also commute ordinarily: ``(not qubit_wise_commute(a,
+    b)) or fully_commute(a, b)``, which holds for all word pairs."""
+    return (not qubit_wise_commute(a, b)) or fully_commute(a, b)
+
+
+def induced_subgraph(g: TermGraph, kept: list[int]) -> TermGraph:
+    """Subgraph on ``kept``, relabelled ``0..len(kept)-1`` in that order."""
+    return TermGraph.from_edges(
+        len(kept),
+        [
+            (a, b)
+            for a, b in itertools.combinations(range(len(kept)), 2)
+            if g.has_edge(kept[a], kept[b])
+        ],
+    )
+
+
+def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozenset[int], ...]:
+    """Groups of clique-removal cover computed on rebuilt graphs.
+
+    After every extraction the induced subgraph of the remaining vertices
+    is rebuilt and relabelled in ascending order, the finder runs on it
+    with no mask, and its labels are mapped back.  This is the reference
+    for the library's alive-mask removal, which must give the same groups.
+    """
+    find = max_clique_bkt if finder is Heuristic.BKT else ramsey_clique
+    kept = list(range(g.n))
+    groups = []
+    while kept:
+        local = find(induced_subgraph(g, kept))
+        group = frozenset(kept[v] for v in local)
+        groups.append(group)
+        kept = [v for v in kept if v not in group]
+    return tuple(groups)
 
 
 def brute_force_max_clique(g: TermGraph) -> set[int]:

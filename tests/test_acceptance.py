@@ -53,10 +53,9 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_worked_example_exactness(demo_hamiltonian, demo_graph):
     """All nine heuristics and the exact oracle agree on the 7-term demo."""
     started = time.perf_counter()
-    complement = demo_graph.complement()
     outcomes = {}
     for heuristic in Heuristic:
-        cover = solve_mcc(demo_graph, heuristic, complement_graph=complement)
+        cover = solve_mcc(demo_graph, heuristic)
         validate_cover(demo_graph, cover)
         validate_cover_words(demo_hamiltonian, cover)
         outcomes[heuristic.value] = set(cover.groups)
@@ -111,9 +110,8 @@ def test_criterion_4_oracle_soundness_sweep():
             n = rng.randint(2, 10)
             g = oracles.random_gnp(n, density, trial * 100 + int(density * 10))
             optimum = exact_mcc(g).n_groups
-            complement = g.complement()
             for heuristic in Heuristic:
-                cover = solve_mcc(g, heuristic, complement_graph=complement)
+                cover = solve_mcc(g, heuristic)
                 validate_cover(g, cover)
                 assert cover.n_groups >= optimum, (heuristic, trial, density)
             graphs += 1
@@ -122,9 +120,8 @@ def test_criterion_4_oracle_soundness_sweep():
         h = oracles.random_hamiltonian(rng, rng.randint(2, 10), rng.randint(2, 6))
         g = build_qwc_graph(h)
         optimum = exact_mcc(g).n_groups
-        complement = g.complement()
         for heuristic in Heuristic:
-            cover = solve_mcc(g, heuristic, complement_graph=complement)
+            cover = solve_mcc(g, heuristic)
             validate_cover(g, cover)
             validate_cover_words(h, cover)
             assert cover.n_groups >= optimum
@@ -220,7 +217,7 @@ def test_criterion_8_large_hamiltonian_performance():
     started = time.perf_counter()
     g = build_qwc_graph(h)
     complement = g.complement()
-    cover = solve_mcc(g, Heuristic.LF, complement_graph=complement)
+    cover = solve_mcc(g, Heuristic.LF)
     elapsed = time.perf_counter() - started
     stats = compute_stats(cover)
     adjacency_bytes = sum(sys.getsizeof(row) for row in g.rows) + sum(

@@ -93,9 +93,8 @@ class TestBasisOfGroup:
         for trial in range(15):
             h = oracles.random_hamiltonian(rng, rng.randint(1, 12), 5)
             g = build_qwc_graph(h)
-            comp = g.complement()
             for heuristic in Heuristic:
-                cover = solve_mcc(g, heuristic, complement_graph=comp)
+                cover = solve_mcc(g, heuristic)
                 for group in cover.groups:
                     basis_of_group(h, group)  # must not raise
 
@@ -177,18 +176,13 @@ class TestConcurrentSolvers:
         # solvers are pure functions of immutable graphs
         from concurrent.futures import ThreadPoolExecutor
 
-        comp = demo_graph.complement()
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = {
-                heuristic: pool.submit(
-                    solve_mcc, demo_graph, heuristic, complement_graph=comp
-                )
+                heuristic: pool.submit(solve_mcc, demo_graph, heuristic)
                 for heuristic in Heuristic
             }
         for heuristic, future in futures.items():
-            assert future.result() == solve_mcc(
-                demo_graph, heuristic, complement_graph=comp
-            ), heuristic
+            assert future.result() == solve_mcc(demo_graph, heuristic), heuristic
 
 
 class TestReconstruction:
@@ -197,8 +191,7 @@ class TestReconstruction:
         for trial in range(10):
             h = oracles.random_hamiltonian(rng, rng.randint(1, 14), 6)
             g = build_qwc_graph(h)
-            comp = g.complement()
             for heuristic in Heuristic:
-                cover = solve_mcc(g, heuristic, complement_graph=comp)
+                cover = solve_mcc(g, heuristic)
                 indices = sorted(v for group in cover.groups for v in group)
                 assert indices == list(range(h.n_terms)), heuristic

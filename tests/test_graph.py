@@ -127,34 +127,10 @@ class TestComplement:
             assert set(g.edges()) | set(comp.edges()) == all_pairs
             assert not set(g.edges()) & set(comp.edges())
 
+    def test_built_once(self):
+        g = oracles.random_gnp(10, 0.5, 3)
+        assert g.complement() is g.complement()
+
     def test_demo_complement_is_two_colorable(self, demo_graph):
         assert oracles.chromatic_number_dp(demo_graph.complement()) == 2
 
-
-class TestSubgraph:
-    def test_remove_all(self, demo_graph):
-        sub, labels = demo_graph.subgraph_without(range(7))
-        assert sub.n == 0
-        assert labels == ()
-
-    def test_remove_none(self, demo_graph):
-        sub, labels = demo_graph.subgraph_without([])
-        assert sub == demo_graph
-        assert labels == tuple(range(7))
-
-    def test_remove_nested_z_clique(self, demo_graph):
-        sub, labels = demo_graph.subgraph_without({0, 1, 2, 3})
-        assert labels == (4, 5, 6)
-        assert sub.n == 3
-        assert set(sub.edges()) == {(0, 1), (0, 2), (1, 2)}  # the 3-clique survives
-
-    def test_unknown_vertex_rejected(self, demo_graph):
-        with pytest.raises(ValueError, match="not in graph"):
-            demo_graph.subgraph_without({99})
-
-    def test_labels_map_back(self):
-        g = oracles.random_gnp(10, 0.5, 3)
-        sub, labels = g.subgraph_without({2, 5, 7})
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                assert sub.has_edge(i, j) == g.has_edge(labels[i], labels[j])

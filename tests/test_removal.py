@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -52,6 +53,18 @@ class TestMaxCliqueBkt:
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
         assert max_clique_bkt(g) == max_clique_bkt(g)
+
+    def test_deep_search_leaves_recursion_limit_alone(self):
+        # the search descends once per clique member, past the default limit
+        limit = sys.getrecursionlimit()
+        assert max_clique_bkt(complete_graph(1100)) == frozenset(range(1100))
+        assert sys.getrecursionlimit() == limit
+
+    def test_alive_mask_outside_graph_rejected(self):
+        g = complete_graph(3)
+        for finder in (max_clique_bkt, ramsey_clique):
+            with pytest.raises(ValueError, match="outside"):
+                finder(g, alive=1 << 3)
 
 
 class TestRamseyClique:
@@ -118,6 +131,17 @@ class TestCliqueRemovalCover:
         g = oracles.random_gnp(30, 0.7, 9)
         with pytest.raises(BudgetExceededError):
             clique_removal_cover(g, Heuristic.BKT, node_budget=3)
+
+    def test_matches_relabelling_reference(self, demo_graph):
+        rng = random.Random(6)
+        graphs = [demo_graph, removal_trap_graph()]
+        for trial in range(60):
+            n = rng.randint(1, 40)
+            graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1500 + trial))
+        for number, g in enumerate(graphs):
+            for finder in (Heuristic.BKT, Heuristic.RAMSEY):
+                expected = oracles.relabelling_clique_removal(g, finder)
+                assert clique_removal_cover(g, finder).groups == expected, (number, finder)
 
     def test_covers_partition_random_graphs(self):
         rng = random.Random(5)
