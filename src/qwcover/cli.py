@@ -5,9 +5,12 @@ heuristic(s) and emits the full grouping report; ``compare`` solves one or
 more files and emits a grid of group counts (one row per input, one column
 per heuristic).
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 budget/capacity
-error.  Reports are deterministic; wall-clock timings are emitted only
-with ``--timings`` so that repeated runs stay byte-identical.
+Every cover is checked once against the graph, and each group's basis is
+derived from its Pauli words, which fails on any non-QWC pair.
+
+Exit codes: 0 success, 1 usage or output error, 2 parse error, 3
+budget/capacity error.  Reports are deterministic; wall-clock timings are
+emitted only with ``--timings`` so that repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .cover import (
     basis_of_group,
     compute_stats,
     validate_cover,
-    validate_cover_words,
 )
 from .graph import CapacityError, TermGraph, build_qwc_graph
 from .pauli import Hamiltonian, ParseError, parse_hamiltonian
@@ -44,6 +46,10 @@ EXIT_RESOURCE = 3
 # `--algorithm all` skips the only super-polynomial solver on graphs
 # larger than this unless overridden.
 DEFAULT_BKT_SKIP_ABOVE = 5000
+
+
+class _UsageError(Exception):
+    """A missing input file or an unwritable report path."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +83,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--algorithm", choices=algorithm_names, default="all")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--validate", action="store_true",
-                       help="re-check every group pairwise from the words")
         p.add_argument("--bkt-budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="node budget for the exact clique search")
         p.add_argument("--bkt-skip-above", type=int, default=DEFAULT_BKT_SKIP_ABOVE,
                        help="with --algorithm all, skip bkt on graphs larger than this")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock milliseconds (breaks byte-identical reruns)")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; the solvers use no randomness")
 
     add_common(sub.add_parser("run", help="solve one file and print the full report"))
     add_common(sub.add_parser("compare", help="tabulate group counts over one or more files"))
@@ -102,8 +104,15 @@ def _selected_heuristics(name: str) -> list[Heuristic]:
 def _load(path: str) -> Hamiltonian:
     file = Path(path)
     if not file.is_file():
-        raise FileNotFoundError(path)
-    return parse_hamiltonian(file.read_text())
+        raise _UsageError(f"no such input file: {path}")
+    data = file.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", line, column) from None
+    return parse_hamiltonian(text)
 
 
 def _solve_one(
@@ -127,8 +136,6 @@ def _solve_one(
         return result
     result.wall_ms = (time.perf_counter() - started) * 1000.0
     validate_cover(g, cover)
-    if args.validate:
-        validate_cover_words(h, cover)
     result.cover = cover
     result.stats = compute_stats(cover)
     result.bases = [basis_of_group(h, group) for group in cover.groups]
@@ -234,8 +241,11 @@ def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]], ar
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write report to {output}: {exc.strerror}") from None
 
 
 def _exit_code(results: list[_HeuristicResult], explicit: bool) -> int:
@@ -267,13 +277,13 @@ def main(argv: list[str] | None = None) -> int:
         render = _render_compare_json if args.format == "json" else _render_compare_text
         _emit(render(rows, args), args.output)
         return _exit_code(all_results, args.algorithm != "all")
-    except FileNotFoundError as exc:
-        print(f"qwcover: error: no such input file: {exc}", file=sys.stderr)
+    except _UsageError as exc:
+        print(f"qwcover: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"qwcover: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapacityError, BudgetExceededError) as exc:
+    except CapacityError as exc:
         print(f"qwcover: error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

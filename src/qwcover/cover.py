@@ -44,13 +44,6 @@ class Heuristic(enum.Enum):
     BKT = "bkt"
 
 
-COLORING_HEURISTICS = frozenset(
-    {Heuristic.GC, Heuristic.LF, Heuristic.SL, Heuristic.DSATUR,
-     Heuristic.RLF, Heuristic.DB, Heuristic.COSINE}
-)
-REMOVAL_HEURISTICS = frozenset({Heuristic.RAMSEY, Heuristic.BKT})
-
-
 class InvalidCoverError(ValueError):
     """A purported cover is not a partition into cliques."""
 
@@ -79,13 +72,7 @@ class CliqueCover:
         return tuple(len(group) for group in self.groups)
 
     def vertex_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for group in self.groups:
-            out |= group
-        return frozenset(out)
-
-    def __iter__(self):
-        return iter(self.groups)
+        return frozenset().union(*self.groups)
 
 
 def validate_cover(g: TermGraph, cover: CliqueCover) -> None:
@@ -99,17 +86,16 @@ def validate_cover(g: TermGraph, cover: CliqueCover) -> None:
     for index, group in enumerate(cover.groups):
         if not group:
             raise InvalidCoverError(f"group {index} is empty")
+        mask = 0
         for v in group:
             if not 0 <= v < g.n:
                 raise InvalidCoverError(f"group {index} references unknown vertex {v}")
             if v in seen:
                 raise InvalidCoverError(f"vertex {v} appears in more than one group")
             seen.add(v)
-        mask = 0
-        for v in group:
             mask |= 1 << v
         for v in group:
-            missing = mask & ~g.neighbor_mask(v) & ~(1 << v)
+            missing = mask & ~g.rows[v] & ~(1 << v)
             if missing:
                 other = missing.bit_length() - 1
                 raise InvalidCoverError(

@@ -33,14 +33,14 @@ def _greedy_clique_size(g: TermGraph) -> int:
     best = 0
     for seed in range(g.n):
         clique = 1 << seed
-        candidates = g.neighbor_mask(seed)
+        candidates = g.rows[seed]
         while candidates:
             v = max(
                 iter_bits(candidates),
-                key=lambda u: ((g.neighbor_mask(u) & candidates).bit_count(), -u),
+                key=lambda u: ((g.rows[u] & candidates).bit_count(), -u),
             )
             clique |= 1 << v
-            candidates &= g.neighbor_mask(v)
+            candidates &= g.rows[v]
         best = max(best, clique.bit_count())
     return best
 

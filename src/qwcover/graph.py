@@ -94,9 +94,6 @@ class TermGraph:
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
-    def neighbor_mask(self, v: int) -> int:
-        return self._rows[v]
-
     def neighbors(self, v: int) -> Iterator[int]:
         return iter_bits(self._rows[v])
 
@@ -117,13 +114,6 @@ class TermGraph:
                 [full & ~(row | (1 << i)) for i, row in enumerate(self._rows)]
             )
         return self._complement
-
-    def adjacency_lines(self) -> list[str]:
-        """Debug dump, one ``"i: j k l"`` adjacency line per vertex."""
-        return [
-            f"{i}: " + " ".join(str(j) for j in iter_bits(row)) if row else f"{i}:"
-            for i, row in enumerate(self._rows)
-        ]
 
     def check_consistency(self) -> None:
         """Assert symmetry, irreflexivity and degree-cache agreement."""

@@ -141,15 +141,6 @@ class PauliWord:
         return cls(factors)
 
     @property
-    def factors(self) -> dict[int, PauliAxis]:
-        """Copy of the sparse factor map (non-identity entries only)."""
-        return dict(self._items)
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self._items)
-
-    @property
     def x_mask(self) -> int:
         """Bit q set when the factor on qubit q is X or Y."""
         return self._x_mask

@@ -121,42 +121,34 @@ def max_clique_bkt(
 def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
     """Recursive pivot construction, evaluated with an explicit stack.
 
-    Pivot on the lowest-index candidate v; the result is the larger of
-    {v} + clique(neighborhood of v) and clique(non-neighborhood of v),
-    preferring the pivot branch on ties.
+    R(m) pivots on the lowest-index candidate v of m and returns the larger
+    of {v} + R(m & N(v)) and R(m minus v and N(v)), preferring the pivot
+    branch on ties.  Unrolling the second branch, R(m) is the first largest
+    of the cliques {v_i} + R(m_i & N(v_i)) along the chain m_0 = m,
+    m_(i+1) = m_i minus v_i and N(v_i).  Each frame walks that chain as a
+    loop, holding [candidates left, best clique so far, pending pivot bit],
+    so the stack grows only along pivot branches.
     """
-    CALL, AFTER_FIRST, AFTER_SECOND = 0, 1, 2
-    stack: list[list[int]] = [[alive, CALL, 0, 0]]
-    result = 0
+    stack: list[list[int]] = [[alive, 0, 0]]
+    clique = 0
     while stack:
         frame = stack[-1]
-        mask, state = frame[0], frame[1]
-        if state == CALL:
-            if not mask:
-                result = 0
-                stack.pop()
-                continue
-            pivot_bit = mask & -mask
-            v = pivot_bit.bit_length() - 1
-            frame[1] = AFTER_FIRST
-            frame[2] = pivot_bit
-            stack.append([mask & rows[v], CALL, 0, 0])
-        elif state == AFTER_FIRST:
-            pivot_bit = frame[2]
-            v = pivot_bit.bit_length() - 1
-            frame[1] = AFTER_SECOND
-            frame[3] = result | pivot_bit
-            stack.append([frame[0] & ~rows[v] & ~pivot_bit, CALL, 0, 0])
-        else:
-            with_pivot = frame[3]
-            without_pivot = result
-            result = (
-                with_pivot
-                if with_pivot.bit_count() >= without_pivot.bit_count()
-                else without_pivot
-            )
+        if frame[2]:
+            # ``clique`` is R of the pending pivot's neighborhood.
+            clique |= frame[2]
+            if clique.bit_count() > frame[1].bit_count():
+                frame[1] = clique
+        left = frame[0]
+        if not left:
+            clique = frame[1]
             stack.pop()
-    return result
+            continue
+        pivot = left & -left
+        row = rows[pivot.bit_length() - 1]
+        frame[0] = left & ~row & ~pivot
+        frame[2] = pivot
+        stack.append([left & row, 0, 0])
+    return clique
 
 
 def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:

@@ -1,4 +1,8 @@
-"""One front door for all nine cover solvers."""
+"""One front door for all nine cover solvers.
+
+Seven color the complement graph, two extract cliques one at a time.  No
+solver checks its own cover; callers that need that run ``validate_cover``.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from .coloring import (
     sequential_coloring,
     smallest_last_order,
 )
-from .cover import COLORING_HEURISTICS, CliqueCover, Heuristic
+from .cover import CliqueCover, Heuristic
 from .graph import TermGraph, build_qwc_graph
 from .pauli import Hamiltonian
 from .removal import DEFAULT_NODE_BUDGET, clique_removal_cover
@@ -23,12 +27,11 @@ __all__ = ["HEURISTIC_ORDER", "group_hamiltonian", "solve_mcc"]
 # Canonical reporting order.
 HEURISTIC_ORDER: tuple[Heuristic, ...] = tuple(Heuristic)
 
-_ORDERING_RULES = {
-    Heuristic.GC: input_order,
-    Heuristic.LF: largest_first_order,
-    Heuristic.SL: smallest_last_order,
-}
-_DIRECT_COLORINGS = {
+# Each coloring heuristic as a function of the complement graph.
+_COLORINGS = {
+    Heuristic.GC: lambda comp: sequential_coloring(comp, input_order(comp)),
+    Heuristic.LF: lambda comp: sequential_coloring(comp, largest_first_order(comp)),
+    Heuristic.SL: lambda comp: sequential_coloring(comp, smallest_last_order(comp)),
     Heuristic.DSATUR: dsatur_coloring,
     Heuristic.RLF: rlf_coloring,
     Heuristic.DB: db_coloring,
@@ -48,14 +51,10 @@ def solve_mcc(
     Coloring heuristics run on the complement graph, which ``g`` builds
     once and shares across calls.  ``node_budget`` only affects BKT.
     """
-    if heuristic in COLORING_HEURISTICS:
-        comp = g.complement()
-        if heuristic in _ORDERING_RULES:
-            coloring = sequential_coloring(comp, _ORDERING_RULES[heuristic](comp))
-        else:
-            coloring = _DIRECT_COLORINGS[heuristic](comp)
-        return cover_from_coloring(g, coloring, provenance=heuristic)
-    return clique_removal_cover(g, heuristic, node_budget)
+    color = _COLORINGS.get(heuristic)
+    if color is None:
+        return clique_removal_cover(g, heuristic, node_budget)
+    return cover_from_coloring(g, color(g.complement()), provenance=heuristic)
 
 
 def group_hamiltonian(

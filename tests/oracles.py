@@ -101,6 +101,31 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
     return tuple(groups)
 
 
+def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
+    """``ramsey_clique`` restricted to ``alive``, as plain recursion.
+
+    R(S) pivots on the lowest vertex v of S and returns the larger of
+    {v} + R(S & N(v)) and R(S - N(v) - {v}), the pivot branch on ties; the
+    result is then extended greedily in ascending index order.
+    """
+
+    def ramsey(candidates: frozenset[int]) -> frozenset[int]:
+        if not candidates:
+            return frozenset()
+        v = min(candidates)
+        neighbors = frozenset(g.neighbors(v))
+        with_pivot = {v} | ramsey(candidates & neighbors)
+        without_pivot = ramsey(candidates - neighbors - {v})
+        return with_pivot if len(with_pivot) >= len(without_pivot) else without_pivot
+
+    vertices = [v for v in range(g.n) if alive >> v & 1]
+    clique = set(ramsey(frozenset(vertices)))
+    for v in vertices:
+        if v not in clique and all(g.has_edge(v, u) for u in clique):
+            clique.add(v)
+    return frozenset(clique)
+
+
 def brute_force_max_clique(g: TermGraph) -> set[int]:
     """Largest clique by enumerating all vertex subsets (small graphs only)."""
     for size in range(g.n, 0, -1):

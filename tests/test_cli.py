@@ -4,7 +4,9 @@ import subprocess
 
 import pytest
 
+import qwcover.cli
 from conftest import DEMO_TEXT
+from qwcover import CliqueCover, InvalidCoverError
 from qwcover.cli import main
 
 ALL_NAMES = ["gc", "lf", "sl", "dsatur", "rlf", "db", "cosine", "ramsey", "bkt"]
@@ -38,7 +40,7 @@ class TestRun:
     def test_all_heuristics_two_groups(self, demo_file, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--input", str(demo_file), "--algorithm", "all",
-            "--format", "json", "--validate",
+            "--format", "json",
         )
         assert code == 0
         report = json.loads(out)
@@ -201,16 +203,38 @@ class TestErrors:
             ])
         assert excinfo.value.code == 1
 
-    def test_seedless_flag_accepted_bare(self, demo_file, capsys):
-        code, _, _ = run_cli(
-            capsys, "run", "--input", str(demo_file), "--algorithm", "gc", "--seedless",
-        )
-        assert code == 0
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ham"
+        bad.write_bytes(b"1.0 [Z0]\n1.0 [Z1\xff]\n")
+        code, _, err = run_cli(capsys, "run", "--input", str(bad))
+        assert code == 2
+        assert "line 2, column 8" in err
 
-    def test_seedless_with_value_rejected(self, demo_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--input", str(demo_file), "--seedless=yes"])
-        assert excinfo.value.code == 1
+    def test_output_in_missing_directory(self, demo_file, tmp_path, capsys):
+        target = tmp_path / "nodir" / "r.json"
+        code, _, err = run_cli(
+            capsys, "run", "--input", str(demo_file), "--output", str(target),
+        )
+        assert code == 1
+        assert f"cannot write report to {target}" in err
+        assert "no such input file" not in err
+
+    def test_output_is_a_directory(self, demo_file, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--input", str(demo_file), "--output", str(tmp_path),
+        )
+        assert code == 1
+        assert f"cannot write report to {tmp_path}" in err
+
+    @pytest.mark.parametrize("algorithm", ["lf", "ramsey"])
+    def test_non_clique_cover_rejected(self, demo_file, monkeypatch, algorithm):
+        # the demo's seven terms do not all qubit-wise commute
+        monkeypatch.setattr(
+            qwcover.cli, "solve_mcc",
+            lambda g, heuristic, **_: CliqueCover((frozenset(range(g.n)),), heuristic),
+        )
+        with pytest.raises(InvalidCoverError, match="not a clique"):
+            main(["run", "--input", str(demo_file), "--algorithm", algorithm])
 
 
 @pytest.mark.skipif(shutil.which("qwcover") is None, reason="entry point not installed")

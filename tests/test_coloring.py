@@ -8,7 +8,6 @@ from conftest import DEMO_MINIMUM_GROUPS
 from qwcover import (
     Coloring,
     Heuristic,
-    InvalidCoverError,
     TermGraph,
     cosine_coloring,
     cover_from_coloring,
@@ -205,12 +204,6 @@ class TestCoverFromColoring:
         g = edgeless_graph(3)
         cover = cover_from_coloring(g, Coloring((2, 1, 0), 3))
         assert [min(group) for group in cover.groups] == [0, 1, 2]
-
-    def test_improper_coloring_rejected(self):
-        # one color on two non-adjacent (in QWC graph) vertices is no clique
-        g = path_graph(3)
-        with pytest.raises(InvalidCoverError, match="not a clique"):
-            cover_from_coloring(g, Coloring((0, 1, 0), 2))
 
     def test_random_proper_colorings_make_valid_covers(self):
         rng = random.Random(4242)

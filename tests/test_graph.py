@@ -104,10 +104,6 @@ class TestTermGraph:
             g = oracles.random_gnp(12, 0.4, seed)
             assert g.degrees == tuple(row.bit_count() for row in g.rows)
 
-    def test_adjacency_lines(self):
-        g = TermGraph.from_edges(3, [(0, 2)])
-        assert g.adjacency_lines() == ["0: 2", "1:", "2: 0"]
-
 
 class TestComplement:
     def test_complement_of_clique_is_edgeless(self):

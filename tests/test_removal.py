@@ -57,8 +57,10 @@ class TestMaxCliqueBkt:
     def test_deep_search_leaves_recursion_limit_alone(self):
         # the search descends once per clique member, past the default limit
         limit = sys.getrecursionlimit()
-        assert max_clique_bkt(complete_graph(1100)) == frozenset(range(1100))
-        assert sys.getrecursionlimit() == limit
+        g = complete_graph(1100)
+        for finder in (max_clique_bkt, ramsey_clique):
+            assert finder(g) == frozenset(range(1100))
+            assert sys.getrecursionlimit() == limit
 
     def test_alive_mask_outside_graph_rejected(self):
         g = complete_graph(3)
@@ -94,6 +96,15 @@ class TestRamseyClique:
             found = ramsey_clique(g)
             for v in set(range(n)) - found:
                 assert not found <= set(g.neighbors(v)) | {v}, (trial, v)
+
+    def test_matches_recursive_definition(self):
+        rng = random.Random(5)
+        for trial in range(200):
+            n = rng.randint(0, 40)
+            g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1200 + trial)
+            alive = rng.getrandbits(n) if n else 0
+            expected = oracles.recursive_ramsey_clique(g, alive)
+            assert ramsey_clique(g, alive=alive) == expected, trial
 
     def test_deep_recursion_safe(self):
         # complete graph drives the pivot chain through every vertex
