@@ -61,6 +61,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(lowest: int):
+    """An argparse ``type=`` that rejects integers below ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
+
+
 @dataclass
 class _HeuristicResult:
     heuristic: Heuristic
@@ -83,9 +98,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--algorithm", choices=algorithm_names, default="all")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--bkt-budget", type=int, default=DEFAULT_NODE_BUDGET,
+        p.add_argument("--bkt-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET,
                        help="node budget for the exact clique search")
-        p.add_argument("--bkt-skip-above", type=int, default=DEFAULT_BKT_SKIP_ABOVE,
+        p.add_argument("--bkt-skip-above", type=_int_at_least(0), default=DEFAULT_BKT_SKIP_ABOVE,
                        help="with --algorithm all, skip bkt on graphs larger than this")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock milliseconds (breaks byte-identical reruns)")

@@ -7,6 +7,13 @@ complement therefore yields a cover through :func:`cover_from_coloring`.
 
 All tie-breaking is by ascending vertex index (pairs lexicographically),
 so every solver is deterministic; none of them uses randomness.
+
+Smallest-last and DSATUR select on per-vertex counts (residual degree,
+saturation) that they keep as bit-sliced counters over the row bitsets:
+plane ``j`` holds bit ``j`` of every vertex's count, so updating the counts
+of a whole neighborhood, or narrowing a candidate set to its minimum or
+maximum count, costs O(log n) big-integer operations instead of one Python
+call per vertex.
 """
 
 from __future__ import annotations
@@ -68,20 +75,73 @@ def largest_first_order(g: TermGraph) -> tuple[int, ...]:
     return tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
 
 
+def _planes(values: Sequence[int]) -> list[int]:
+    """Bit-sliced counters: bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``."""
+    return [
+        sum(1 << u for u, value in enumerate(values) if value >> j & 1)
+        for j in range(max(values, default=0).bit_length())
+    ]
+
+
+def _decrement(planes: list[int], mask: int) -> None:
+    """Subtract 1 from every count in ``mask``; each must be positive."""
+    borrow = mask
+    for j, plane in enumerate(planes):
+        if not borrow:
+            return
+        planes[j] = plane ^ borrow
+        borrow &= ~plane
+
+
+def _increment(planes: list[int], mask: int) -> None:
+    """Add 1 to every count in ``mask``, growing a plane on overflow."""
+    carry = mask
+    for j, plane in enumerate(planes):
+        if not carry:
+            return
+        planes[j] = plane ^ carry
+        carry &= plane
+    if carry:
+        planes.append(carry)
+
+
+def _keep_min(planes: list[int], candidates: int) -> int:
+    """The members of ``candidates`` whose count is smallest."""
+    for plane in reversed(planes):
+        low = candidates & ~plane
+        if low:
+            candidates = low
+    return candidates
+
+
+def _keep_max(planes: list[int], candidates: int) -> int:
+    """The members of ``candidates`` whose count is largest."""
+    for plane in reversed(planes):
+        high = candidates & plane
+        if high:
+            candidates = high
+    return candidates
+
+
 def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
     """Degeneracy ordering: repeatedly move the vertex of smallest degree
     in the shrinking graph to the back (ties by ascending index); what
-    remains at the front is processed first."""
+    remains at the front is processed first.
+
+    Residual degrees are bit-sliced counters, so each of the n steps costs
+    O(log n) bitset operations.
+    """
     rows = g.rows
     remaining = (1 << g.n) - 1
+    degree = _planes(g.degrees)
     order = [0] * g.n
     for position in range(g.n - 1, -1, -1):
-        v = min(
-            iter_bits(remaining),
-            key=lambda u: ((rows[u] & remaining).bit_count(), u),
-        )
+        smallest = _keep_min(degree, remaining)
+        bit = smallest & -smallest
+        v = bit.bit_length() - 1
         order[position] = v
-        remaining ^= 1 << v
+        remaining ^= bit
+        _decrement(degree, rows[v] & remaining)
     return tuple(order)
 
 
@@ -114,40 +174,36 @@ def dsatur_coloring(g: TermGraph) -> Coloring:
 
     Colors the largest-degree vertex first, then repeatedly the uncolored
     vertex adjacent to the most distinct colors (its saturation), breaking
-    ties by larger degree within the uncolored subgraph, then by index.
+    ties by larger degree within the uncolored subgraph, then by index;
+    each gets the lowest color absent among its neighbors.
+
+    Saturation and residual degree are bit-sliced counters, and ``near[c]``
+    is the union of the rows of color class ``c``, so each of the n steps
+    costs O(log n) bitset operations plus one test per color.
     """
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
     rows = g.rows
-    color_of = [0] * n
-    seen_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
-    class_masks: list[int] = []
-    uncolored = (1 << n) - 1
-    current = max(range(n), key=lambda v: (g.degrees[v], -v))
-    while True:
-        taken = seen_colors[current]
-        c = 0
-        while taken >> c & 1:
-            c += 1
-        if c == len(class_masks):
-            class_masks.append(0)
-        class_masks[c] |= 1 << current
-        color_of[current] = c
-        uncolored ^= 1 << current
-        if not uncolored:
-            break
-        for u in iter_bits(rows[current] & uncolored):
-            seen_colors[u] |= 1 << c
-        current = max(
-            iter_bits(uncolored),
-            key=lambda v: (
-                seen_colors[v].bit_count(),
-                (rows[v] & uncolored).bit_count(),
-                -v,
-            ),
-        )
-    return Coloring(tuple(color_of), len(class_masks))
+    color_of = [0] * g.n
+    near: list[int] = []
+    degree = _planes(g.degrees)
+    saturation: list[int] = []
+    uncolored = (1 << g.n) - 1
+    while uncolored:
+        chosen = _keep_max(degree, _keep_max(saturation, uncolored))
+        bit = chosen & -chosen
+        v = bit.bit_length() - 1
+        for c, reach in enumerate(near):
+            if not reach & bit:
+                break
+        else:
+            c = len(near)
+            near.append(0)
+        color_of[v] = c
+        uncolored ^= bit
+        neighbors = rows[v] & uncolored
+        _decrement(degree, neighbors)
+        _increment(saturation, neighbors & ~near[c])
+        near[c] |= rows[v]
+    return Coloring(tuple(color_of), len(near))
 
 
 def rlf_coloring(g: TermGraph) -> Coloring:

@@ -370,7 +370,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
         ParseError: malformed line, duplicate qubit within a word,
             negative qubit index, an imaginary part beyond tolerance,
             a header smaller than the largest used index, or no term
-            lines at all.
+            lines at all (located at the last line read, line 1 if none).
     """
     lines = source.splitlines() if isinstance(source, str) else source
     declared_qubits: int | None = None
@@ -407,7 +407,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             max_seen = max(max_seen, word.max_qubit)
         collected.append((coefficient, word))
     if not collected:
-        raise ParseError("empty input: no Hamiltonian terms found", 0)
+        raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
     if declared_qubits is not None and max_seen >= declared_qubits:
         raise ParseError(
             f"header declares {declared_qubits} qubits but qubit {max_seen} is used",

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written from first principles (dense
 matrices, subset enumeration, subset dynamic programming) and shares no
-algorithmic machinery with the package under test.  The one exception,
-:func:`relabelling_clique_removal`, runs the package's own clique finders on
-rebuilt subgraphs, so that it checks only the removal loop around them.
+algorithmic machinery with the package under test.  The exceptions:
+:func:`relabelling_clique_removal` runs the package's own clique finders on
+rebuilt subgraphs, so that it checks only the removal loop around them, and
+:func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
+package's earlier full-scan orderings, the reference for its bit-sliced
+counters.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from functools import reduce
 import numpy as np
 
 from qwcover import (
+    Coloring,
     Hamiltonian,
     Heuristic,
     PauliAxis,
     PauliWord,
     TermGraph,
     fully_commute,
+    iter_bits,
     max_clique_bkt,
     qubit_wise_commute,
     ramsey_clique,
@@ -124,6 +129,64 @@ def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
         if v not in clique and all(g.has_edge(v, u) for u in clique):
             clique.add(v)
     return frozenset(clique)
+
+
+def scan_smallest_last_order(g: TermGraph) -> tuple[int, ...]:
+    """Degeneracy ordering: repeatedly move the vertex of smallest degree
+    in the shrinking graph to the back (ties by ascending index); what
+    remains at the front is processed first."""
+    rows = g.rows
+    remaining = (1 << g.n) - 1
+    order = [0] * g.n
+    for position in range(g.n - 1, -1, -1):
+        v = min(
+            iter_bits(remaining),
+            key=lambda u: ((rows[u] & remaining).bit_count(), u),
+        )
+        order[position] = v
+        remaining ^= 1 << v
+    return tuple(order)
+
+
+def scan_dsatur_coloring(g: TermGraph) -> Coloring:
+    """Saturation-driven coloring.
+
+    Colors the largest-degree vertex first, then repeatedly the uncolored
+    vertex adjacent to the most distinct colors (its saturation), breaking
+    ties by larger degree within the uncolored subgraph, then by index.
+    """
+    n = g.n
+    if n == 0:
+        return Coloring((), 0)
+    rows = g.rows
+    color_of = [0] * n
+    seen_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
+    class_masks: list[int] = []
+    uncolored = (1 << n) - 1
+    current = max(range(n), key=lambda v: (g.degrees[v], -v))
+    while True:
+        taken = seen_colors[current]
+        c = 0
+        while taken >> c & 1:
+            c += 1
+        if c == len(class_masks):
+            class_masks.append(0)
+        class_masks[c] |= 1 << current
+        color_of[current] = c
+        uncolored ^= 1 << current
+        if not uncolored:
+            break
+        for u in iter_bits(rows[current] & uncolored):
+            seen_colors[u] |= 1 << c
+        current = max(
+            iter_bits(uncolored),
+            key=lambda v: (
+                seen_colors[v].bit_count(),
+                (rows[v] & uncolored).bit_count(),
+                -v,
+            ),
+        )
+    return Coloring(tuple(color_of), len(class_masks))
 
 
 def brute_force_max_clique(g: TermGraph) -> set[int]:

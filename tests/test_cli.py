@@ -169,7 +169,7 @@ class TestErrors:
         empty.write_text("")
         code, _, err = run_cli(capsys, "run", "--input", str(empty))
         assert code == 2
-        assert "empty input" in err
+        assert "line 1: empty input" in err
 
     def test_budget_error_single_algorithm(self, tmp_path, capsys):
         lines = [f"1.0 [{' '.join(f'Z{q}' for q in range(i))}]" for i in range(1, 26)]
@@ -195,6 +195,29 @@ class TestErrors:
         entries = {r["heuristic"]: r for r in json.loads(out)["results"]}
         assert "error" in entries["bkt"]
         assert entries["lf"]["n_groups"] > 0
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_bad_bkt_budget_is_usage_error(self, demo_file, budget, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--input", str(demo_file), "--bkt-budget", budget])
+        assert excinfo.value.code == 1
+        assert "--bkt-budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["-1", "many"])
+    def test_bad_bkt_skip_above_is_usage_error(self, demo_file, size, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--input", str(demo_file), "--bkt-skip-above", size])
+        assert excinfo.value.code == 1
+        assert "--bkt-skip-above" in capsys.readouterr().err
+
+    def test_zero_bkt_skip_above_skips_bkt(self, demo_file, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--input", str(demo_file), "--format", "json",
+            "--bkt-skip-above", "0",
+        )
+        assert code == 0
+        entries = {r["heuristic"]: r for r in json.loads(out)["results"]}
+        assert "skipped" in entries["bkt"]
 
     def test_run_rejects_multiple_inputs(self, demo_file, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,7 +1,10 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import DEMO_MINIMUM_GROUPS
@@ -9,17 +12,22 @@ from qwcover import (
     Coloring,
     Heuristic,
     TermGraph,
+    build_qwc_graph,
     cosine_coloring,
     cover_from_coloring,
     db_coloring,
     dsatur_coloring,
     input_order,
     largest_first_order,
+    parse_hamiltonian,
     rlf_coloring,
     sequential_coloring,
     smallest_last_order,
     solve_mcc,
 )
+from qwcover.coloring import _decrement, _increment, _keep_max, _keep_min, _planes
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ALL_COLORINGS = {
     "gc": lambda g: sequential_coloring(g, input_order(g)),
@@ -139,6 +147,80 @@ class TestDsatur:
 
     def test_demo_complement_two_colors(self, demo_graph):
         assert dsatur_coloring(demo_graph.complement()).n_colors == 2
+
+
+class TestScanOracle:
+    """The bit-sliced counters reproduce the full-scan solvers exactly."""
+
+    def test_random_graphs(self):
+        rng = random.Random(4)
+        for trial in range(1000):
+            n = rng.randint(0, 70)
+            g = oracles.random_gnp(n, rng.choice([0, 0.15, 0.5, 0.85, 1]), trial)
+            assert smallest_last_order(g) == oracles.scan_smallest_last_order(g), trial
+            assert dsatur_coloring(g) == oracles.scan_dsatur_coloring(g), trial
+
+    @pytest.mark.parametrize("name", ["jw-8", "bk-8"])
+    def test_golden_molecule_complements(self, name):
+        h = parse_hamiltonian((GOLDEN / f"{name}.ham").read_text())
+        comp = build_qwc_graph(h).complement()
+        assert smallest_last_order(comp) == oracles.scan_smallest_last_order(comp)
+        assert dsatur_coloring(comp) == oracles.scan_dsatur_coloring(comp)
+
+
+@st.composite
+def counter_scripts(draw):
+    """Start counts, then steps of (increment?, mask, candidates)."""
+    n = draw(st.integers(0, 10))
+    counts = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    masks = st.integers(0, (1 << n) - 1)
+    steps = draw(st.lists(st.tuples(st.booleans(), masks, masks), max_size=12))
+    return counts, steps
+
+
+def unslice(planes, n):
+    return [sum((plane >> u & 1) << j for j, plane in enumerate(planes)) for u in range(n)]
+
+
+class TestBitSlicedCounters:
+    @settings(max_examples=300, deadline=None)
+    @given(counter_scripts())
+    @example(([7], [(True, 1, 1)]))  # carry into a new top plane
+    @example(([1, 2, 1], [(False, 0b111, 0b111)]))  # decrements to 0
+    @example(([3, 0, 5], [(True, 0, 0b111), (False, 0, 0b101)]))  # empty mask
+    @example(([], [(True, 0, 0), (False, 0, 0)]))  # empty graph
+    def test_matches_list_model(self, script):
+        counts, steps = script
+        n = len(counts)
+        planes = _planes(counts)
+        model = list(counts)
+        assert unslice(planes, n) == model
+        for grow, mask, candidates in steps:
+            if grow:
+                _increment(planes, mask)
+            else:
+                # a decrement applies only to positive counts
+                mask &= sum(1 << u for u, count in enumerate(model) if count)
+                _decrement(planes, mask)
+            for u in range(n):
+                if mask >> u & 1:
+                    model[u] += 1 if grow else -1
+            assert unslice(planes, n) == model
+            members = [u for u in range(n) if candidates >> u & 1]
+            for keep, best in ((_keep_min, min), (_keep_max, max)):
+                target = best((model[u] for u in members), default=None)
+                expected = sum(1 << u for u in members if model[u] == target)
+                assert keep(planes, candidates) == expected
+
+    def test_carry_grows_a_plane(self):
+        planes = _planes([7, 1])
+        _increment(planes, 0b11)
+        assert planes == [0, 0b10, 0, 0b01]
+
+    def test_empty_graph(self):
+        assert _planes([]) == []
+        assert smallest_last_order(edgeless_graph(0)) == ()
+        assert dsatur_coloring(edgeless_graph(0)) == Coloring((), 0)
 
 
 class TestRlf:

@@ -203,7 +203,7 @@ class TestParsing:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="empty input") as excinfo:
             parse_hamiltonian("# only a comment\n\n")
-        assert excinfo.value.line == 0
+        assert excinfo.value.line == 2  # the last line read
 
     def test_malformed_line_reports_location(self):
         with pytest.raises(ParseError) as excinfo:
