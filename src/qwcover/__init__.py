@@ -42,6 +42,7 @@ from .graph import (
 from .pauli import (
     COEFFICIENT_PRUNE_THRESHOLD,
     IMAGINARY_TOLERANCE,
+    MAX_QUBIT_INDEX,
     Hamiltonian,
     HamiltonianTerm,
     ParseError,
@@ -80,6 +81,7 @@ __all__ = [
     "IMAGINARY_TOLERANCE",
     "InvalidCoverError",
     "MAX_GRAPH_VERTICES",
+    "MAX_QUBIT_INDEX",
     "MeasurementBasis",
     "ParseError",
     "PauliAxis",

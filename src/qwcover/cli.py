@@ -16,6 +16,7 @@ emitted only with ``--timings`` so that repeated runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -87,7 +88,10 @@ class _HeuristicResult:
     skipped: str | None = None
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused by every later
+    ``main`` call in the process (parsing leaves it unchanged)."""
     parser = _Parser(prog="qwcover", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     algorithm_names = [h.value for h in HEURISTIC_ORDER] + ["all"]
@@ -165,41 +169,51 @@ def _solve_file(path: str, args: argparse.Namespace) -> tuple[Hamiltonian, list[
     return h, [_solve_one(h, g, hx, args, explicit) for hx in heuristics]
 
 
-def _result_record(result: _HeuristicResult, total_terms: int, with_timings: bool) -> dict:
-    record: dict = {"heuristic": result.heuristic.value}
-    if result.skipped is not None:
-        record["skipped"] = result.skipped
-        return record
-    if result.error is not None:
-        record["error"] = result.error
-        return record
-    assert result.cover is not None and result.stats is not None and result.bases is not None
-    record.update(
-        total_terms=total_terms,
-        n_groups=result.stats.n_groups,
-        max_size=result.stats.max_size,
-        size_std=result.stats.size_std,
-    )
-    if with_timings:
-        record["wall_ms"] = round(result.wall_ms, 3)
-    record["groups"] = [
-        {
-            "terms": sorted(group),
-            "basis": {str(q): str(axis) for q, axis in basis.assignment.items()},
-        }
-        for group, basis in zip(result.cover.groups, result.bases)
-    ]
-    return record
-
-
 def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult], args) -> str:
-    report = {
-        "input": path,
-        "n_qubits": h.n_qubits,
-        "total_terms": h.n_terms,
-        "results": [_result_record(r, h.n_terms, args.timings) for r in results],
-    }
-    return json.dumps(report, indent=2) + "\n"
+    """The run report, byte for byte as ``json.dumps(report, indent=2)``
+    lays it out, written directly into one list of pieces that is joined
+    once at the end (a group's term indices and basis entries each enter
+    it as one separator-joined piece).
+
+    ``json.dumps`` renders only the free-text strings (the input path,
+    skip and error messages) and the floats; heuristic names, axis letters
+    and integers need no escaping.  Every group is non-empty, since
+    :func:`validate_cover` has accepted its cover.
+    """
+    out = ['{\n  "input": ', json.dumps(path), ',\n  "n_qubits": ', str(h.n_qubits),
+           ',\n  "total_terms": ', str(h.n_terms), ',\n  "results": [']
+    for number, r in enumerate(results):
+        out += (",\n    {" if number else "\n    {", '\n      "heuristic": "', r.heuristic.value, '"')
+        if r.skipped is not None:
+            out += (',\n      "skipped": ', json.dumps(r.skipped), "\n    }")
+            continue
+        if r.error is not None:
+            out += (',\n      "error": ', json.dumps(r.error), "\n    }")
+            continue
+        assert r.cover is not None and r.stats is not None and r.bases is not None
+        out += (',\n      "total_terms": ', str(h.n_terms),
+                ',\n      "n_groups": ', str(r.stats.n_groups),
+                ',\n      "max_size": ', str(r.stats.max_size),
+                ',\n      "size_std": ', json.dumps(r.stats.size_std))
+        if args.timings:
+            out += (',\n      "wall_ms": ', json.dumps(round(r.wall_ms, 3)))
+        out.append(',\n      "groups": [')
+        for index, (group, basis) in enumerate(zip(r.cover.groups, r.bases)):
+            out += (",\n        {" if index else "\n        {",
+                    '\n          "terms": [\n            ',
+                    ",\n            ".join(map(str, sorted(group))),
+                    '\n          ],\n          "basis": ')
+            if basis.assignment:
+                # ``_value_`` is the plain attribute behind the slower ``.value``.
+                out += ("{\n            ",
+                        ",\n            ".join([
+                            f'"{q}": "{axis._value_}"' for q, axis in basis.assignment.items()]),
+                        "\n          }\n        }")
+            else:
+                out.append("{}\n        }")
+        out.append("\n      ]\n    }" if r.cover.groups else "]\n    }")
+    out.append("\n  ]\n}\n")
+    return "".join(out)
 
 
 def _render_run_text(path: str, h: Hamiltonian, results: list[_HeuristicResult], args) -> str:
@@ -272,7 +286,7 @@ def _exit_code(results: list[_HeuristicResult], explicit: bool) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":

@@ -6,15 +6,19 @@ row, which makes complementation, residual neighborhoods (``row & alive``)
 and common-neighbor counting cheap bitwise work.  Complements of QWC
 graphs are typically near-complete, so dense storage costs nothing over
 sparse lists here.
+
+:func:`build_qwc_graph` builds the rows from term bitsets as well: for each
+single-qubit factor ``(qubit, axis)`` it takes the set of terms that act on
+that qubit along a different axis, and row ``i`` is every term outside the
+union of those sets over term ``i``'s factors (and other than ``i``).  That
+is one bitset OR per factor of each term, with no pairwise loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .pauli import Hamiltonian
+from .pauli import Hamiltonian, PauliAxis
 
 __all__ = [
     "MAX_GRAPH_VERTICES",
@@ -26,9 +30,6 @@ __all__ = [
 
 # Guard against accidentally requesting a multi-terabyte adjacency matrix.
 MAX_GRAPH_VERTICES = 1 << 20
-
-_LANE_BITS = 64
-_LANE_MASK = (1 << _LANE_BITS) - 1
 
 
 class CapacityError(RuntimeError):
@@ -140,37 +141,35 @@ class TermGraph:
         return f"TermGraph(n={self.n}, edges={self.edge_count})"
 
 
-def _split_lanes(mask: int, lanes: int) -> list[int]:
-    return [(mask >> (_LANE_BITS * lane)) & _LANE_MASK for lane in range(lanes)]
-
-
 def build_qwc_graph(h: Hamiltonian) -> TermGraph:
     """Build the QWC graph of a Hamiltonian.
 
     Vertex ``i`` is ``h.terms[i]``; the edge ``(i, j)`` is present exactly
-    when the two words qubit-wise commute.  All pairs are evaluated, with
-    the words pre-encoded as per-axis bitmasks so each pair test reduces
-    to a few word-level bit operations (vectorized across rows).
+    when the two words qubit-wise commute, i.e. when no qubit carries a
+    different axis in each.  Row ``i`` is the complement of ``i`` and of
+    the terms that clash with one of its factors.
     """
     n = len(h.terms)
     if n > MAX_GRAPH_VERTICES:
         raise CapacityError(
             f"Hamiltonian has {n} terms, more than the {MAX_GRAPH_VERTICES}-vertex cap"
         )
-    if n == 0:
-        return TermGraph([])
-    lanes = max(1, -(-h.n_qubits // _LANE_BITS))
-    xs = np.zeros((n, lanes), dtype=np.uint64)
-    zs = np.zeros((n, lanes), dtype=np.uint64)
+    # Terms carrying each factor, then the terms that act on the same
+    # qubit along another axis: the factor's clashes.
+    carrying: dict[tuple[int, PauliAxis], int] = {}
     for i, term in enumerate(h.terms):
-        xs[i] = _split_lanes(term.word.x_mask, lanes)
-        zs[i] = _split_lanes(term.word.z_mask, lanes)
-    support = xs | zs
+        bit = 1 << i
+        for factor in term.word:
+            carrying[factor] = carrying.get(factor, 0) | bit
+    touching: dict[int, int] = {}
+    for (qubit, _), terms in carrying.items():
+        touching[qubit] = touching.get(qubit, 0) | terms
+    clashes = {factor: touching[factor[0]] ^ terms for factor, terms in carrying.items()}
+    full = (1 << n) - 1
     rows = []
-    for i in range(n):
-        conflict = ((xs[i] ^ xs) | (zs[i] ^ zs)) & (support[i] & support)
-        qwc = ~conflict.any(axis=1)
-        qwc[i] = False
-        packed = np.packbits(qwc, bitorder="little").tobytes()
-        rows.append(int.from_bytes(packed, "little"))
+    for i, term in enumerate(h.terms):
+        blocked = 1 << i
+        for factor in term.word:
+            blocked |= clashes[factor]
+        rows.append(full ^ blocked)
     return TermGraph(rows)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 __all__ = [
     "COEFFICIENT_PRUNE_THRESHOLD",
     "IMAGINARY_TOLERANCE",
+    "MAX_QUBIT_INDEX",
     "Hamiltonian",
     "HamiltonianTerm",
     "ParseError",
@@ -49,6 +50,11 @@ COEFFICIENT_PRUNE_THRESHOLD = 1e-12
 # this is an error (Hermitian qubit Hamiltonians have real coefficients);
 # anything smaller is truncated silently.
 IMAGINARY_TOLERANCE = 1e-10
+
+# Largest accepted qubit index.  A word's masks hold one bit per qubit up
+# to its highest index, so an absurd index would otherwise allocate (or
+# fail to allocate) a huge integer before anything could reject it.
+MAX_QUBIT_INDEX = (1 << 16) - 1
 
 
 class ParseError(ValueError):
@@ -98,7 +104,8 @@ class PauliWord:
             members or single letters; identity entries are dropped.
 
     Raises:
-        ValueError: on a negative qubit index or a qubit listed twice.
+        ValueError: on a qubit index outside ``0..MAX_QUBIT_INDEX`` or a
+            qubit listed twice.
     """
 
     __slots__ = ("_items", "_x_mask", "_z_mask", "_hash")
@@ -111,6 +118,8 @@ class PauliWord:
             axis = _as_axis(axis)
             if qubit < 0:
                 raise ValueError(f"negative qubit index {qubit}")
+            if qubit > MAX_QUBIT_INDEX:
+                raise ValueError(f"qubit index {qubit} above the limit {MAX_QUBIT_INDEX}")
             if qubit in collected:
                 raise ValueError(f"qubit {qubit} listed more than once")
             if axis is PauliAxis.I:
@@ -339,6 +348,17 @@ def _parse_coefficient(token: str, line_no: int, column: int) -> float:
     return value
 
 
+def _bounded_int(digits: str, limit: int, what: str, line_no: int, column: int | None = None) -> int:
+    """The decimal ``digits`` as an int, or a :class:`ParseError` when it
+    exceeds ``limit``; the digit count is checked first, so no huge
+    integer is ever built."""
+    significant = digits.lstrip("0") or "0"
+    value = int(significant) if len(significant) <= len(str(limit)) else limit + 1
+    if value > limit:
+        raise ParseError(f"{what} above the limit {limit}", line_no, column)
+    return value
+
+
 def _parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
     factors: dict[int, PauliAxis] = {}
     for match in re.finditer(r"\S+", body):
@@ -349,7 +369,7 @@ def _parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
             if _NEGATIVE_FACTOR_RE.fullmatch(token):
                 raise ParseError(f"negative qubit index in factor {token!r}", line_no, column)
             raise ParseError(f"bad Pauli factor {token!r}", line_no, column)
-        qubit = int(factor.group(2))
+        qubit = _bounded_int(factor.group(2), MAX_QUBIT_INDEX, "qubit index", line_no, column)
         if qubit in factors:
             raise ParseError(
                 f"qubit {qubit} assigned more than one factor in one word", line_no, column
@@ -368,14 +388,17 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
 
     Raises:
         ParseError: malformed line, duplicate qubit within a word,
-            negative qubit index, an imaginary part beyond tolerance,
-            a header smaller than the largest used index, or no term
-            lines at all (located at the last line read, line 1 if none).
+            negative qubit index or one above :data:`MAX_QUBIT_INDEX`,
+            an imaginary part beyond tolerance, a repeated word whose
+            coefficients sum to a non-finite value (located at the line
+            that overflows), a header smaller than the largest used index,
+            or no term lines at all (located at the last line read, line 1
+            if none).
     """
     lines = source.splitlines() if isinstance(source, str) else source
     declared_qubits: int | None = None
     header_line = 0
-    collected: list[tuple[float, PauliWord]] = []
+    merged: dict[PauliWord, float] = {}
     max_seen = -1
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -388,7 +411,9 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             if header is not None:
                 if declared_qubits is not None:
                     raise ParseError("duplicate 'qubits:' header", line_no)
-                declared_qubits = int(header.group(1))
+                declared_qubits = _bounded_int(
+                    header.group(1), MAX_QUBIT_INDEX + 1, "declared qubit count", line_no
+                )
                 header_line = line_no
             continue
         indent = len(line) - len(line.lstrip())
@@ -405,15 +430,25 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
         word = _parse_word(match.group("body"), indent + match.start("body"), line_no)
         if word.max_qubit is not None:
             max_seen = max(max_seen, word.max_qubit)
-        collected.append((coefficient, word))
-    if not collected:
+        if word in merged:
+            total = merged[word] + coefficient
+            if not math.isfinite(total):
+                raise ParseError(
+                    f"coefficients of [{word}] sum to {total!r}", line_no, indent + 1
+                )
+            merged[word] = total
+        else:
+            merged[word] = coefficient
+    if not merged:
         raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
     if declared_qubits is not None and max_seen >= declared_qubits:
         raise ParseError(
             f"header declares {declared_qubits} qubits but qubit {max_seen} is used",
             header_line,
         )
-    return Hamiltonian.from_terms(collected, n_qubits=declared_qubits)
+    return Hamiltonian.from_terms(
+        [(coefficient, word) for word, coefficient in merged.items()], n_qubits=declared_qubits
+    )
 
 
 def format_hamiltonian(h: Hamiltonian, include_header: bool = True) -> str:

@@ -1,13 +1,26 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qwcover.cli
 from conftest import DEMO_TEXT
-from qwcover import CliqueCover, InvalidCoverError
-from qwcover.cli import main
+from qwcover import (
+    CliqueCover,
+    Heuristic,
+    InvalidCoverError,
+    MeasurementBasis,
+    PauliAxis,
+    compute_stats,
+)
+from qwcover.cli import _HeuristicResult, _render_run_json, main
 
 ALL_NAMES = ["gc", "lf", "sl", "dsatur", "rlf", "db", "cosine", "ramsey", "bkt"]
 
@@ -109,6 +122,116 @@ class TestRun:
         assert json.loads(out)["results"][0]["n_groups"] == 2
 
 
+def reference_run_report(path, h, results, args) -> str:
+    """The run report built as a dict and laid out by ``json.dumps``: the
+    reference the direct JSON writer must reproduce byte for byte."""
+    records = []
+    for r in results:
+        record = {"heuristic": r.heuristic.value}
+        if r.skipped is not None:
+            record["skipped"] = r.skipped
+        elif r.error is not None:
+            record["error"] = r.error
+        else:
+            record.update(
+                total_terms=h.n_terms,
+                n_groups=r.stats.n_groups,
+                max_size=r.stats.max_size,
+                size_std=r.stats.size_std,
+            )
+            if args.timings:
+                record["wall_ms"] = round(r.wall_ms, 3)
+            record["groups"] = [
+                {
+                    "terms": sorted(group),
+                    "basis": {str(q): str(axis) for q, axis in basis.assignment.items()},
+                }
+                for group, basis in zip(r.cover.groups, r.bases)
+            ]
+        records.append(record)
+    report = {"input": path, "n_qubits": h.n_qubits, "total_terms": h.n_terms, "results": records}
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _solved(heuristic, groups, bases, wall_ms=0.0):
+    cover = CliqueCover(tuple(frozenset(g) for g in groups), heuristic)
+    return _HeuristicResult(
+        heuristic, cover=cover, stats=compute_stats(cover),
+        bases=[MeasurementBasis(b) for b in bases], wall_ms=wall_ms,
+    )
+
+
+@st.composite
+def run_reports(draw):
+    """``(path, h, results, args)`` for the JSON writer: any text as the
+    path and messages, results that are solved, skipped or failed, and
+    covers that partition ``0..n_terms-1`` (possibly empty) with arbitrary
+    bases (possibly empty)."""
+    text = st.text(max_size=30)
+    n_terms = draw(st.integers(0, 14))
+    h = SimpleNamespace(n_qubits=draw(st.integers(0, 200)), n_terms=n_terms)
+    results = []
+    for heuristic in draw(st.lists(st.sampled_from(list(Heuristic)), min_size=1, unique=True)):
+        kind = draw(st.sampled_from(["solved", "skipped", "error"]))
+        if kind == "skipped":
+            results.append(_HeuristicResult(heuristic, skipped=draw(text)))
+        elif kind == "error":
+            results.append(_HeuristicResult(heuristic, error=draw(text)))
+        else:
+            order = draw(st.permutations(range(n_terms)))
+            cuts = sorted(draw(st.sets(st.integers(1, n_terms - 1)))) if n_terms > 1 else []
+            bounds = [0, *cuts, n_terms] if n_terms else [0]
+            groups = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+            basis = st.dictionaries(
+                st.integers(0, 200), st.sampled_from([PauliAxis.X, PauliAxis.Y, PauliAxis.Z]),
+                max_size=6,
+            )
+            bases = [draw(basis) for _ in groups]
+            wall_ms = draw(st.floats(0.0, 1e7, allow_nan=False))
+            results.append(_solved(heuristic, groups, bases, wall_ms))
+    return draw(text), h, results, SimpleNamespace(timings=draw(st.booleans()))
+
+
+_PINNED_REPORT = (
+    'dir/\u00e9t\u00e9 "q" \\ back\\slash.ham',
+    SimpleNamespace(n_qubits=3, n_terms=3),
+    [
+        _solved(Heuristic.LF, [[2, 0], [1]], [{0: PauliAxis.Z, 2: PauliAxis.X}, {}], 1.23456),
+        _HeuristicResult(Heuristic.DB, skipped="graph has 3 vertices, above --bkt-skip-above=2"),
+        _HeuristicResult(Heuristic.BKT, error='maximum-clique search exceeded 2 nodes "\u2026"'),
+    ],
+    SimpleNamespace(timings=True),
+)
+
+
+class TestRunJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_reports())
+    @example(case=_PINNED_REPORT)
+    @example(case=(
+        "empty.ham", SimpleNamespace(n_qubits=1, n_terms=0),
+        [_solved(Heuristic.GC, [], []), _HeuristicResult(Heuristic.RAMSEY, skipped="")],
+        SimpleNamespace(timings=False),
+    ))
+    def test_matches_json_dumps(self, case):
+        assert _render_run_json(*case) == reference_run_report(*case)
+
+    def test_cli_reports_keep_json_dumps_layout(self, tmp_path, capsys):
+        # zero terms (every group list empty), an identity-only group
+        # (empty basis), a skipped bkt, timings, and a path that needs escaping
+        inputs = {"z\u00e9ro \"q\" \\.ham": "0.0 [Z0]\n", "identity.ham": "1.0 []\n"}
+        for name, text in inputs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            for extra in ([], ["--timings"], ["--bkt-skip-above", "0"]):
+                code, out, _ = run_cli(
+                    capsys, "run", "--input", str(path), "--format", "json", *extra,
+                )
+                assert code == 0
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+                assert json.loads(out)["input"] == str(path)
+
+
 class TestCompare:
     def test_demo_row(self, demo_file, capsys):
         code, out, _ = run_cli(capsys, "compare", "--input", str(demo_file))
@@ -163,6 +286,20 @@ class TestErrors:
         code, _, err = run_cli(capsys, "run", "--input", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    def test_coefficients_summing_to_infinity_are_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "overflow.ham"
+        bad.write_text("1e308 [Z0]\n0.5 [X1]\n1e308 [Z0]\n")
+        code, _, err = run_cli(capsys, "run", "--input", str(bad))
+        assert code == 2
+        assert "line 3, column 1: coefficients of [Z0] sum to inf" in err
+
+    def test_huge_qubit_index_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.ham"
+        bad.write_text("0.5 [Z99999999999]\n")
+        code, _, err = run_cli(capsys, "run", "--input", str(bad))
+        assert code == 2
+        assert "line 1, column 6: qubit index above the limit" in err
 
     def test_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.ham"
@@ -258,6 +395,16 @@ class TestErrors:
         )
         with pytest.raises(InvalidCoverError, match="not a clique"):
             main(["run", "--input", str(demo_file), "--algorithm", algorithm])
+
+
+def test_cli_import_leaves_out_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, qwcover.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert completed.stdout == "False\n"
 
 
 @pytest.mark.skipif(shutil.which("qwcover") is None, reason="entry point not installed")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -63,7 +64,7 @@ class TestBuild:
         assert not g.has_edge(1, 2)
 
     def test_many_qubits_multilane(self):
-        # words past the 64-bit lane boundary still compare correctly
+        # words past qubit 63, beyond one machine word, still compare correctly
         h = parse_hamiltonian("1.0 [Z0 Z100]\n1.0 [Z100]\n1.0 [X100]")
         g = build_qwc_graph(h)
         assert g.has_edge(0, 1)
@@ -77,8 +78,6 @@ class TestBuild:
             build_qwc_graph(h)
 
     def test_random_hamiltonian_edges_match_definition(self):
-        import random
-
         rng = random.Random(7)
         h = oracles.random_hamiltonian(rng, 25, 5)
         g = build_qwc_graph(h)
@@ -86,6 +85,23 @@ class TestBuild:
         words = h.words()
         for i, j in itertools.combinations(range(25), 2):
             assert g.has_edge(i, j) == qubit_wise_commute(words[i], words[j])
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 7, 63, 64, 65, 100, 128, 130])
+    def test_matches_pairwise_oracle_across_qubit_counts(self, n_qubits):
+        # Light words keep QWC pairs common on wide registers; the identity
+        # word is adjacent to everything.
+        rng = random.Random(n_qubits)
+        raw = [PauliWord()]
+        raw += [oracles.random_word(rng, n_qubits, max_weight=3) for _ in range(40)]
+        raw += [oracles.random_word(rng, n_qubits) for _ in range(20)]
+        h = Hamiltonian.from_terms([(1.0, word) for word in raw], n_qubits=n_qubits)
+        g = build_qwc_graph(h)
+        g.check_consistency()
+        words = h.words()
+        assert words[0].is_identity
+        for i, j in itertools.combinations(range(len(words)), 2):
+            assert g.has_edge(i, j) == qubit_wise_commute(words[i], words[j]), (i, j)
+        assert 0 < g.edge_count < len(words) * (len(words) - 1) // 2
 
 
 class TestTermGraph:

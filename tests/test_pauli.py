@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from qwcover import (
     COEFFICIENT_PRUNE_THRESHOLD,
+    MAX_QUBIT_INDEX,
     Hamiltonian,
     HamiltonianTerm,
     ParseError,
@@ -46,6 +48,11 @@ class TestPauliWord:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             PauliWord([(-1, PauliAxis.X)])
+
+    def test_index_above_limit_rejected(self):
+        assert PauliWord({MAX_QUBIT_INDEX: "Z"}).max_qubit == MAX_QUBIT_INDEX
+        with pytest.raises(ValueError, match="limit"):
+            PauliWord({MAX_QUBIT_INDEX + 1: "Z"})
 
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
@@ -220,6 +227,43 @@ class TestParsing:
     def test_negative_qubit_index(self):
         with pytest.raises(ParseError, match="negative"):
             parse_hamiltonian("1.0 [Z-1]")
+
+    def test_qubit_index_above_limit_allocates_no_mask(self):
+        text = f"0.5 [X0 Z{MAX_QUBIT_INDEX + 1}]"
+        with pytest.raises(ParseError):
+            parse_hamiltonian(text)  # warm the regex and exception paths
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="limit") as excinfo:
+                parse_hamiltonian(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+        # one mask over that many qubits would take (MAX_QUBIT_INDEX + 1) / 8 bytes
+        assert peak < (MAX_QUBIT_INDEX + 1) // 8
+
+    @pytest.mark.parametrize("digits", ["9" * 5000, "1" + "0" * 20, str(MAX_QUBIT_INDEX + 1)])
+    def test_long_qubit_index_rejected(self, digits):
+        with pytest.raises(ParseError, match="limit"):
+            parse_hamiltonian(f"1.0 [Z{digits}]")
+
+    def test_qubit_index_at_limit_and_leading_zeros(self):
+        assert parse_hamiltonian(f"1.0 [Z{MAX_QUBIT_INDEX}]").n_qubits == MAX_QUBIT_INDEX + 1
+        assert parse_hamiltonian("1.0 [Z" + "0" * 5000 + "3]").words() == (W("Z3"),)
+
+    def test_header_above_limit(self):
+        with pytest.raises(ParseError, match="limit") as excinfo:
+            parse_hamiltonian(f"# qubits: {'9' * 5000}\n1.0 [Z0]")
+        assert excinfo.value.line == 1
+        assert parse_hamiltonian(f"# qubits: {MAX_QUBIT_INDEX + 1}\n1.0 [Z0]").n_qubits == (
+            MAX_QUBIT_INDEX + 1
+        )
+
+    def test_duplicate_words_summing_to_infinity(self):
+        with pytest.raises(ParseError, match=r"\[Z0\] sum to inf") as excinfo:
+            parse_hamiltonian("1e308 [Z0]\n0.5 [X1]\n  1e308 [Z0]\n-1e308 [Z0]")
+        assert (excinfo.value.line, excinfo.value.column) == (3, 3)
 
     def test_duplicate_qubit_in_word(self):
         with pytest.raises(ParseError, match="more than one factor"):
