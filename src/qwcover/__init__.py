@@ -29,7 +29,6 @@ from .cover import (
     basis_of_group,
     compute_stats,
     validate_cover,
-    validate_cover_words,
 )
 from .exact import EXACT_MCC_MAX_VERTICES, exact_mcc, minimum_coloring
 from .graph import (
@@ -49,7 +48,6 @@ from .pauli import (
     PauliAxis,
     PauliWord,
     format_hamiltonian,
-    fully_commute,
     parse_hamiltonian,
     qubit_wise_commute,
 )
@@ -60,7 +58,7 @@ from .removal import (
     max_clique_bkt,
     ramsey_clique,
 )
-from .solvers import HEURISTIC_ORDER, group_hamiltonian, solve_mcc
+from .solvers import solve_mcc
 
 __version__ = "0.1.0"
 
@@ -74,7 +72,6 @@ __all__ = [
     "COEFFICIENT_PRUNE_THRESHOLD",
     "DEFAULT_NODE_BUDGET",
     "EXACT_MCC_MAX_VERTICES",
-    "HEURISTIC_ORDER",
     "Hamiltonian",
     "HamiltonianTerm",
     "Heuristic",
@@ -97,8 +94,6 @@ __all__ = [
     "dsatur_coloring",
     "exact_mcc",
     "format_hamiltonian",
-    "fully_commute",
-    "group_hamiltonian",
     "input_order",
     "iter_bits",
     "largest_first_order",
@@ -112,5 +107,4 @@ __all__ = [
     "smallest_last_order",
     "solve_mcc",
     "validate_cover",
-    "validate_cover_words",
 ]

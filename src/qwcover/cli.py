@@ -8,7 +8,7 @@ per heuristic).
 Every cover is checked once against the graph, and each group's basis is
 derived from its Pauli words, which fails on any non-QWC pair.
 
-Exit codes: 0 success, 1 usage or output error, 2 parse error, 3
+Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
 emitted only with ``--timings`` so that repeated runs stay byte-identical.
 """
@@ -35,7 +35,7 @@ from .cover import (
 from .graph import CapacityError, TermGraph, build_qwc_graph
 from .pauli import Hamiltonian, ParseError, parse_hamiltonian
 from .removal import DEFAULT_NODE_BUDGET, BudgetExceededError
-from .solvers import HEURISTIC_ORDER, solve_mcc
+from .solvers import solve_mcc
 
 __all__ = ["console_main", "main"]
 
@@ -50,7 +50,7 @@ DEFAULT_BKT_SKIP_ABOVE = 5000
 
 
 class _UsageError(Exception):
-    """A missing input file or an unwritable report path."""
+    """A missing or unreadable input file or an unwritable report path."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +94,7 @@ def _parser() -> _Parser:
     ``main`` call in the process (parsing leaves it unchanged)."""
     parser = _Parser(prog="qwcover", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    algorithm_names = [h.value for h in HEURISTIC_ORDER] + ["all"]
+    algorithm_names = [h.value for h in Heuristic] + ["all"]
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--input", action="append", required=True,
@@ -116,7 +116,7 @@ def _parser() -> _Parser:
 
 def _selected_heuristics(name: str) -> list[Heuristic]:
     if name == "all":
-        return list(HEURISTIC_ORDER)
+        return list(Heuristic)
     return [Heuristic(name)]
 
 
@@ -124,7 +124,10 @@ def _load(path: str) -> Hamiltonian:
     file = Path(path)
     if not file.is_file():
         raise _UsageError(f"no such input file: {path}")
-    data = file.read_bytes()
+    try:
+        data = file.read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"cannot read input file {path}: {exc.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .cover import CliqueCover, Heuristic
+from .cover import CliqueCover
 from .graph import TermGraph, iter_bits
 
 __all__ = [
@@ -58,11 +58,6 @@ class Coloring:
         for v, c in enumerate(self.color_of):
             out[c].append(v)
         return out
-
-    def is_proper(self, g: TermGraph) -> bool:
-        return all(
-            self.color_of[i] != self.color_of[j] for i, j in g.edges()
-        )
 
 
 def input_order(g: TermGraph) -> tuple[int, ...]:
@@ -365,11 +360,7 @@ def cosine_coloring(g: TermGraph) -> Coloring:
     return state.to_coloring()
 
 
-def cover_from_coloring(
-    g_qwc: TermGraph,
-    coloring: Coloring,
-    provenance: Heuristic | None = None,
-) -> CliqueCover:
+def cover_from_coloring(g_qwc: TermGraph, coloring: Coloring) -> CliqueCover:
     """Turn a proper coloring of the complement into a clique cover.
 
     Color classes become groups, ordered by their smallest member.  The
@@ -380,4 +371,4 @@ def cover_from_coloring(
     if len(coloring.color_of) != g_qwc.n:
         raise ValueError("coloring does not match the graph's vertex count")
     groups = sorted((frozenset(vs) for vs in coloring.classes()), key=min)
-    return CliqueCover(tuple(groups), provenance)
+    return CliqueCover(tuple(groups))

@@ -1,14 +1,15 @@
 """Exact minimum clique cover for small instances.
 
 Intended as a test oracle: the cover size equals the chromatic number of
-the complement graph, which is computed by exhaustive branch-and-bound
-coloring.  Correctness rests only on the completeness of that search; the
-greedy bounds used to narrow the color range merely speed it up.
+the complement graph: the fewest colors k for which an exhaustive
+backtracking search succeeds, trying k upward from the size of a greedy
+clique (no smaller k can succeed).  No heuristic solver runs here, so the
+oracle is independent of those it judges.
 """
 
 from __future__ import annotations
 
-from .coloring import Coloring, cover_from_coloring, dsatur_coloring
+from .coloring import Coloring, cover_from_coloring
 from .cover import CliqueCover
 from .graph import CapacityError, TermGraph, iter_bits
 
@@ -82,16 +83,11 @@ def minimum_coloring(g: TermGraph) -> Coloring:
     _check_capacity(g)
     if g.n == 0:
         return Coloring((), 0)
-    upper = dsatur_coloring(g)
-    if not upper.is_proper(g):
-        raise AssertionError("upper-bound coloring is not proper")
-    lower = _greedy_clique_size(g)
     order = tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
-    for k in range(lower, upper.n_colors):
-        found = _color_with(g, k, order)
-        if found is not None:
-            return found
-    return upper
+    k = _greedy_clique_size(g)
+    while (found := _color_with(g, k, order)) is None:
+        k += 1
+    return found
 
 
 def exact_mcc(g: TermGraph) -> CliqueCover:
@@ -102,4 +98,4 @@ def exact_mcc(g: TermGraph) -> CliqueCover:
         CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
     """
     _check_capacity(g)
-    return cover_from_coloring(g, minimum_coloring(g.complement()), provenance=None)
+    return cover_from_coloring(g, minimum_coloring(g.complement()))

@@ -48,8 +48,8 @@ class TermGraph:
     """Immutable undirected graph over ``n`` vertices, bitset rows.
 
     Row ``i`` holds the neighbor set of vertex ``i`` as an integer bitset.
-    Adjacency is symmetric and irreflexive; factories maintain this, and
-    :meth:`check_consistency` verifies it explicitly for tests.
+    Adjacency is symmetric and irreflexive: the constructor rejects
+    self-loops, and the factories keep rows symmetric.
     """
 
     __slots__ = ("n", "_rows", "_degrees", "_complement")
@@ -115,19 +115,6 @@ class TermGraph:
                 [full & ~(row | (1 << i)) for i, row in enumerate(self._rows)]
             )
         return self._complement
-
-    def check_consistency(self) -> None:
-        """Assert symmetry, irreflexivity and degree-cache agreement."""
-        for i, row in enumerate(self._rows):
-            if row >> i & 1:
-                raise AssertionError(f"self-loop on {i}")
-            for j in iter_bits(row):
-                if not self._rows[j] >> i & 1:
-                    raise AssertionError(f"asymmetric edge ({i}, {j})")
-        if self._degrees is not None and self._degrees != tuple(
-            row.bit_count() for row in self._rows
-        ):
-            raise AssertionError("degree cache out of date")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermGraph):

@@ -37,7 +37,6 @@ __all__ = [
     "PauliAxis",
     "PauliWord",
     "format_hamiltonian",
-    "fully_commute",
     "parse_hamiltonian",
     "qubit_wise_commute",
 ]
@@ -140,14 +139,9 @@ class PauliWord:
 
     @classmethod
     def from_string(cls, text: str) -> "PauliWord":
-        """Build a word from factor notation such as ``"Z0 Z1 X4"``."""
-        factors = []
-        for token in text.split():
-            match = re.fullmatch(r"([XYZxyz])(\d+)", token)
-            if match is None:
-                raise ValueError(f"bad Pauli factor {token!r}")
-            factors.append((int(match.group(2)), match.group(1)))
-        return cls(factors)
+        """Build a word from factor notation such as ``"Z0 Z1 X4"``, read as
+        the factors of a Hamiltonian file's line 1 (so errors are ParseErrors)."""
+        return _parse_word(text, 0, 1)
 
     @property
     def x_mask(self) -> int:
@@ -205,22 +199,10 @@ def qubit_wise_commute(a: PauliWord, b: PauliWord) -> bool:
 
     Equivalent formulation: wherever both words are non-identity, the axes
     match.  Qubit-wise commutation is strictly stronger than ordinary
-    commutation (see :func:`fully_commute`).
+    commutation, which allows an even number of differing positions.
     """
     common = a.support_mask & b.support_mask
     return not (((a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)) & common)
-
-
-def fully_commute(a: PauliWord, b: PauliWord) -> bool:
-    """Whether the two words commute as operators.
-
-    Two Pauli words commute exactly when the number of qubit positions
-    where both are non-identity with differing axes is even (each such
-    position contributes a factor of -1 on reordering).
-    """
-    common = a.support_mask & b.support_mask
-    differing = ((a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)) & common
-    return differing.bit_count() % 2 == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,7 +252,7 @@ class Hamiltonian:
     @classmethod
     def from_terms(
         cls,
-        terms: Iterable[tuple[float, PauliWord] | HamiltonianTerm],
+        terms: Iterable[tuple[float, PauliWord]],
         n_qubits: int | None = None,
     ) -> "Hamiltonian":
         """Normalize and build: merge duplicate words (summing coefficients),
@@ -280,11 +262,7 @@ class Hamiltonian:
         """
         merged: dict[PauliWord, float] = {}
         max_seen = -1
-        for item in terms:
-            if isinstance(item, HamiltonianTerm):
-                coefficient, word = item.coefficient, item.word
-            else:
-                coefficient, word = item
+        for coefficient, word in terms:
             if not math.isfinite(coefficient):
                 raise ValueError(f"non-finite coefficient {coefficient!r}")
             if word in merged:

@@ -194,4 +194,4 @@ def clique_removal_cover(
         groups.append(clique)
         for v in clique:
             alive ^= 1 << v
-    return CliqueCover(tuple(groups), finder)
+    return CliqueCover(tuple(groups))

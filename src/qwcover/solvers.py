@@ -1,4 +1,4 @@
-"""One front door for all nine cover solvers.
+"""One front door, :func:`solve_mcc`, for all nine cover solvers.
 
 Seven color the complement graph, two extract cliques one at a time.  No
 solver checks its own cover; callers that need that run ``validate_cover``.
@@ -18,14 +18,10 @@ from .coloring import (
     smallest_last_order,
 )
 from .cover import CliqueCover, Heuristic
-from .graph import TermGraph, build_qwc_graph
-from .pauli import Hamiltonian
+from .graph import TermGraph
 from .removal import DEFAULT_NODE_BUDGET, clique_removal_cover
 
-__all__ = ["HEURISTIC_ORDER", "group_hamiltonian", "solve_mcc"]
-
-# Canonical reporting order.
-HEURISTIC_ORDER: tuple[Heuristic, ...] = tuple(Heuristic)
+__all__ = ["solve_mcc"]
 
 # Each coloring heuristic as a function of the complement graph.
 _COLORINGS = {
@@ -54,14 +50,4 @@ def solve_mcc(
     color = _COLORINGS.get(heuristic)
     if color is None:
         return clique_removal_cover(g, heuristic, node_budget)
-    return cover_from_coloring(g, color(g.complement()), provenance=heuristic)
-
-
-def group_hamiltonian(
-    h: Hamiltonian,
-    heuristic: Heuristic = Heuristic.LF,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> CliqueCover:
-    """Group a Hamiltonian's terms into shared-basis cliques."""
-    return solve_mcc(build_qwc_graph(h), heuristic, node_budget=node_budget)
+    return cover_from_coloring(g, color(g.complement()))

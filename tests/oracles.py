@@ -19,13 +19,13 @@ from functools import reduce
 import numpy as np
 
 from qwcover import (
+    CliqueCover,
     Coloring,
     Hamiltonian,
     Heuristic,
     PauliAxis,
     PauliWord,
     TermGraph,
-    fully_commute,
     iter_bits,
     max_clique_bkt,
     qubit_wise_commute,
@@ -67,6 +67,35 @@ def dense_qubit_wise_commute(a: PauliWord, b: PauliWord, n_qubits: int) -> bool:
         if not matrices_commute(ma, mb):
             return False
     return True
+
+
+def fully_commute(a: PauliWord, b: PauliWord) -> bool:
+    """Whether the two words commute as operators, from the symplectic form:
+    they anticommute exactly when ``x(a)·z(b) + z(a)·x(b)`` is odd."""
+    return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
+
+
+def assert_qwc_partition(h: Hamiltonian, cover: CliqueCover) -> None:
+    """Every term index in exactly one group, and every in-group pair of
+    words qubit-wise commuting by the 2x2-matrix commutator test."""
+    members = sorted(v for group in cover.groups for v in group)
+    assert members == list(range(h.n_terms)), "cover does not partition the terms"
+    words = h.words()
+    for index, group in enumerate(cover.groups):
+        for a, b in itertools.combinations(sorted(group), 2):
+            assert dense_qubit_wise_commute(words[a], words[b], h.n_qubits), (
+                f"group {index}: terms {a} and {b} do not qubit-wise commute"
+            )
+
+
+def is_symmetric(g: TermGraph) -> bool:
+    """Whether every edge ``(i, j)`` also appears as ``(j, i)``, with no
+    self-loops."""
+    return all(
+        g.has_edge(j, i) == g.has_edge(i, j) and not g.has_edge(i, i)
+        for i in range(g.n)
+        for j in range(g.n)
+    )
 
 
 def qwc_implies_commute(a: PauliWord, b: PauliWord) -> bool:

@@ -32,13 +32,11 @@ from qwcover import (
     clique_removal_cover,
     compute_stats,
     exact_mcc,
-    fully_commute,
     parse_hamiltonian,
     qubit_wise_commute,
     sequential_coloring,
     solve_mcc,
     validate_cover,
-    validate_cover_words,
 )
 from qwcover.cli import main as cli_main
 
@@ -57,7 +55,7 @@ def test_criterion_1_worked_example_exactness(demo_hamiltonian, demo_graph):
     for heuristic in Heuristic:
         cover = solve_mcc(demo_graph, heuristic)
         validate_cover(demo_graph, cover)
-        validate_cover_words(demo_hamiltonian, cover)
+        oracles.assert_qwc_partition(demo_hamiltonian, cover)
         outcomes[heuristic.value] = set(cover.groups)
     oracle = exact_mcc(demo_graph)
     elapsed = time.perf_counter() - started
@@ -76,7 +74,7 @@ def test_criterion_2_non_minimal_cover_is_legal(demo_hamiltonian, demo_graph):
     """A 3-group cover of the same Hamiltonian validates but is larger."""
     cover = CliqueCover(DEMO_THREE_GROUP_COVER)
     validate_cover(demo_graph, cover)
-    validate_cover_words(demo_hamiltonian, cover)
+    oracles.assert_qwc_partition(demo_hamiltonian, cover)
     optimum = exact_mcc(demo_graph).n_groups
     _verdict(
         "criterion-2 non-minimal cover exists",
@@ -123,7 +121,7 @@ def test_criterion_4_oracle_soundness_sweep():
         for heuristic in Heuristic:
             cover = solve_mcc(g, heuristic)
             validate_cover(g, cover)
-            validate_cover_words(h, cover)
+            oracles.assert_qwc_partition(h, cover)
             assert cover.n_groups >= optimum
             for group in cover.groups:
                 basis_of_group(h, group)
@@ -183,7 +181,7 @@ def test_criterion_7_qwc_implies_commuting():
         a = oracles.random_word(rng, 8)
         b = oracles.random_word(rng, 8)
         if qubit_wise_commute(a, b):
-            assert fully_commute(a, b)
+            assert oracles.fully_commute(a, b)
     # exhaustive agreement with the matrix commutator on 4 qubits
     axes = [PauliAxis.I, PauliAxis.X, PauliAxis.Y, PauliAxis.Z]
     words = [
@@ -200,7 +198,7 @@ def test_criterion_7_qwc_implies_commuting():
             < 1e-12
         )
         ours = np.fromiter(
-            (fully_commute(words[i], w) for w in words), bool, len(words)
+            (oracles.fully_commute(words[i], w) for w in words), bool, len(words)
         )
         mismatches += int((dense != ours).sum())
     _verdict(

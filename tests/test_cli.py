@@ -154,7 +154,7 @@ def reference_run_report(path, h, results, args) -> str:
 
 
 def _solved(heuristic, groups, bases, wall_ms=0.0):
-    cover = CliqueCover(tuple(frozenset(g) for g in groups), heuristic)
+    cover = CliqueCover(tuple(frozenset(g) for g in groups))
     return _HeuristicResult(
         heuristic, cover=cover, stats=compute_stats(cover),
         bases=[MeasurementBasis(b) for b in bases], wall_ms=wall_ms,
@@ -280,6 +280,17 @@ class TestErrors:
         assert code == 1
         assert "no such input file" in err
 
+    def test_unreadable_file_is_usage_error(self, demo_file, monkeypatch, capsys):
+        # chmod 000 does not stop root from reading, so fake the failure.
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        code, out, err = run_cli(capsys, "run", "--input", str(demo_file))
+        assert code == 1
+        assert out == ""
+        assert err == f"qwcover: error: cannot read input file {demo_file}: Permission denied\n"
+
     def test_parse_error_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.ham"
         bad.write_text("1.0 [Z0]\n???\n")
@@ -391,7 +402,7 @@ class TestErrors:
         # the demo's seven terms do not all qubit-wise commute
         monkeypatch.setattr(
             qwcover.cli, "solve_mcc",
-            lambda g, heuristic, **_: CliqueCover((frozenset(range(g.n)),), heuristic),
+            lambda g, heuristic, **_: CliqueCover((frozenset(range(g.n)),)),
         )
         with pytest.raises(InvalidCoverError, match="not a clique"):
             main(["run", "--input", str(demo_file), "--algorithm", algorithm])

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qwcover import (
@@ -20,8 +24,8 @@ from qwcover import (
     parse_hamiltonian,
     solve_mcc,
     validate_cover,
-    validate_cover_words,
 )
+from qwcover.cover import _population_std
 from qwcover.exact import EXACT_MCC_MAX_VERTICES
 
 
@@ -33,14 +37,14 @@ class TestValidateCover:
     def test_demo_minimum_cover_valid(self, demo_hamiltonian, demo_graph):
         cover = CliqueCover((frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})))
         validate_cover(demo_graph, cover)
-        validate_cover_words(demo_hamiltonian, cover)
+        oracles.assert_qwc_partition(demo_hamiltonian, cover)
 
     def test_three_group_cover_valid(self, demo_hamiltonian, demo_graph):
         from conftest import DEMO_THREE_GROUP_COVER
 
         cover = CliqueCover(DEMO_THREE_GROUP_COVER)
         validate_cover(demo_graph, cover)
-        validate_cover_words(demo_hamiltonian, cover)
+        oracles.assert_qwc_partition(demo_hamiltonian, cover)
         assert cover.n_groups == 3
 
     def test_overlap_rejected(self, demo_graph):
@@ -59,9 +63,13 @@ class TestValidateCover:
             validate_cover(demo_graph, cover)
 
     def test_word_level_check_catches_non_qwc_group(self, demo_hamiltonian):
+        # Y0 X2 X3 joins the nested-Z words: qubit 0 needs both Z and Y.
         cover = CliqueCover((frozenset({0, 1, 2, 3, 5}), frozenset({4, 6})))
-        with pytest.raises(InvalidCoverError, match="qubit-wise"):
-            validate_cover_words(demo_hamiltonian, cover)
+        with pytest.raises(BasisConflictError, match="qubit 0 would need both"):
+            for group in cover.groups:
+                basis_of_group(demo_hamiltonian, group)
+        with pytest.raises(AssertionError, match="do not qubit-wise commute"):
+            oracles.assert_qwc_partition(demo_hamiltonian, cover)
 
 
 class TestBasisOfGroup:
@@ -122,6 +130,27 @@ class TestStats:
         assert stats.n_groups == 1
         assert stats.size_std == 0.0
 
+    def test_size_std_correctly_rounded_pinned(self):
+        # A float mean-and-deviations pstdev (CPython 3.10) prints
+        # 3.091206165165235 here; the correctly rounded value differs.
+        cover = CliqueCover((frozenset({0}), frozenset({1, 2}), frozenset(range(3, 11))))
+        assert compute_stats(cover).size_std == 3.0912061651652345
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(1, 1 << 20), min_size=1, max_size=80))
+    @example([7, 7, 7])
+    @example([1, 2, 8])
+    @example([4, 3])
+    def test_size_std_correctly_rounded(self, sizes):
+        n = len(sizes)
+        variance = Fraction(n * sum(s * s for s in sizes) - sum(sizes) ** 2, n * n)
+        result = _population_std(tuple(sizes))
+        # The square of each half-ULP midpoint around the result brackets
+        # the exact variance; below 0.0 the midpoint counts as 0.
+        low = max((Fraction(result) + Fraction(math.nextafter(result, -math.inf))) / 2, 0)
+        high = (Fraction(result) + Fraction(math.nextafter(result, math.inf))) / 2
+        assert low * low <= variance <= high * high
+
     def test_empty_cover(self):
         stats = compute_stats(CliqueCover(()))
         assert stats == compute_stats(CliqueCover(()))
@@ -169,6 +198,19 @@ class TestExactMcc:
             coloring = minimum_coloring(g)
             assert oracles.is_proper_coloring(g, coloring.color_of)
             assert coloring.n_colors == oracles.chromatic_number_dp(g), trial
+
+    def test_minimum_coloring_beats_first_fit(self):
+        # A crown graph labelled u0 v0 u1 v1 ...: first fit in index order
+        # needs four colors, its bipartition two; beside a 5-cycle the
+        # minimum is three.  A color search that starts above the minimum
+        # or skips a count returns a worse, first-fit-like coloring.
+        crown = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
+        cycle = [(8 + i, 8 + (i + 1) % 5) for i in range(5)]
+        for n, edges, chromatic in ((8, crown, 2), (13, crown + cycle, 3)):
+            g = TermGraph.from_edges(n, edges)
+            coloring = minimum_coloring(g)
+            assert oracles.is_proper_coloring(g, coloring.color_of)
+            assert coloring.n_colors == chromatic, n
 
 
 class TestConcurrentSolvers:

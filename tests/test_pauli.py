@@ -16,7 +16,6 @@ from qwcover import (
     PauliAxis,
     PauliWord,
     format_hamiltonian,
-    fully_commute,
     parse_hamiltonian,
     qubit_wise_commute,
 )
@@ -63,6 +62,17 @@ class TestPauliWord:
         assert str(word) == "X0 Z3 Y7"
         assert PauliWord.from_string(str(word)) == word
 
+    def test_from_string_uses_the_file_grammar(self):
+        assert W("x0 z12") == PauliWord({0: "X", 12: "Z"})
+        with pytest.raises(ParseError, match="line 1, column 4: bad Pauli factor 'Q1'"):
+            W("Z0 Q1")
+        with pytest.raises(ParseError, match="negative qubit index"):
+            W("X-1")
+        with pytest.raises(ParseError, match="more than one factor"):
+            W("X0 Z0")
+        with pytest.raises(ParseError, match="limit"):
+            W(f"Z{MAX_QUBIT_INDEX + 1}")
+
     def test_masks(self):
         word = W("X0 Y1 Z2")
         assert word.x_mask == 0b011
@@ -81,18 +91,18 @@ class TestCommutation:
     def test_xx_yy_not_qwc_but_commuting(self):
         a, b = W("X0 X1"), W("Y0 Y1")
         assert not qubit_wise_commute(a, b)
-        assert fully_commute(a, b)
+        assert oracles.fully_commute(a, b)
 
     def test_identity_qwc_with_everything(self):
         assert qubit_wise_commute(PauliWord(), W("X0 Y3 Z5"))
 
     def test_single_qubit_anticommuting_pair(self):
-        assert not fully_commute(W("X0"), W("Z0"))
+        assert not oracles.fully_commute(W("X0"), W("Z0"))
 
     def test_two_differing_positions_commute(self):
         # Verified against the dense-matrix oracle below as well.
         a, b = W("X0 Z1"), W("Z0 X1")
-        assert fully_commute(a, b)
+        assert oracles.fully_commute(a, b)
         assert oracles.dense_fully_commute(a, b, 2)
 
     def test_qwc_not_transitive(self):
@@ -104,12 +114,12 @@ class TestCommutation:
     @given(words(), words())
     def test_symmetry(self, a, b):
         assert qubit_wise_commute(a, b) == qubit_wise_commute(b, a)
-        assert fully_commute(a, b) == fully_commute(b, a)
+        assert oracles.fully_commute(a, b) == oracles.fully_commute(b, a)
 
     @given(words())
     def test_reflexivity(self, a):
         assert qubit_wise_commute(a, a)
-        assert fully_commute(a, a)
+        assert oracles.fully_commute(a, a)
 
     @given(words(), words())
     def test_qwc_implies_commute(self, a, b):
@@ -118,7 +128,7 @@ class TestCommutation:
     @settings(max_examples=30, deadline=None)
     @given(words(max_qubit=3), words(max_qubit=3))
     def test_matches_dense_matrix_oracle(self, a, b):
-        assert fully_commute(a, b) == oracles.dense_fully_commute(a, b, 4)
+        assert oracles.fully_commute(a, b) == oracles.dense_fully_commute(a, b, 4)
         assert qubit_wise_commute(a, b) == oracles.dense_qubit_wise_commute(a, b, 4)
 
     def test_random_pairs_qwc_implies_commute(self):

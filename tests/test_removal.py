@@ -115,7 +115,6 @@ class TestCliqueRemovalCover:
     def test_demo_graph_bkt(self, demo_graph):
         cover = clique_removal_cover(demo_graph, Heuristic.BKT)
         assert set(cover.groups) == DEMO_MINIMUM_GROUPS
-        assert cover.provenance is Heuristic.BKT
 
     def test_demo_graph_ramsey(self, demo_graph):
         cover = clique_removal_cover(demo_graph, Heuristic.RAMSEY)
