@@ -14,12 +14,21 @@ plane ``j`` holds bit ``j`` of every vertex's count, so updating the counts
 of a whole neighborhood, or narrowing a candidate set to its minimum or
 maximum count, costs O(log n) big-integer operations instead of one Python
 call per vertex.
+
+DB picks its pair by lazy greedy evaluation (Minoux's accelerated greedy):
+each row keeps an upper bound on the common-neighbor counts of its pairs,
+and only rows whose bound could still beat the best exact count are
+rescanned.  A merge raises a pair's count by at most 1, and only for pairs
+split across the two merged neighborhoods, so the bounds stay valid at
+O(degree) upkeep per merge and the chosen pair is the one a full scan
+would choose.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .cover import CliqueCover
 from .graph import TermGraph, iter_bits
@@ -291,37 +300,86 @@ def db_coloring(g: TermGraph) -> Coloring:
     Repeatedly merges the non-adjacent supervertex pair with the most
     common neighbors (ties: lexicographically smallest pair) until the
     merged graph is complete; each supervertex is one color.
+
+    The pair is found by lazy greedy evaluation over rows instead of a
+    count of every pair.  ``bound[a]`` is an upper bound on the count of
+    each pair ``(a, b)`` with ``b > a`` a non-neighbor of ``a`` (a partner);
+    it starts at the degree of ``a``, which no count exceeds.  A heap pops
+    the row of highest bound, smallest index first.  A row whose degree
+    fell below its bound goes back at its degree; a row not yet rescanned
+    this round is rescanned, its bound set to its exact best count (the
+    first partner reaching it is kept), and goes back; a row already
+    rescanned this round holds the winning pair.  That is exact: its count
+    is at least every other row's bound, and a tied row of smaller index
+    would have been popped, rescanned and returned first.
+
+    Merging ``v`` into ``u`` changes the count of a pair avoiding both
+    only by losing ``v`` and gaining ``u``, so it rises, by exactly 1, only
+    when one endpoint was adjacent to ``u`` alone and the other to ``v``
+    alone.  Hence a row adjacent to just one of them gains 1 on its bound
+    when it has a partner adjacent to just the other, a row below ``u``
+    folds in its fresh count with ``u``, and ``u`` restarts at its degree.
+    No row ever gains a partner, so a row rescanned with none leaves the
+    heap for good.
     """
     if g.n == 0:
         return Coloring((), 0)
     state = _MergeState(g)
     rows = state.rows
-    while True:
-        best_pair = None
-        best_count = -1
-        later = state.active
-        while later:
-            bit_u = later & -later
-            later ^= bit_u
-            u = bit_u.bit_length() - 1
+    bound = list(g.degrees)
+    heap = [(-degree, a) for a, degree in enumerate(bound)]
+    heapify(heap)
+    partner = [0] * g.n
+    scanned = [-1] * g.n  # the round in which each row was last rescanned
+    merges = 0
+    while heap:
+        key, a = heap[0]
+        if -key != bound[a]:
+            heappop(heap)
+            continue
+        if scanned[a] == merges:
+            u, v = a, partner[a]
+            only_u, only_v = rows[u] & ~rows[v], rows[v] & ~rows[u]
+            state.merge(u, v)
+            merges += 1
             row_u = rows[u]
-            # Exact skip: only a count above best_count wins, and every
-            # common neighbor of (u, v) lies in row u.  Merging clears
-            # merged-away vertices from every row, so no ``& active``.
-            if row_u.bit_count() <= best_count:
-                continue
-            partners = later & ~row_u
-            while partners:
-                bit_v = partners & -partners
-                partners ^= bit_v
-                v = bit_v.bit_length() - 1
-                count = (row_u & rows[v]).bit_count()
-                if count > best_count:
-                    best_count = count
-                    best_pair = (u, v)
-        if best_pair is None:
-            break
-        state.merge(*best_pair)
+            bound[u] = row_u.bit_count()
+            heapreplace(heap, (-bound[u], u))
+            bound[v] = -1
+            for side, other in ((only_u, only_v), (only_v, only_u)):
+                for b in iter_bits(side):
+                    if (other & ~rows[b]) >> (b + 1):
+                        bound[b] += 1
+                        heappush(heap, (-bound[b], b))
+            for b in iter_bits(state.active & ~row_u & ((1 << u) - 1)):
+                count = (rows[b] & row_u).bit_count()
+                if count > bound[b]:
+                    bound[b] = count
+                    heappush(heap, (-count, b))
+            continue
+        row = rows[a]
+        degree = row.bit_count()
+        if degree < bound[a]:
+            bound[a] = degree
+            heapreplace(heap, (-degree, a))
+            continue
+        best = -1
+        partners = state.active >> (a + 1) << (a + 1) & ~row
+        while partners:
+            bit_b = partners & -partners
+            partners ^= bit_b
+            count = (row & rows[bit_b.bit_length() - 1]).bit_count()
+            if count > best:
+                best = count
+                partner[a] = bit_b.bit_length() - 1
+                if count == degree:
+                    break
+        bound[a] = best
+        scanned[a] = merges
+        if best < 0:
+            heappop(heap)
+        else:
+            heapreplace(heap, (-best, a))
     return state.to_coloring()
 
 

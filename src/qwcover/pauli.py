@@ -22,6 +22,7 @@ Qubit indices are zero-based everywhere in this package.
 from __future__ import annotations
 
 import enum
+import io
 import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
@@ -294,10 +295,10 @@ class Hamiltonian:
 
 # --- text format -----------------------------------------------------------
 
-_HEADER_RE = re.compile(r"#\s*qubits\s*:\s*(\d+)\s*$")
+_HEADER_RE = re.compile(r"#\s*qubits\s*:\s*([0-9]+)\s*$")
 _TERM_RE = re.compile(r"(?P<coef>\([^()\[\]]*\)|[^\s\[]+)\s*\[(?P<body>[^\]]*)\]\s*(?P<tail>\S?.*)$")
-_FACTOR_RE = re.compile(r"([XYZxyz])(\d+)$")
-_NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-\d+$")
+_FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)$")
+_NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
 
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
@@ -360,9 +361,14 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     """Parse Hamiltonian text into a normalized :class:`Hamiltonian`.
 
     ``source`` is a string or any iterable of lines (e.g. an open file).
-    Duplicate words are merged, negligible terms pruned, and the qubit
-    count taken from the ``# qubits: N`` header when present, otherwise
-    from the largest index seen.
+    A string breaks into lines where a file opened in text mode would: at
+    ``\n``, ``\r\n`` and ``\r`` only, not at the form feeds and Unicode
+    separators ``str.splitlines`` also breaks at, so a location names the
+    same line either way.  Qubit indices and the header's count are ASCII
+    decimal digits.  Duplicate words are merged, negligible terms pruned,
+    and the qubit count taken from the ``# qubits: N`` header when present,
+    otherwise from the largest index seen.  A header with no term lines is
+    the zero Hamiltonian on N qubits, as :func:`format_hamiltonian` writes it.
 
     Raises:
         ParseError: malformed line, duplicate qubit within a word,
@@ -370,10 +376,10 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             an imaginary part beyond tolerance, a repeated word whose
             coefficients sum to a non-finite value (located at the line
             that overflows), a header smaller than the largest used index,
-            or no term lines at all (located at the last line read, line 1
-            if none).
+            or neither a term line nor a header (located at the last line
+            read, line 1 if none).
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     declared_qubits: int | None = None
     header_line = 0
     merged: dict[PauliWord, float] = {}
@@ -417,7 +423,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             merged[word] = total
         else:
             merged[word] = coefficient
-    if not merged:
+    if not merged and declared_qubits is None:
         raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
     if declared_qubits is not None and max_seen >= declared_qubits:
         raise ParseError(

@@ -7,7 +7,8 @@ algorithmic machinery with the package under test.  The exceptions:
 rebuilt subgraphs, so that it checks only the removal loop around them, and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
-counters.
+counters, and :func:`scan_db_coloring` is its earlier full-scan pair choice,
+the reference for its lazy row bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from qwcover import (
     qubit_wise_commute,
     ramsey_clique,
 )
+from qwcover.coloring import _MergeState
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -216,6 +218,46 @@ def scan_dsatur_coloring(g: TermGraph) -> Coloring:
             ),
         )
     return Coloring(tuple(color_of), len(class_masks))
+
+
+def scan_db_coloring(g: TermGraph) -> Coloring:
+    """Pairwise-merge coloring, best pair globally.
+
+    Repeatedly merges the non-adjacent supervertex pair with the most
+    common neighbors (ties: lexicographically smallest pair) until the
+    merged graph is complete; each supervertex is one color.
+    """
+    if g.n == 0:
+        return Coloring((), 0)
+    state = _MergeState(g)
+    rows = state.rows
+    while True:
+        best_pair = None
+        best_count = -1
+        later = state.active
+        while later:
+            bit_u = later & -later
+            later ^= bit_u
+            u = bit_u.bit_length() - 1
+            row_u = rows[u]
+            # Exact skip: only a count above best_count wins, and every
+            # common neighbor of (u, v) lies in row u.  Merging clears
+            # merged-away vertices from every row, so no ``& active``.
+            if row_u.bit_count() <= best_count:
+                continue
+            partners = later & ~row_u
+            while partners:
+                bit_v = partners & -partners
+                partners ^= bit_v
+                v = bit_v.bit_length() - 1
+                count = (row_u & rows[v]).bit_count()
+                if count > best_count:
+                    best_count = count
+                    best_pair = (u, v)
+        if best_pair is None:
+            break
+        state.merge(*best_pair)
+    return state.to_coloring()
 
 
 def brute_force_max_clique(g: TermGraph) -> set[int]:

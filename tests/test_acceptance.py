@@ -7,9 +7,11 @@ printed per criterion (run with ``pytest -s`` to see them live).
 
 import filecmp
 import itertools
+import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,4 +247,19 @@ def test_criterion_9_deterministic_cli_reports(tmp_path):
     _verdict(
         "criterion-9 deterministic reports", identical,
         f"{first.stat().st_size} bytes each",
+    )
+
+
+@pytest.mark.parametrize("name", ["jw-8", "bk-8"])
+def test_criterion_10_molecular_reduction_of_three(name):
+    """The paper reports about a threefold cut in measurement groups on
+    molecular Hamiltonians: the best cover of each golden molecule (the
+    report ``test_golden`` checks against the CLI) has at most terms / 3
+    groups."""
+    report = json.loads((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text())
+    best = min(record["n_groups"] for record in report["results"] if "n_groups" in record)
+    terms = report["total_terms"]
+    _verdict(
+        f"criterion-10 {name} reduction", 3 * best <= terms,
+        f"{terms} terms / {best} groups = {terms / best:.2f}",
     )

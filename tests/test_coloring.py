@@ -18,6 +18,7 @@ from qwcover import (
     db_coloring,
     dsatur_coloring,
     input_order,
+    iter_bits,
     largest_first_order,
     parse_hamiltonian,
     rlf_coloring,
@@ -25,7 +26,14 @@ from qwcover import (
     smallest_last_order,
     solve_mcc,
 )
-from qwcover.coloring import _decrement, _increment, _keep_max, _keep_min, _planes
+from qwcover.coloring import (
+    _decrement,
+    _increment,
+    _keep_max,
+    _keep_min,
+    _MergeState,
+    _planes,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -150,7 +158,8 @@ class TestDsatur:
 
 
 class TestScanOracle:
-    """The bit-sliced counters reproduce the full-scan solvers exactly."""
+    """The bit-sliced counters and the lazy DB row bounds reproduce the
+    full-scan solvers exactly."""
 
     def test_random_graphs(self):
         rng = random.Random(4)
@@ -159,6 +168,7 @@ class TestScanOracle:
             g = oracles.random_gnp(n, rng.choice([0, 0.15, 0.5, 0.85, 1]), trial)
             assert smallest_last_order(g) == oracles.scan_smallest_last_order(g), trial
             assert dsatur_coloring(g) == oracles.scan_dsatur_coloring(g), trial
+            assert db_coloring(g) == oracles.scan_db_coloring(g), trial
 
     @pytest.mark.parametrize("name", ["jw-8", "bk-8"])
     def test_golden_molecule_complements(self, name):
@@ -166,6 +176,63 @@ class TestScanOracle:
         comp = build_qwc_graph(h).complement()
         assert smallest_last_order(comp) == oracles.scan_smallest_last_order(comp)
         assert dsatur_coloring(comp) == oracles.scan_dsatur_coloring(comp)
+        assert db_coloring(comp) == oracles.scan_db_coloring(comp)
+
+
+@st.composite
+def merge_steps(draw):
+    """A graph on up to 12 vertices, a few merges already made, and one
+    more non-adjacent pair ``u < v`` of active vertices to merge."""
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [pair for pair, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    state = _MergeState(TermGraph.from_edges(n, edges))
+    while True:
+        options = [
+            (u, v)
+            for u, v in itertools.combinations(iter_bits(state.active), 2)
+            if not state.rows[u] >> v & 1
+        ]
+        if not options:
+            return None
+        u, v = draw(st.sampled_from(options))
+        if draw(st.booleans()):
+            return state, u, v
+        state.merge(u, v)
+
+
+def pair_counts(state):
+    """Common-neighbor count of every non-adjacent active pair ``a < b``."""
+    return {
+        (a, b): state.common_neighbors(a, b)
+        for a, b in itertools.combinations(iter_bits(state.active), 2)
+        if not state.rows[a] >> b & 1
+    }
+
+
+class TestMergeBound:
+    """The claim behind the lazy DB bounds: merging ``v`` into ``u`` raises
+    the count of a pair avoiding both by at most 1, only when one endpoint
+    is adjacent to ``u`` alone and the other to ``v`` alone (so only for a
+    row in ``N(u) ^ N(v)``), and gives no row a new partner."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_steps())
+    def test_counts_rise_by_at_most_one_across_the_split(self, step):
+        if step is None:
+            return
+        state, u, v = step
+        only_u = state.rows[u] & ~state.rows[v]
+        only_v = state.rows[v] & ~state.rows[u]
+        before = pair_counts(state)
+        state.merge(u, v)
+        for (a, b), count in pair_counts(state).items():
+            if u in (a, b):
+                continue
+            assert (a, b) in before
+            across = (only_u >> a & only_v >> b | only_v >> a & only_u >> b) & 1
+            assert count - before[a, b] <= across, (a, b)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import tracemalloc
@@ -295,6 +296,35 @@ class TestParsing:
         h = parse_hamiltonian(iter(["1.0 [Z0]\n", "2.0 [X1]\n"]))
         assert h.n_terms == 2
 
+    @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_string_and_file_locate_the_same_line(self, tmp_path, mark, newline):
+        text = f"1.0 [Z0]{mark}{newline}2.0 [Q1]{newline}"
+        path = tmp_path / "h.ham"
+        path.write_text(text, encoding="utf-8", newline="")
+        locations = []
+        with path.open(encoding="utf-8") as handle:
+            for source in (text, handle):
+                with pytest.raises(ParseError, match="bad Pauli factor") as excinfo:
+                    parse_hamiltonian(source)
+                locations.append((excinfo.value.line, excinfo.value.column))
+        assert locations == [(2, 6), (2, 6)]
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u0ced", "\uff13"])
+    def test_non_ascii_digit_in_factor_rejected(self, digit):
+        with pytest.raises(ParseError, match="bad Pauli factor") as excinfo:
+            parse_hamiltonian(f"1.0 [X0 Z{digit}]")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+
+    def test_non_ascii_digit_header_is_a_comment(self):
+        assert parse_hamiltonian("# qubits: \u0663\n1.0 [Z0]\n").n_qubits == 1
+
+    def test_header_without_terms_is_the_zero_hamiltonian(self):
+        assert parse_hamiltonian("# qubits: 3\n") == Hamiltonian((), 3)
+        pruned = parse_hamiltonian("0.0 [Z1]\n")
+        assert pruned == Hamiltonian((), 2)
+        assert parse_hamiltonian(format_hamiltonian(pruned)) == pruned
+
 
 class TestRoundTrip:
     def test_demo_round_trip(self, demo_hamiltonian):
@@ -319,7 +349,53 @@ class TestRoundTrip:
         h = Hamiltonian.from_terms(
             [(coefficient, PauliWord(factors)) for coefficient, factors in raw_terms]
         )
-        if h.n_terms == 0:
-            return
         again = parse_hamiltonian(format_hamiltonian(h))
         assert again == h
+
+
+# Pieces of the file grammar, valid and not, so that whole valid lines are
+# common; with carriage returns, form feeds, Unicode line breaks and
+# non-ASCII digits among them.
+COEFFICIENTS = ["1.0", "-0.25", "3", "1e-13", "1e308", "nan", "(0.5,0)", "(1,2)", "(1,", "x", ""]
+INDICES = ["0", "1", "7", "12", "007", "-1", "", "99999", "\u0663", "\uff13"]
+SPACES = ["", " ", "  ", "\t", "\x0c", "\x0b", "\x85", "\u2028"]
+BREAKS = ["\n", "\r\n", "\r", "\x0c\n", "\n\n"]
+NOISE = list("0123456789.-+e(),[]XYZxyzI# :") + ["qubits", "\r", "\x0c", "\u0663", "\u00b3"]
+
+
+@st.composite
+def hamiltonian_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["term", "term", "header", "comment", "noise"]))
+        space = draw(st.sampled_from(SPACES))
+        if kind == "term":
+            factors = draw(st.lists(
+                st.tuples(st.sampled_from("XYZxyzIQ"), st.sampled_from(INDICES)).map("".join),
+                max_size=4,
+            ))
+            coefficient = draw(st.sampled_from(COEFFICIENTS))
+            lines.append(f"{space}{coefficient} [{space.join(factors)}]{draw(st.sampled_from(SPACES))}")
+        elif kind == "header":
+            lines.append(f"#{space}qubits:{space}{draw(st.sampled_from(INDICES))}")
+        elif kind == "comment":
+            lines.append(f"# {space}note")
+        else:
+            lines.append("".join(draw(st.lists(st.sampled_from(NOISE), max_size=12))))
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+class TestParserFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(hamiltonian_texts())
+    def test_parse_error_in_range_or_round_trip(self, text):
+        lines = io.StringIO(text, newline=None).readlines()  # as text mode reads a file
+        try:
+            h = parse_hamiltonian(text)
+        except ParseError as error:
+            assert 1 <= error.line <= max(1, len(lines))
+            if error.column is not None:
+                assert 1 <= error.column <= len(lines[error.line - 1].rstrip("\n"))
+        else:
+            assert parse_hamiltonian(format_hamiltonian(h)) == h
