@@ -121,11 +121,10 @@ def _selected_heuristics(name: str) -> list[Heuristic]:
 
 
 def _load(path: str) -> Hamiltonian:
-    file = Path(path)
-    if not file.is_file():
-        raise _UsageError(f"no such input file: {path}")
     try:
-        data = file.read_bytes()
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise _UsageError(f"no such input file: {path}") from None
     except OSError as exc:
         raise _UsageError(f"cannot read input file {path}: {exc.strerror}") from None
     try:

@@ -15,6 +15,11 @@ of a whole neighborhood, or narrowing a candidate set to its minimum or
 maximum count, costs O(log n) big-integer operations instead of one Python
 call per vertex.
 
+RLF and COSINE grow one color class at a time on the graph's own rows.
+RLF, COSINE and DB choose through one candidate scan, :func:`_most_shared`.
+Only DB keeps a merged graph, because its rule is about merged
+supervertices; COSINE only grows its current one, which is RLF's class.
+
 DB picks its pair by lazy greedy evaluation (Minoux's accelerated greedy):
 each row keeps an upper bound on the common-neighbor counts of its pairs,
 and only rows whose bound could still beat the best exact count are
@@ -210,6 +215,25 @@ def dsatur_coloring(g: TermGraph) -> Coloring:
     return Coloring(tuple(color_of), len(near))
 
 
+def _most_shared(rows: Sequence[int], mask: int, candidates: int) -> tuple[int, int]:
+    """``(count, one-bit mask)`` of the candidate whose row shares the most
+    vertices with ``mask``, the smallest index on ties; ``(-1, 0)`` when
+    there is no candidate.  The scan stops at a count equal to the size of
+    ``mask``, which no count can exceed.
+    """
+    limit = mask.bit_count()
+    best, pick = -1, 0
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        count = (rows[bit.bit_length() - 1] & mask).bit_count()
+        if count > best:
+            best, pick = count, bit
+            if count == limit:
+                break
+    return best, pick
+
+
 def rlf_coloring(g: TermGraph) -> Coloring:
     """Recursive-largest-first coloring.
 
@@ -219,79 +243,25 @@ def rlf_coloring(g: TermGraph) -> Coloring:
     neighbors among the excluded uncolored vertices, until no candidate
     remains.  Repeats on the rest of the graph with the next color.
     """
-    n = g.n
     rows = g.rows
-    color_of = [0] * n
-    uncolored = (1 << n) - 1
+    color_of = [0] * g.n
+    uncolored = (1 << g.n) - 1
     n_colors = 0
     while uncolored:
-        seed = max(
-            iter_bits(uncolored),
-            key=lambda v: ((rows[v] & uncolored).bit_count(), -v),
-        )
-        class_mask = 1 << seed
-        blocked = rows[seed] & uncolored  # uncolored vertices adjacent to the class
-        candidates = uncolored & ~blocked & ~class_mask
-        while candidates:
-            v = max(
-                iter_bits(candidates),
-                key=lambda u: ((rows[u] & blocked).bit_count(), -u),
-            )
-            class_mask |= 1 << v
-            blocked |= rows[v] & candidates
-            candidates &= ~(rows[v] | (1 << v))
+        _, bit = _most_shared(rows, uncolored, uncolored)
+        class_mask = blocked = 0  # blocked: uncolored vertices adjacent to the class
+        candidates = uncolored
+        while bit:
+            row = rows[bit.bit_length() - 1]
+            class_mask |= bit
+            blocked |= row & candidates
+            candidates &= ~(row | bit)
+            _, bit = _most_shared(rows, blocked, candidates)
         for v in iter_bits(class_mask):
             color_of[v] = n_colors
         uncolored &= ~class_mask
         n_colors += 1
     return Coloring(tuple(color_of), n_colors)
-
-
-class _MergeState:
-    """Shared bookkeeping for the two merge-based schemes (DB, COSINE).
-
-    Non-adjacent supervertices are merged (neighborhoods united) until the
-    merged graph is complete; each surviving supervertex is one color.  A
-    supervertex is identified by the smallest original index it contains,
-    which merging into the smaller endpoint preserves.
-    """
-
-    def __init__(self, g: TermGraph):
-        self.n = g.n
-        self.active = (1 << g.n) - 1
-        self.rows = list(g.rows)
-        self.members = {v: 1 << v for v in range(g.n)}
-
-    def non_neighbors(self, v: int) -> int:
-        return self.active & ~self.rows[v] & ~(1 << v)
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        return (self.rows[u] & self.rows[v] & self.active).bit_count()
-
-    def merge(self, u: int, v: int) -> None:
-        """Merge v into u (requires u < v): the union neighborhood."""
-        bit_u, bit_v = 1 << u, 1 << v
-        for w in iter_bits(self.rows[v]):
-            self.rows[w] = (self.rows[w] & ~bit_v) | bit_u
-        self.rows[u] = (self.rows[u] | self.rows[v]) & ~(bit_u | bit_v)
-        self.rows[v] = 0
-        self.members[u] |= self.members[v]
-        del self.members[v]
-        self.active ^= bit_v
-
-    def is_complete(self) -> bool:
-        return all(
-            self.rows[v] == self.active & ~(1 << v) for v in iter_bits(self.active)
-        )
-
-    def to_coloring(self) -> Coloring:
-        if not self.is_complete():
-            raise AssertionError("merge process terminated on a non-complete graph")
-        color_of = [0] * self.n
-        for color, sv in enumerate(sorted(self.members)):
-            for v in iter_bits(self.members[sv]):
-                color_of[v] = color
-        return Coloring(tuple(color_of), len(self.members))
 
 
 def db_coloring(g: TermGraph) -> Coloring:
@@ -322,14 +292,13 @@ def db_coloring(g: TermGraph) -> Coloring:
     No row ever gains a partner, so a row rescanned with none leaves the
     heap for good.
     """
-    if g.n == 0:
-        return Coloring((), 0)
-    state = _MergeState(g)
-    rows = state.rows
+    rows = list(g.rows)  # merging v into u < v unites their rows in u
+    active = (1 << g.n) - 1  # supervertices, each named by its smallest vertex
+    members = [1 << v for v in range(g.n)]
     bound = list(g.degrees)
     heap = [(-degree, a) for a, degree in enumerate(bound)]
     heapify(heap)
-    partner = [0] * g.n
+    partner = [0] * g.n  # as a one-bit mask
     scanned = [-1] * g.n  # the round in which each row was last rescanned
     merges = 0
     while heap:
@@ -338,11 +307,16 @@ def db_coloring(g: TermGraph) -> Coloring:
             heappop(heap)
             continue
         if scanned[a] == merges:
-            u, v = a, partner[a]
+            u, bit_u, bit_v = a, 1 << a, partner[a]
+            v = bit_v.bit_length() - 1
             only_u, only_v = rows[u] & ~rows[v], rows[v] & ~rows[u]
-            state.merge(u, v)
+            for w in iter_bits(rows[v]):
+                rows[w] = (rows[w] & ~bit_v) | bit_u
+            row_u = rows[u] = (rows[u] | rows[v]) & ~(bit_u | bit_v)
+            rows[v] = 0
+            members[u] |= members[v]
+            active ^= bit_v
             merges += 1
-            row_u = rows[u]
             bound[u] = row_u.bit_count()
             heapreplace(heap, (-bound[u], u))
             bound[v] = -1
@@ -351,7 +325,7 @@ def db_coloring(g: TermGraph) -> Coloring:
                     if (other & ~rows[b]) >> (b + 1):
                         bound[b] += 1
                         heappush(heap, (-bound[b], b))
-            for b in iter_bits(state.active & ~row_u & ((1 << u) - 1)):
+            for b in iter_bits(active & ~row_u & (bit_u - 1)):
                 count = (rows[b] & row_u).bit_count()
                 if count > bound[b]:
                     bound[b] = count
@@ -363,24 +337,19 @@ def db_coloring(g: TermGraph) -> Coloring:
             bound[a] = degree
             heapreplace(heap, (-degree, a))
             continue
-        best = -1
-        partners = state.active >> (a + 1) << (a + 1) & ~row
-        while partners:
-            bit_b = partners & -partners
-            partners ^= bit_b
-            count = (row & rows[bit_b.bit_length() - 1]).bit_count()
-            if count > best:
-                best = count
-                partner[a] = bit_b.bit_length() - 1
-                if count == degree:
-                    break
-        bound[a] = best
+        bound[a], partner[a] = _most_shared(rows, row, active >> (a + 1) << (a + 1) & ~row)
         scanned[a] = merges
-        if best < 0:
-            heappop(heap)
+        if partner[a]:
+            heapreplace(heap, (-bound[a], a))
         else:
-            heapreplace(heap, (-best, a))
-    return state.to_coloring()
+            heappop(heap)
+    if any(rows[v] != active & ~(1 << v) for v in iter_bits(active)):
+        raise AssertionError("merge process terminated on a non-complete graph")
+    color_of = [0] * g.n
+    for color, sv in enumerate(iter_bits(active)):
+        for v in iter_bits(members[sv]):
+            color_of[v] = color
+    return Coloring(tuple(color_of), active.bit_count())
 
 
 def cosine_coloring(g: TermGraph) -> Coloring:
@@ -391,31 +360,37 @@ def cosine_coloring(g: TermGraph) -> Coloring:
     shares the most common neighbors with it (ties by index).  When the
     current supervertex has no non-neighbor left, starts over with the
     next first pair; stops when the merged graph is complete.
+
+    That is RLF with another start, computed one class at a time on
+    ``g.rows``.  Merging only adds adjacency, so a finished supervertex
+    stays adjacent to every other, and every active one but the current
+    one is a single vertex.  The current one's non-neighbors are RLF's
+    candidates, and its common neighbors with a candidate ``w`` are the
+    finished supervertices, the same for every ``w``, plus ``w``'s
+    neighbors among RLF's blocked vertices: each pick is RLF's.  Only the
+    start differs: the lowest uncolored vertex, then its lowest candidate.
     """
-    if g.n == 0:
-        return Coloring((), 0)
-    state = _MergeState(g)
-    while True:
-        first_pair = None
-        for u in iter_bits(state.active):
-            rest = state.non_neighbors(u) >> (u + 1) << (u + 1)
-            if rest:
-                first_pair = (u, (rest & -rest).bit_length() - 1)
-                break
-        if first_pair is None:
-            break
-        current = first_pair[0]
-        state.merge(current, first_pair[1])
-        while True:
-            options = state.non_neighbors(current)
-            if not options:
-                break
-            partner = max(
-                iter_bits(options),
-                key=lambda w: (state.common_neighbors(current, w), -w),
-            )
-            state.merge(current, partner)
-    return state.to_coloring()
+    rows = g.rows
+    color_of = [0] * g.n
+    uncolored = (1 << g.n) - 1
+    n_colors = 0
+    while uncolored:
+        class_mask = uncolored & -uncolored
+        row = rows[class_mask.bit_length() - 1]
+        blocked = row & uncolored  # uncolored vertices adjacent to the class
+        candidates = uncolored & ~(row | class_mask)
+        bit = candidates & -candidates
+        while bit:
+            row = rows[bit.bit_length() - 1]
+            class_mask |= bit
+            blocked |= row & candidates
+            candidates &= ~(row | bit)
+            _, bit = _most_shared(rows, blocked, candidates)
+        for v in iter_bits(class_mask):
+            color_of[v] = n_colors
+        uncolored &= ~class_mask
+        n_colors += 1
+    return Coloring(tuple(color_of), n_colors)
 
 
 def cover_from_coloring(g_qwc: TermGraph, coloring: Coloring) -> CliqueCover:

@@ -302,6 +302,8 @@ _NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
 
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
+    if not token.isascii() or "_" in token:  # float() takes 1_0 and non-ASCII digits
+        raise ParseError(f"invalid coefficient {token!r}", line_no, column)
     if token.startswith("(") and token.endswith(")"):
         parts = token[1:-1].split(",")
         if len(parts) != 2:

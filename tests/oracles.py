@@ -7,8 +7,12 @@ algorithmic machinery with the package under test.  The exceptions:
 rebuilt subgraphs, so that it checks only the removal loop around them, and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
-counters, and :func:`scan_db_coloring` is its earlier full-scan pair choice,
-the reference for its lazy row bounds.
+counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
+the reference for its lazy row bounds, and :func:`scan_rlf_coloring` /
+:func:`merge_cosine_coloring` are its earlier RLF scan and merged-graph
+COSINE, the reference for its one candidate scan and class-by-class COSINE.
+:class:`_MergeState`, the merged graph behind the last two merge schemes,
+is the package's earlier copy, so no reference shares a solver's internals.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from qwcover import (
     qubit_wise_commute,
     ramsey_clique,
 )
-from qwcover.coloring import _MergeState
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -220,6 +223,90 @@ def scan_dsatur_coloring(g: TermGraph) -> Coloring:
     return Coloring(tuple(color_of), len(class_masks))
 
 
+def scan_rlf_coloring(g: TermGraph) -> Coloring:
+    """Recursive-largest-first coloring.
+
+    Builds one color class at a time: seed with the largest-degree vertex
+    of the uncolored subgraph, then, among uncolored vertices not adjacent
+    to the class (candidate set), repeatedly add the one with the most
+    neighbors among the excluded uncolored vertices, until no candidate
+    remains.  Repeats on the rest of the graph with the next color.
+    """
+    n = g.n
+    rows = g.rows
+    color_of = [0] * n
+    uncolored = (1 << n) - 1
+    n_colors = 0
+    while uncolored:
+        seed = max(
+            iter_bits(uncolored),
+            key=lambda v: ((rows[v] & uncolored).bit_count(), -v),
+        )
+        class_mask = 1 << seed
+        blocked = rows[seed] & uncolored  # uncolored vertices adjacent to the class
+        candidates = uncolored & ~blocked & ~class_mask
+        while candidates:
+            v = max(
+                iter_bits(candidates),
+                key=lambda u: ((rows[u] & blocked).bit_count(), -u),
+            )
+            class_mask |= 1 << v
+            blocked |= rows[v] & candidates
+            candidates &= ~(rows[v] | (1 << v))
+        for v in iter_bits(class_mask):
+            color_of[v] = n_colors
+        uncolored &= ~class_mask
+        n_colors += 1
+    return Coloring(tuple(color_of), n_colors)
+
+
+class _MergeState:
+    """Shared bookkeeping for the two merge-based schemes (DB, COSINE).
+
+    Non-adjacent supervertices are merged (neighborhoods united) until the
+    merged graph is complete; each surviving supervertex is one color.  A
+    supervertex is identified by the smallest original index it contains,
+    which merging into the smaller endpoint preserves.
+    """
+
+    def __init__(self, g: TermGraph):
+        self.n = g.n
+        self.active = (1 << g.n) - 1
+        self.rows = list(g.rows)
+        self.members = {v: 1 << v for v in range(g.n)}
+
+    def non_neighbors(self, v: int) -> int:
+        return self.active & ~self.rows[v] & ~(1 << v)
+
+    def common_neighbors(self, u: int, v: int) -> int:
+        return (self.rows[u] & self.rows[v] & self.active).bit_count()
+
+    def merge(self, u: int, v: int) -> None:
+        """Merge v into u (requires u < v): the union neighborhood."""
+        bit_u, bit_v = 1 << u, 1 << v
+        for w in iter_bits(self.rows[v]):
+            self.rows[w] = (self.rows[w] & ~bit_v) | bit_u
+        self.rows[u] = (self.rows[u] | self.rows[v]) & ~(bit_u | bit_v)
+        self.rows[v] = 0
+        self.members[u] |= self.members[v]
+        del self.members[v]
+        self.active ^= bit_v
+
+    def is_complete(self) -> bool:
+        return all(
+            self.rows[v] == self.active & ~(1 << v) for v in iter_bits(self.active)
+        )
+
+    def to_coloring(self) -> Coloring:
+        if not self.is_complete():
+            raise AssertionError("merge process terminated on a non-complete graph")
+        color_of = [0] * self.n
+        for color, sv in enumerate(sorted(self.members)):
+            for v in iter_bits(self.members[sv]):
+                color_of[v] = color
+        return Coloring(tuple(color_of), len(self.members))
+
+
 def scan_db_coloring(g: TermGraph) -> Coloring:
     """Pairwise-merge coloring, best pair globally.
 
@@ -257,6 +344,41 @@ def scan_db_coloring(g: TermGraph) -> Coloring:
         if best_pair is None:
             break
         state.merge(*best_pair)
+    return state.to_coloring()
+
+
+def merge_cosine_coloring(g: TermGraph) -> Coloring:
+    """Pairwise-merge coloring, chained from the first non-adjacent pair.
+
+    Merges the lexicographically first non-adjacent pair, then keeps
+    merging the freshly merged supervertex with whichever non-neighbor
+    shares the most common neighbors with it (ties by index).  When the
+    current supervertex has no non-neighbor left, starts over with the
+    next first pair; stops when the merged graph is complete.
+    """
+    if g.n == 0:
+        return Coloring((), 0)
+    state = _MergeState(g)
+    while True:
+        first_pair = None
+        for u in iter_bits(state.active):
+            rest = state.non_neighbors(u) >> (u + 1) << (u + 1)
+            if rest:
+                first_pair = (u, (rest & -rest).bit_length() - 1)
+                break
+        if first_pair is None:
+            break
+        current = first_pair[0]
+        state.merge(current, first_pair[1])
+        while True:
+            options = state.non_neighbors(current)
+            if not options:
+                break
+            partner = max(
+                iter_bits(options),
+                key=lambda w: (state.common_neighbors(current, w), -w),
+            )
+            state.merge(current, partner)
     return state.to_coloring()
 
 

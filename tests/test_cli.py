@@ -291,6 +291,12 @@ class TestErrors:
         assert out == ""
         assert err == f"qwcover: error: cannot read input file {demo_file}: Permission denied\n"
 
+    def test_directory_input_is_not_reported_missing(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "run", "--input", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"qwcover: error: cannot read input file {tmp_path}: Is a directory\n"
+
     def test_parse_error_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.ham"
         bad.write_text("1.0 [Z0]\n???\n")

@@ -31,7 +31,7 @@ from qwcover.coloring import (
     _increment,
     _keep_max,
     _keep_min,
-    _MergeState,
+    _most_shared,
     _planes,
 )
 
@@ -158,8 +158,8 @@ class TestDsatur:
 
 
 class TestScanOracle:
-    """The bit-sliced counters and the lazy DB row bounds reproduce the
-    full-scan solvers exactly."""
+    """The bit-sliced counters, the lazy DB row bounds, the one candidate
+    scan and class-by-class COSINE reproduce the earlier solvers exactly."""
 
     def test_random_graphs(self):
         rng = random.Random(4)
@@ -169,6 +169,8 @@ class TestScanOracle:
             assert smallest_last_order(g) == oracles.scan_smallest_last_order(g), trial
             assert dsatur_coloring(g) == oracles.scan_dsatur_coloring(g), trial
             assert db_coloring(g) == oracles.scan_db_coloring(g), trial
+            assert rlf_coloring(g) == oracles.scan_rlf_coloring(g), trial
+            assert cosine_coloring(g) == oracles.merge_cosine_coloring(g), trial
 
     @pytest.mark.parametrize("name", ["jw-8", "bk-8"])
     def test_golden_molecule_complements(self, name):
@@ -177,6 +179,8 @@ class TestScanOracle:
         assert smallest_last_order(comp) == oracles.scan_smallest_last_order(comp)
         assert dsatur_coloring(comp) == oracles.scan_dsatur_coloring(comp)
         assert db_coloring(comp) == oracles.scan_db_coloring(comp)
+        assert rlf_coloring(comp) == oracles.scan_rlf_coloring(comp)
+        assert cosine_coloring(comp) == oracles.merge_cosine_coloring(comp)
 
 
 @st.composite
@@ -187,7 +191,7 @@ def merge_steps(draw):
     pairs = list(itertools.combinations(range(n), 2))
     edges = [pair for pair, keep in zip(pairs, draw(st.lists(
         st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
-    state = _MergeState(TermGraph.from_edges(n, edges))
+    state = oracles._MergeState(TermGraph.from_edges(n, edges))
     while True:
         options = [
             (u, v)
@@ -288,6 +292,31 @@ class TestBitSlicedCounters:
         assert _planes([]) == []
         assert smallest_last_order(edgeless_graph(0)) == ()
         assert dsatur_coloring(edgeless_graph(0)) == Coloring((), 0)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Rows of up to 10 vertices (any bits), a mask and a candidate set."""
+    n = draw(st.integers(0, 10))
+    masks = st.integers(0, (1 << n) - 1)
+    return draw(st.lists(masks, min_size=n, max_size=n)), draw(masks), draw(masks)
+
+
+class TestMostShared:
+    @settings(max_examples=500, deadline=None)
+    @given(scan_inputs())
+    @example(([0b110, 0b101, 0b011], 0b111, 0))  # no candidate
+    @example(([0b110, 0b101, 0b011], 0, 0b110))  # empty mask: lowest candidate
+    @example(([0b110, 0b101, 0b011], 0b111, 0b111))  # every candidate tied
+    @example(([0b01, 0b11], 0b11, 0b11))  # a later candidate reaches |mask|
+    def test_matches_brute_force(self, scan):
+        rows, mask, candidates = scan
+        best = max(
+            (((rows[w] & mask).bit_count(), -w) for w in iter_bits(candidates)),
+            default=(-1, None),
+        )
+        expected = (best[0], 0 if best[1] is None else 1 << -best[1])
+        assert _most_shared(rows, mask, candidates) == expected
 
 
 class TestRlf:

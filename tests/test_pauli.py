@@ -284,6 +284,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="coefficient"):
             parse_hamiltonian("abc [Z0]")
 
+    @pytest.mark.parametrize(
+        "token", ["1_0", "(1_0,0)", "1e1_0", "\u0663", "\uff11", "1e\u0663", "(\u0663,0)"]
+    )
+    def test_coefficient_is_an_ascii_decimal_literal(self, token):
+        with pytest.raises(ParseError, match="invalid coefficient") as excinfo:
+            parse_hamiltonian(f"1.0 [X1]\n  {token} [Z0]")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+    @pytest.mark.parametrize("token", ["inf", "-nan", "(inf,0)"])
+    def test_non_finite_coefficient(self, token):
+        with pytest.raises(ParseError, match="non-finite coefficient"):
+            parse_hamiltonian(f"{token} [Z0]")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="after"):
             parse_hamiltonian("1.0 [Z0] whoops")
@@ -356,7 +369,10 @@ class TestRoundTrip:
 # Pieces of the file grammar, valid and not, so that whole valid lines are
 # common; with carriage returns, form feeds, Unicode line breaks and
 # non-ASCII digits among them.
-COEFFICIENTS = ["1.0", "-0.25", "3", "1e-13", "1e308", "nan", "(0.5,0)", "(1,2)", "(1,", "x", ""]
+COEFFICIENTS = [
+    "1.0", "-0.25", "3", "1e-13", "1e308", "nan", "(0.5,0)", "(1,2)", "(1,", "x", "",
+    "1_0", "(1_0,0)", "\u0663", "\uff11", "1e\u0663",
+]
 INDICES = ["0", "1", "7", "12", "007", "-1", "", "99999", "\u0663", "\uff13"]
 SPACES = ["", " ", "  ", "\t", "\x0c", "\x0b", "\x85", "\u2028"]
 BREAKS = ["\n", "\r\n", "\r", "\x0c\n", "\n\n"]
