@@ -25,7 +25,6 @@ from .cover import (
     CoverStats,
     Heuristic,
     InvalidCoverError,
-    MeasurementBasis,
     basis_of_group,
     compute_stats,
     validate_cover,
@@ -79,7 +78,6 @@ __all__ = [
     "InvalidCoverError",
     "MAX_GRAPH_VERTICES",
     "MAX_QUBIT_INDEX",
-    "MeasurementBasis",
     "ParseError",
     "PauliAxis",
     "PauliWord",

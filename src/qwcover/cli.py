@@ -27,13 +27,12 @@ from .cover import (
     CliqueCover,
     CoverStats,
     Heuristic,
-    MeasurementBasis,
     basis_of_group,
     compute_stats,
     validate_cover,
 )
 from .graph import CapacityError, TermGraph, build_qwc_graph
-from .pauli import Hamiltonian, ParseError, parse_hamiltonian
+from .pauli import Hamiltonian, ParseError, PauliAxis, parse_hamiltonian
 from .removal import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .solvers import solve_mcc
 
@@ -82,7 +81,7 @@ class _HeuristicResult:
     heuristic: Heuristic
     cover: CliqueCover | None = None
     stats: CoverStats | None = None
-    bases: list[MeasurementBasis] | None = None
+    bases: list[dict[int, PauliAxis]] | None = None
     wall_ms: float = 0.0
     error: str | None = None
     skipped: str | None = None
@@ -130,8 +129,11 @@ def _load(path: str) -> Hamiltonian:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        # Located as the parser locates errors: lines end at \n, \r\n or
+        # \r, and columns count characters.
+        prefix = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = prefix.count("\n") + 1
+        column = len(prefix) - prefix.rfind("\n")
         raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", line, column) from None
     return parse_hamiltonian(text)
 
@@ -205,11 +207,11 @@ def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult],
                     '\n          "terms": [\n            ',
                     ",\n            ".join(map(str, sorted(group))),
                     '\n          ],\n          "basis": ')
-            if basis.assignment:
+            if basis:
                 # ``_value_`` is the plain attribute behind the slower ``.value``.
                 out += ("{\n            ",
                         ",\n            ".join([
-                            f'"{q}": "{axis._value_}"' for q, axis in basis.assignment.items()]),
+                            f'"{q}": "{axis._value_}"' for q, axis in basis.items()]),
                         "\n          }\n        }")
             else:
                 out.append("{}\n        }")
@@ -234,11 +236,9 @@ def _render_run_text(path: str, h: Hamiltonian, results: list[_HeuristicResult],
             f"max size {r.stats.max_size}, size std {r.stats.size_std:g}{timing}"
         )
         for index, (group, basis) in enumerate(zip(r.cover.groups, r.bases)):
-            basis_text = str(basis) if basis.assignment else "(none)"
+            basis_text = " ".join(f"{q}:{axis}" for q, axis in basis.items()) or "(none)"
             lines.append(f"group {index} | basis: {basis_text}")
-            for term_index in sorted(group):
-                term = h.terms[term_index]
-                lines.append(f"  [{term_index}] {term.coefficient!r} [{term.word}]")
+            lines.extend(f"  [{i}] {h.terms[i]}" for i in sorted(group))
     return "\n".join(lines) + "\n"
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .graph import TermGraph
 from .pauli import Hamiltonian, PauliAxis
@@ -16,7 +16,6 @@ __all__ = [
     "CoverStats",
     "Heuristic",
     "InvalidCoverError",
-    "MeasurementBasis",
     "basis_of_group",
     "compute_stats",
     "validate_cover",
@@ -64,7 +63,9 @@ class CliqueCover:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(group) for group in self.groups)
+        # From a list: tuple() resizes a generator's result, and resized
+        # tuples collect in the tuple free lists until a full collection.
+        return tuple([len(group) for group in self.groups])
 
 
 def validate_cover(g: TermGraph, cover: CliqueCover) -> None:
@@ -98,29 +99,9 @@ def validate_cover(g: TermGraph, cover: CliqueCover) -> None:
         raise InvalidCoverError(f"vertex {missing_vertex} is not covered")
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementBasis:
-    """Per-qubit measurement axes for one group of simultaneously
-    measurable terms; qubits untouched by the group are unassigned."""
-
-    assignment: Mapping[int, PauliAxis] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        frozen = dict(sorted(self.assignment.items()))
-        for qubit, axis in frozen.items():
-            if axis is PauliAxis.I:
-                raise ValueError(f"identity assigned on qubit {qubit}")
-        object.__setattr__(self, "assignment", frozen)
-
-    def axis_on(self, qubit: int) -> PauliAxis | None:
-        return self.assignment.get(qubit)
-
-    def __str__(self) -> str:
-        return " ".join(f"{q}:{axis}" for q, axis in self.assignment.items())
-
-
-def basis_of_group(h: Hamiltonian, group: Iterable[int]) -> MeasurementBasis:
-    """The shared tensor-product basis of a QWC group.
+def basis_of_group(h: Hamiltonian, group: Iterable[int]) -> dict[int, PauliAxis]:
+    """The shared tensor-product basis of a QWC group, as ``{qubit: axis}``
+    ordered by qubit; qubits no word in the group touches are absent.
 
     Every qubit touched by any word in the group is read along that word's
     axis; qubit-wise commutation guarantees the axis is unique per qubit.
@@ -139,7 +120,7 @@ def basis_of_group(h: Hamiltonian, group: Iterable[int]) -> MeasurementBasis:
                 raise BasisConflictError(
                     f"qubit {qubit} would need both {current} and {axis}"
                 )
-    return MeasurementBasis(assignment)
+    return dict(sorted(assignment.items()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,10 @@ __all__ = [
     "iter_bits",
 ]
 
-# Guard against accidentally requesting a multi-terabyte adjacency matrix.
-MAX_GRAPH_VERTICES = 1 << 20
+# Largest accepted vertex count.  Each of the n rows holds n bits, and the
+# complement holds as many again: 2 * n * n / 8 bytes, which is 2**30 bytes
+# (1 GiB) at n = 2**16.
+MAX_GRAPH_VERTICES = 1 << 16
 
 
 class CapacityError(RuntimeError):
@@ -88,7 +90,9 @@ class TermGraph:
     @property
     def degrees(self) -> tuple[int, ...]:
         if self._degrees is None:
-            self._degrees = tuple(row.bit_count() for row in self._rows)
+            # From a list: tuple() resizes a generator's result, and resized
+            # tuples collect in the tuple free lists until a full collection.
+            self._degrees = tuple([row.bit_count() for row in self._rows])
         return self._degrees
 
     @property

@@ -82,9 +82,6 @@ class PauliAxis(enum.Enum):
         return self.value
 
 
-_MEASURABLE_AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
-
-
 def _as_axis(value: PauliAxis | str) -> PauliAxis:
     if isinstance(value, PauliAxis):
         return value
@@ -226,10 +223,9 @@ class Hamiltonian:
     """An ordered list of weighted Pauli words over ``n_qubits`` qubits.
 
     Direct construction expects already-normalized input (unique words,
-    indices within range); use :meth:`from_terms` or
-    :func:`parse_hamiltonian` to merge duplicates and prune negligible
-    coefficients.  Term order is significant: it is preserved from the
-    input and defines the input-order coloring heuristic.
+    indices within range); :func:`parse_hamiltonian` merges duplicates and
+    prunes negligible coefficients.  Term order is significant: it is
+    preserved from the input and defines the input-order coloring heuristic.
     """
 
     terms: tuple[HamiltonianTerm, ...]
@@ -249,41 +245,6 @@ class Hamiltonian:
                     f"word [{word}] touches qubit {word.max_qubit} "
                     f"but n_qubits is {self.n_qubits}"
                 )
-
-    @classmethod
-    def from_terms(
-        cls,
-        terms: Iterable[tuple[float, PauliWord]],
-        n_qubits: int | None = None,
-    ) -> "Hamiltonian":
-        """Normalize and build: merge duplicate words (summing coefficients),
-        drop terms below :data:`COEFFICIENT_PRUNE_THRESHOLD`, and infer
-        ``n_qubits`` from the largest touched index unless given explicitly.
-        First-occurrence order of each word is preserved.
-        """
-        merged: dict[PauliWord, float] = {}
-        max_seen = -1
-        for coefficient, word in terms:
-            if not math.isfinite(coefficient):
-                raise ValueError(f"non-finite coefficient {coefficient!r}")
-            if word in merged:
-                merged[word] += coefficient
-            else:
-                merged[word] = coefficient
-            if word.max_qubit is not None:
-                max_seen = max(max_seen, word.max_qubit)
-        kept = tuple(
-            HamiltonianTerm(coefficient, word)
-            for word, coefficient in merged.items()
-            if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
-        )
-        if n_qubits is None:
-            n_qubits = max_seen + 1
-        elif max_seen >= n_qubits:
-            raise ValueError(
-                f"declared n_qubits={n_qubits} but qubit {max_seen} is used"
-            )
-        return cls(kept, n_qubits)
 
     @property
     def n_terms(self) -> int:
@@ -432,15 +393,14 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             f"header declares {declared_qubits} qubits but qubit {max_seen} is used",
             header_line,
         )
-    return Hamiltonian.from_terms(
-        [(coefficient, word) for word, coefficient in merged.items()], n_qubits=declared_qubits
-    )
+    terms = [
+        HamiltonianTerm(coefficient, word)
+        for word, coefficient in merged.items()
+        if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
+    ]
+    return Hamiltonian(tuple(terms), max_seen + 1 if declared_qubits is None else declared_qubits)
 
 
-def format_hamiltonian(h: Hamiltonian, include_header: bool = True) -> str:
+def format_hamiltonian(h: Hamiltonian) -> str:
     """Serialize to the text format; parsing the result reproduces ``h``."""
-    lines = []
-    if include_header:
-        lines.append(f"# qubits: {h.n_qubits}")
-    lines.extend(f"{term.coefficient!r} [{term.word}]" for term in h.terms)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"# qubits: {h.n_qubits}", *map(str, h.terms)]) + "\n"

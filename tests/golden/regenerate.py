@@ -5,9 +5,10 @@ Usage, from the repository root::
     python3 tests/golden/regenerate.py            # reports only
     python3 tests/golden/regenerate.py --inputs   # inputs, then reports
 
-Each ``NAME.ham`` in this directory has a ``NAME.json`` holding the output
-of ``qwcover run --input NAME.ham --algorithm all --format json``, run from
-this directory so that the embedded input path is the bare file name.
+Each ``NAME.ham`` in this directory has a ``NAME.json`` and a ``NAME.txt``
+holding the output of ``qwcover run --input NAME.ham --algorithm all`` in
+``--format json`` and ``--format text``, run from this directory so that
+the embedded input path is the bare file name.
 Reports change only when a change redefines a tie-break on purpose; such a
 change regenerates them and says so.
 
@@ -51,11 +52,11 @@ def write_inputs() -> None:
         (HERE / f"{stem}.ham").write_text(source.text)
 
 
-def report(name: str) -> str:
-    """The ``run --algorithm all --format json`` report of one input here."""
+def report(name: str, fmt: str) -> str:
+    """The ``run --algorithm all --format FMT`` report of one input here."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(["run", "--input", name, "--algorithm", "all", "--format", "json"])
+        code = main(["run", "--input", name, "--algorithm", "all", "--format", fmt])
     if code != 0:
         raise RuntimeError(f"qwcover exited {code} on {name}")
     return buffer.getvalue()
@@ -66,9 +67,10 @@ def regenerate(argv: list[str]) -> None:
         write_inputs()
     os.chdir(HERE)
     for path in sorted(HERE.glob("*.ham")):
-        target = path.with_suffix(".json")
-        target.write_text(report(path.name))
-        print(target.name)
+        for fmt, suffix in (("json", ".json"), ("text", ".txt")):
+            target = path.with_suffix(suffix)
+            target.write_text(report(path.name, fmt))
+            print(target.name)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from qwcover import (
     CliqueCover,
     Coloring,
     Hamiltonian,
+    HamiltonianTerm,
     Heuristic,
     PauliAxis,
     PauliWord,
@@ -463,7 +464,5 @@ def random_hamiltonian(
         word = random_word(rng, n_qubits, max_weight)
         if word not in words:
             words[word] = rng.uniform(-2.0, 2.0)
-    return Hamiltonian.from_terms(
-        [(coefficient, word) for word, coefficient in words.items()],
-        n_qubits=n_qubits,
-    )
+    terms = [HamiltonianTerm(coefficient, word) for word, coefficient in words.items()]
+    return Hamiltonian(tuple(terms), n_qubits)

@@ -16,7 +16,6 @@ from qwcover import (
     CliqueCover,
     Heuristic,
     InvalidCoverError,
-    MeasurementBasis,
     PauliAxis,
     compute_stats,
 )
@@ -144,7 +143,7 @@ def reference_run_report(path, h, results, args) -> str:
             record["groups"] = [
                 {
                     "terms": sorted(group),
-                    "basis": {str(q): str(axis) for q, axis in basis.assignment.items()},
+                    "basis": {str(q): str(axis) for q, axis in basis.items()},
                 }
                 for group, basis in zip(r.cover.groups, r.bases)
             ]
@@ -157,7 +156,7 @@ def _solved(heuristic, groups, bases, wall_ms=0.0):
     cover = CliqueCover(tuple(frozenset(g) for g in groups))
     return _HeuristicResult(
         heuristic, cover=cover, stats=compute_stats(cover),
-        bases=[MeasurementBasis(b) for b in bases], wall_ms=wall_ms,
+        bases=[dict(sorted(b.items())) for b in bases], wall_ms=wall_ms,
     )
 
 
@@ -386,6 +385,20 @@ class TestErrors:
         code, _, err = run_cli(capsys, "run", "--input", str(bad))
         assert code == 2
         assert "line 2, column 8" in err
+
+    @pytest.mark.parametrize("data, where", [
+        (b"1.0 [Z0]\r2.0 [Z1]\r\xff [Z2]\r", "line 3, column 1"),
+        (b"1.0 [Z0]\r\n2.0 [Z1]\r\n3.0 [Z2\xff]\r\n", "line 3, column 8"),
+        (b"\r\r\n1.0 [Z1\xff]", "line 3, column 8"),
+        (b"1.0 [Z0]\n# \xc3\xa9\xe2\x82\xac \xff\n", "line 2, column 6"),
+    ])
+    def test_non_utf8_byte_located_like_parse_errors(self, tmp_path, capsys, data, where):
+        # Lines end at \n, \r\n or \r; columns count characters, not bytes.
+        bad = tmp_path / "bad.ham"
+        bad.write_bytes(data)
+        code, _, err = run_cli(capsys, "run", "--input", str(bad))
+        assert code == 2
+        assert f"{where}: invalid UTF-8 byte 0xff" in err
 
     def test_output_in_missing_directory(self, demo_file, tmp_path, capsys):
         target = tmp_path / "nodir" / "r.json"

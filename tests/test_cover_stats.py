@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,8 @@ from qwcover import (
 )
 from qwcover.cover import _population_std
 from qwcover.exact import EXACT_MCC_MAX_VERTICES
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def complete_graph(n):
@@ -75,22 +78,20 @@ class TestValidateCover:
 class TestBasisOfGroup:
     def test_nested_z_group(self, demo_hamiltonian):
         basis = basis_of_group(demo_hamiltonian, {0, 1, 2, 3})
-        assert basis.assignment == {q: PauliAxis.Z for q in range(4)}
+        assert basis == {q: PauliAxis.Z for q in range(4)}
 
     def test_x_tail_group(self, demo_hamiltonian):
         basis = basis_of_group(demo_hamiltonian, {4, 5, 6})
-        assert basis.assignment == {
+        assert basis == {
             0: PauliAxis.Y, 1: PauliAxis.Y, 2: PauliAxis.X, 3: PauliAxis.X,
         }
 
     def test_identity_singleton_empty_assignment(self):
         h = parse_hamiltonian("1.0 []")
-        assert basis_of_group(h, {0}).assignment == {}
+        assert basis_of_group(h, {0}) == {}
 
     def test_untouched_qubits_unassigned(self, demo_hamiltonian):
-        basis = basis_of_group(demo_hamiltonian, {4})
-        assert basis.axis_on(0) is None
-        assert basis.axis_on(2) is PauliAxis.X
+        assert basis_of_group(demo_hamiltonian, {4}) == {2: PauliAxis.X, 3: PauliAxis.X}
 
     def test_conflict_raises(self, demo_hamiltonian):
         with pytest.raises(BasisConflictError, match="qubit 0"):
@@ -105,6 +106,20 @@ class TestBasisOfGroup:
                 cover = solve_mcc(g, heuristic)
                 for group in cover.groups:
                     basis_of_group(h, group)  # must not raise
+
+    def test_ordered_by_qubit(self, demo_hamiltonian):
+        # X2 X3 comes first, then Y0 X2 X3: qubit 0 is met last but keyed first.
+        assert list(basis_of_group(demo_hamiltonian, {4, 5})) == [0, 2, 3]
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.ham")))
+    def test_every_golden_group_ordered_by_qubit(self, name):
+        # Key order is the order the reports print, so it is part of their bytes.
+        h = parse_hamiltonian((GOLDEN / name).read_text())
+        g = build_qwc_graph(h)
+        for heuristic in Heuristic:
+            for group in solve_mcc(g, heuristic).groups:
+                basis = basis_of_group(h, group)
+                assert list(basis) == sorted(basis)
 
 
 class TestStats:

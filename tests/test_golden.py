@@ -19,11 +19,21 @@ def test_corpus_present():
     assert len(INPUTS) == 6
 
 
-@pytest.mark.parametrize("name", INPUTS)
-def test_run_all_report_unchanged(name, monkeypatch, capsys):
+def _report(name, fmt, monkeypatch, capsys):
     # The report embeds the input path, so run with the bare file name.
     monkeypatch.chdir(GOLDEN)
-    code = main(["run", "--input", name, "--algorithm", "all", "--format", "json"])
+    code = main(["run", "--input", name, "--algorithm", "all", "--format", fmt])
     assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_run_all_report_unchanged(name, monkeypatch, capsys):
     expected = (GOLDEN / name).with_suffix(".json").read_text()
-    assert capsys.readouterr().out == expected
+    assert _report(name, "json", monkeypatch, capsys) == expected
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_run_all_text_report_unchanged(name, monkeypatch, capsys):
+    expected = (GOLDEN / name).with_suffix(".txt").read_text()
+    assert _report(name, "text", monkeypatch, capsys) == expected

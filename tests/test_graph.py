@@ -5,8 +5,10 @@ import pytest
 
 import oracles
 from qwcover import (
+    MAX_GRAPH_VERTICES,
     CapacityError,
     Hamiltonian,
+    HamiltonianTerm,
     PauliWord,
     TermGraph,
     build_qwc_graph,
@@ -93,7 +95,8 @@ class TestBuild:
         raw = [PauliWord()]
         raw += [oracles.random_word(rng, n_qubits, max_weight=3) for _ in range(40)]
         raw += [oracles.random_word(rng, n_qubits) for _ in range(20)]
-        h = Hamiltonian.from_terms([(1.0, word) for word in raw], n_qubits=n_qubits)
+        terms = [HamiltonianTerm(1.0, word) for word in dict.fromkeys(raw)]
+        h = Hamiltonian(tuple(terms), n_qubits)
         g = build_qwc_graph(h)
         assert oracles.is_symmetric(g)
         words = h.words()
@@ -104,6 +107,14 @@ class TestBuild:
 
 
 class TestTermGraph:
+    def test_cap_holds_rows_and_complement_in_one_gib(self):
+        # n rows of n bits, twice over with the complement, in bytes.
+        assert 2 * MAX_GRAPH_VERTICES * MAX_GRAPH_VERTICES // 8 == 1 << 30
+
+    def test_constructor_rejects_more_vertices_than_the_cap(self):
+        with pytest.raises(CapacityError, match="cap"):
+            TermGraph([0] * (MAX_GRAPH_VERTICES + 1))
+
     def test_from_edges_and_degrees(self):
         g = TermGraph.from_edges(4, [(0, 1), (1, 2)])
         assert g.degrees == (1, 2, 1, 0)

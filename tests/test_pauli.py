@@ -150,24 +150,9 @@ class TestHamiltonianConstruction:
         with pytest.raises(ValueError, match="n_qubits"):
             Hamiltonian((HamiltonianTerm(1.0, W("X5")),), 2)
 
-    def test_from_terms_merges_and_prunes(self):
-        h = Hamiltonian.from_terms(
-            [(0.5, W("X0")), (0.5, W("X0")), (1e-14, W("Z1"))]
-        )
-        assert h.n_terms == 1
-        assert h.terms[0].coefficient == pytest.approx(1.0)
-        # the pruned word still widened the qubit count: it was seen
-        assert h.n_qubits == 2
-
-    def test_from_terms_preserves_first_occurrence_order(self):
-        h = Hamiltonian.from_terms(
-            [(1.0, W("Z1")), (1.0, W("X0")), (2.0, W("Z1"))]
-        )
-        assert h.words() == (W("Z1"), W("X0"))
-
     def test_non_finite_coefficient_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            Hamiltonian.from_terms([(math.inf, W("X0"))])
+            HamiltonianTerm(math.inf, W("X0"))
 
 
 class TestParsing:
@@ -181,6 +166,11 @@ class TestParsing:
         h = parse_hamiltonian("0.5 [X0]\n0.5 [X0]")
         assert h.n_terms == 1
         assert h.terms[0].coefficient == pytest.approx(1.0)
+
+    def test_merge_keeps_first_occurrence_order(self):
+        h = parse_hamiltonian("1.0 [Z1]\n1.0 [X0]\n2.0 [Z1]")
+        assert h.words() == (W("Z1"), W("X0"))
+        assert [term.coefficient for term in h.terms] == [3.0, 1.0]
 
     def test_identity_word(self):
         h = parse_hamiltonian("1.0 []")
@@ -343,10 +333,6 @@ class TestRoundTrip:
     def test_demo_round_trip(self, demo_hamiltonian):
         assert parse_hamiltonian(format_hamiltonian(demo_hamiltonian)) == demo_hamiltonian
 
-    def test_headerless_format_reparses_when_no_idle_qubits(self):
-        h = parse_hamiltonian("1.0 [Z0 X4]")
-        assert parse_hamiltonian(format_hamiltonian(h, include_header=False)) == h
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -359,11 +345,10 @@ class TestRoundTrip:
         )
     )
     def test_round_trip_random(self, raw_terms):
-        h = Hamiltonian.from_terms(
-            [(coefficient, PauliWord(factors)) for coefficient, factors in raw_terms]
-        )
-        again = parse_hamiltonian(format_hamiltonian(h))
-        assert again == h
+        h = parse_hamiltonian("\n".join(
+            f"{coefficient!r} [{PauliWord(factors)}]" for coefficient, factors in raw_terms
+        ))
+        assert parse_hamiltonian(format_hamiltonian(h)) == h
 
 
 # Pieces of the file grammar, valid and not, so that whole valid lines are
