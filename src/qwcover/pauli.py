@@ -17,6 +17,11 @@ with common electronic-structure dumps::
     1.0    []            (empty brackets: the identity word)
 
 Qubit indices are zero-based everywhere in this package.
+
+Each factor is checked once.  The parser checks every factor it reads
+(letter, index range, repeated qubit) while it builds the word's masks, and
+lays the word out from them without a second pass; :class:`PauliWord` itself
+checks only what library callers pass it.  A word hashes its two masks.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import enum
 import io
 import math
+import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -92,15 +98,22 @@ class PauliWord:
     """A product of single-qubit Pauli factors, stored sparsely.
 
     Only non-identity factors are stored; the empty word is the identity
-    operator.  Words are immutable, hashable and ordered internally by
-    qubit index, so two words built from the same factors compare equal.
+    operator.  Words are immutable and ordered internally by qubit index,
+    so two words built from the same factors compare equal.  A word's hash
+    is that of its ``(x_mask, z_mask)`` pair, which equal words share.
+
+    The constructor checks every factor it is given; :meth:`from_string`
+    and :func:`parse_hamiltonian` check each factor while parsing it and
+    skip the constructor.
 
     Args:
         factors: mapping from qubit index to axis, or an iterable of
-            ``(qubit, axis)`` pairs.  Axes may be :class:`PauliAxis`
-            members or single letters; identity entries are dropped.
+            ``(qubit, axis)`` pairs.  Qubits are integers; axes may be
+            :class:`PauliAxis` members or single letters; identity entries
+            are dropped.
 
     Raises:
+        TypeError: on a qubit index that is not an integer.
         ValueError: on a qubit index outside ``0..MAX_QUBIT_INDEX`` or a
             qubit listed twice.
     """
@@ -111,7 +124,7 @@ class PauliWord:
         pairs = factors.items() if isinstance(factors, Mapping) else factors
         collected: dict[int, PauliAxis] = {}
         for qubit, axis in pairs:
-            qubit = int(qubit)
+            qubit = operator.index(qubit)
             axis = _as_axis(axis)
             if qubit < 0:
                 raise ValueError(f"negative qubit index {qubit}")
@@ -122,18 +135,23 @@ class PauliWord:
             if axis is PauliAxis.I:
                 continue
             collected[qubit] = axis
-        self._items: tuple[tuple[int, PauliAxis], ...] = tuple(sorted(collected.items()))
         x_mask = 0
         z_mask = 0
-        for qubit, axis in self._items:
+        for qubit, axis in collected.items():
             bit = 1 << qubit
             if axis is not PauliAxis.Z:
                 x_mask |= bit
             if axis is not PauliAxis.X:
                 z_mask |= bit
+        self._lay_out(tuple(sorted(collected.items())), x_mask, z_mask)
+
+    def _lay_out(self, items: tuple[tuple[int, PauliAxis], ...], x_mask: int, z_mask: int) -> PauliWord:
+        """Set the fields from checked ``items`` sorted by qubit and their masks."""
+        self._items = items
         self._x_mask = x_mask
         self._z_mask = z_mask
-        self._hash = hash(self._items)
+        self._hash = hash((x_mask, z_mask))
+        return self
 
     @classmethod
     def from_string(cls, text: str) -> "PauliWord":
@@ -258,8 +276,14 @@ class Hamiltonian:
 
 _HEADER_RE = re.compile(r"#\s*qubits\s*:\s*([0-9]+)\s*$")
 _TERM_RE = re.compile(r"(?P<coef>\([^()\[\]]*\)|[^\s\[]+)\s*\[(?P<body>[^\]]*)\]\s*(?P<tail>\S?.*)$")
-_FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)$")
+# One whitespace-separated token: a factor, with its letter and index as
+# groups, or anything else, with both groups None.
+_TOKEN_RE = re.compile(r"([XYZxyz])([0-9]+)(?!\S)|\S+")
 _NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
+# Each factor letter's axis and whether it sets the word's x and z bits.
+_LETTERS = {
+    letter: (PauliAxis(letter.upper()), letter in "XYxy", letter in "YZyz") for letter in "XYZxyz"
+}
 
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
@@ -302,22 +326,31 @@ def _bounded_int(digits: str, limit: int, what: str, line_no: int, column: int |
 
 
 def _parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
-    factors: dict[int, PauliAxis] = {}
-    for match in re.finditer(r"\S+", body):
-        token = match.group(0)
+    """The word whose factors ``body`` lists, each checked here and only here."""
+    items: list[tuple[int, PauliAxis]] = []
+    x_mask = z_mask = 0
+    for match in _TOKEN_RE.finditer(body):
+        letter, digits = match.groups()
         column = body_offset + match.start() + 1
-        factor = _FACTOR_RE.fullmatch(token)
-        if factor is None:
+        if letter is None:
+            token = match.group(0)
             if _NEGATIVE_FACTOR_RE.fullmatch(token):
                 raise ParseError(f"negative qubit index in factor {token!r}", line_no, column)
             raise ParseError(f"bad Pauli factor {token!r}", line_no, column)
-        qubit = _bounded_int(factor.group(2), MAX_QUBIT_INDEX, "qubit index", line_no, column)
-        if qubit in factors:
+        qubit = _bounded_int(digits, MAX_QUBIT_INDEX, "qubit index", line_no, column)
+        bit = 1 << qubit
+        if (x_mask | z_mask) & bit:
             raise ParseError(
                 f"qubit {qubit} assigned more than one factor in one word", line_no, column
             )
-        factors[qubit] = PauliAxis(factor.group(1).upper())
-    return PauliWord(factors)
+        axis, x, z = _LETTERS[letter]
+        items.append((qubit, axis))
+        if x:
+            x_mask |= bit
+        if z:
+            z_mask |= bit
+    items.sort()
+    return object.__new__(PauliWord)._lay_out(tuple(items), x_mask, z_mask)
 
 
 def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:

@@ -13,22 +13,34 @@ the reference for its lazy row bounds, and :func:`scan_rlf_coloring` /
 COSINE, the reference for its one candidate scan and class-by-class COSINE.
 :class:`_MergeState`, the merged graph behind the last two merge schemes,
 is the package's earlier copy, so no reference shares a solver's internals.
+:func:`reference_parse_hamiltonian` is the package's earlier parser, which
+checked each factor as it read it and again in the earlier
+:class:`ReferencePauliWord` constructor: the reference for the one-pass
+parser.  It shares the parser's unchanged helpers (coefficients, index
+bounds, line and header patterns).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import math
 import random
+import re
+from collections.abc import Iterable, Mapping
 from functools import reduce
 
 import numpy as np
 
 from qwcover import (
+    COEFFICIENT_PRUNE_THRESHOLD,
+    MAX_QUBIT_INDEX,
     CliqueCover,
     Coloring,
     Hamiltonian,
     HamiltonianTerm,
     Heuristic,
+    ParseError,
     PauliAxis,
     PauliWord,
     TermGraph,
@@ -36,6 +48,14 @@ from qwcover import (
     max_clique_bkt,
     qubit_wise_commute,
     ramsey_clique,
+)
+from qwcover.pauli import (
+    _HEADER_RE,
+    _NEGATIVE_FACTOR_RE,
+    _TERM_RE,
+    _as_axis,
+    _bounded_int,
+    _parse_coefficient,
 )
 
 PAULI_MATRICES = {
@@ -466,3 +486,122 @@ def random_hamiltonian(
             words[word] = rng.uniform(-2.0, 2.0)
     terms = [HamiltonianTerm(coefficient, word) for word, coefficient in words.items()]
     return Hamiltonian(tuple(terms), n_qubits)
+
+
+class ReferencePauliWord(PauliWord):
+    """A word laid out by the package's earlier constructor, which hashed
+    its factor tuple."""
+
+    __slots__ = ()
+
+    def __init__(self, factors: Mapping[int, PauliAxis | str] | Iterable[tuple[int, PauliAxis | str]] = ()):
+        pairs = factors.items() if isinstance(factors, Mapping) else factors
+        collected: dict[int, PauliAxis] = {}
+        for qubit, axis in pairs:
+            qubit = int(qubit)
+            axis = _as_axis(axis)
+            if qubit < 0:
+                raise ValueError(f"negative qubit index {qubit}")
+            if qubit > MAX_QUBIT_INDEX:
+                raise ValueError(f"qubit index {qubit} above the limit {MAX_QUBIT_INDEX}")
+            if qubit in collected:
+                raise ValueError(f"qubit {qubit} listed more than once")
+            if axis is PauliAxis.I:
+                continue
+            collected[qubit] = axis
+        self._items: tuple[tuple[int, PauliAxis], ...] = tuple(sorted(collected.items()))
+        x_mask = 0
+        z_mask = 0
+        for qubit, axis in self._items:
+            bit = 1 << qubit
+            if axis is not PauliAxis.Z:
+                x_mask |= bit
+            if axis is not PauliAxis.X:
+                z_mask |= bit
+        self._x_mask = x_mask
+        self._z_mask = z_mask
+        self._hash = hash(self._items)
+
+
+_FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)$")
+
+
+def _reference_parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
+    factors: dict[int, PauliAxis] = {}
+    for match in re.finditer(r"\S+", body):
+        token = match.group(0)
+        column = body_offset + match.start() + 1
+        factor = _FACTOR_RE.fullmatch(token)
+        if factor is None:
+            if _NEGATIVE_FACTOR_RE.fullmatch(token):
+                raise ParseError(f"negative qubit index in factor {token!r}", line_no, column)
+            raise ParseError(f"bad Pauli factor {token!r}", line_no, column)
+        qubit = _bounded_int(factor.group(2), MAX_QUBIT_INDEX, "qubit index", line_no, column)
+        if qubit in factors:
+            raise ParseError(
+                f"qubit {qubit} assigned more than one factor in one word", line_no, column
+            )
+        factors[qubit] = PauliAxis(factor.group(1).upper())
+    return ReferencePauliWord(factors)
+
+
+def reference_parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
+    """The package's earlier ``parse_hamiltonian``: every factor checked by
+    the parser and again by the word's constructor."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    declared_qubits: int | None = None
+    header_line = 0
+    merged: dict[PauliWord, float] = {}
+    max_seen = -1
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            header = _HEADER_RE.match(stripped)
+            if header is not None:
+                if declared_qubits is not None:
+                    raise ParseError("duplicate 'qubits:' header", line_no)
+                declared_qubits = _bounded_int(
+                    header.group(1), MAX_QUBIT_INDEX + 1, "declared qubit count", line_no
+                )
+                header_line = line_no
+            continue
+        indent = len(line) - len(line.lstrip())
+        match = _TERM_RE.match(stripped)
+        if match is None:
+            raise ParseError("expected 'coefficient [factors]'", line_no, indent + 1)
+        if match.group("tail").strip():
+            raise ParseError(
+                f"unexpected text after ']': {match.group('tail').strip()!r}",
+                line_no,
+                indent + match.start("tail") + 1,
+            )
+        coefficient = _parse_coefficient(match.group("coef"), line_no, indent + 1)
+        word = _reference_parse_word(match.group("body"), indent + match.start("body"), line_no)
+        if word.max_qubit is not None:
+            max_seen = max(max_seen, word.max_qubit)
+        if word in merged:
+            total = merged[word] + coefficient
+            if not math.isfinite(total):
+                raise ParseError(
+                    f"coefficients of [{word}] sum to {total!r}", line_no, indent + 1
+                )
+            merged[word] = total
+        else:
+            merged[word] = coefficient
+    if not merged and declared_qubits is None:
+        raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
+    if declared_qubits is not None and max_seen >= declared_qubits:
+        raise ParseError(
+            f"header declares {declared_qubits} qubits but qubit {max_seen} is used",
+            header_line,
+        )
+    terms = [
+        HamiltonianTerm(coefficient, word)
+        for word, coefficient in merged.items()
+        if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
+    ]
+    return Hamiltonian(tuple(terms), max_seen + 1 if declared_qubits is None else declared_qubits)

@@ -1,7 +1,9 @@
+import importlib
 import io
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from qwcover import (
 )
 
 W = PauliWord.from_string
+TESTS = Path(__file__).resolve().parent
 
 
 def axes():
@@ -58,6 +61,11 @@ class TestPauliWord:
         with pytest.raises(ValueError, match="more than once"):
             PauliWord([(0, "X"), (0, "Z")])
 
+    @pytest.mark.parametrize("qubit", [1.7, 2.0, "3"])
+    def test_non_integer_index_rejected(self, qubit):
+        with pytest.raises(TypeError):
+            PauliWord({qubit: "X"})
+
     def test_factors_sorted_and_round_trip(self):
         word = W("Z3 X0 Y7")
         assert str(word) == "X0 Z3 Y7"
@@ -79,6 +87,15 @@ class TestPauliWord:
         assert word.x_mask == 0b011
         assert word.z_mask == 0b110
         assert word.support_mask == 0b111
+
+    @given(words())
+    def test_parsed_and_constructed_words_are_one_key(self, word):
+        parsed = PauliWord.from_string(str(word))
+        assert parsed == word
+        assert hash(parsed) == hash(word)
+        keys = {word: "constructed"}
+        keys[parsed] = "parsed"
+        assert keys == {word: "parsed"}
 
 
 class TestCommutation:
@@ -400,3 +417,61 @@ class TestParserFuzz:
                 assert 1 <= error.column <= len(lines[error.line - 1].rstrip("\n"))
         else:
             assert parse_hamiltonian(format_hamiltonian(h)) == h
+
+
+def assert_parses_as_reference(text):
+    """The parser gives the earlier parser's terms, bit for bit, or its error."""
+    try:
+        expected = oracles.reference_parse_hamiltonian(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as excinfo:
+            parse_hamiltonian(text)
+        got = excinfo.value
+        assert (got.reason, got.line, got.column) == (error.reason, error.line, error.column)
+        return
+    h = parse_hamiltonian(text)
+
+    def layout(h):
+        return h.n_qubits, [
+            (term.coefficient.hex(), tuple(term.word), term.word.x_mask, term.word.z_mask)
+            for term in h.terms
+        ]
+
+    assert layout(h) == layout(expected)
+
+
+@st.composite
+def term_texts(draw):
+    """Term lines that mostly parse: factors in any order and either case,
+    words repeated, coefficients whose sums can overflow."""
+    lines = []
+    for factors in draw(st.lists(
+        st.dictionaries(st.integers(0, 4), st.sampled_from("XYZxyz"), max_size=4), min_size=1, max_size=12
+    )):
+        pairs = draw(st.permutations(list(factors.items())))
+        coefficient = draw(st.sampled_from(["1.0", "-0.5", "(0.25,0)", "0", "1e308"]))
+        lines.append(f"{coefficient} [{' '.join(f'{letter}{qubit}' for qubit, letter in pairs)}]")
+    return "\n".join(lines)
+
+
+class TestParserReference:
+    @settings(max_examples=500, deadline=None)
+    @given(hamiltonian_texts())
+    def test_grammar_shaped_texts(self, text):
+        assert_parses_as_reference(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_texts())
+    def test_term_texts(self, text):
+        assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize("path", sorted((TESTS / "golden").glob("*.ham")), ids=lambda p: p.stem)
+    def test_golden_inputs(self, path):
+        assert_parses_as_reference(path.read_text())
+
+    def test_benchmark_seed_one_inputs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(TESTS.parent / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        texts = {r.input.text: None for w in corpus.WORKLOADS for r in corpus.build(w, 1)}
+        for text in texts:
+            assert_parses_as_reference(text)
