@@ -292,7 +292,10 @@ def db_coloring(g: TermGraph) -> Coloring:
     No row ever gains a partner, so a row rescanned with none leaves the
     heap for good.
     """
-    rows = list(g.rows)  # merging v into u < v unites their rows in u
+    # Merging v into u < v unites their rows in u and adds u to the rows of
+    # v's other neighbors; the bit of v stays in those rows, so every read
+    # of a row masks it with ``active``.
+    rows = list(g.rows)
     active = (1 << g.n) - 1  # supervertices, each named by its smallest vertex
     members = [1 << v for v in range(g.n)]
     bound = list(g.degrees)
@@ -309,10 +312,11 @@ def db_coloring(g: TermGraph) -> Coloring:
         if scanned[a] == merges:
             u, bit_u, bit_v = a, 1 << a, partner[a]
             v = bit_v.bit_length() - 1
-            only_u, only_v = rows[u] & ~rows[v], rows[v] & ~rows[u]
-            for w in iter_bits(rows[v]):
-                rows[w] = (rows[w] & ~bit_v) | bit_u
-            row_u = rows[u] = (rows[u] | rows[v]) & ~(bit_u | bit_v)
+            row_u, row_v = rows[u] & active, rows[v] & active
+            only_u, only_v = row_u & ~row_v, row_v & ~row_u
+            for w in iter_bits(only_v):
+                rows[w] |= bit_u
+            row_u = rows[u] = row_u | row_v
             rows[v] = 0
             members[u] |= members[v]
             active ^= bit_v
@@ -331,7 +335,7 @@ def db_coloring(g: TermGraph) -> Coloring:
                     bound[b] = count
                     heappush(heap, (-count, b))
             continue
-        row = rows[a]
+        row = rows[a] & active
         degree = row.bit_count()
         if degree < bound[a]:
             bound[a] = degree
@@ -343,7 +347,7 @@ def db_coloring(g: TermGraph) -> Coloring:
             heapreplace(heap, (-bound[a], a))
         else:
             heappop(heap)
-    if any(rows[v] != active & ~(1 << v) for v in iter_bits(active)):
+    if any(rows[v] & active != active & ~(1 << v) for v in iter_bits(active)):
         raise AssertionError("merge process terminated on a non-complete graph")
     color_of = [0] * g.n
     for color, sv in enumerate(iter_bits(active)):

@@ -132,18 +132,17 @@ class PauliWord:
                 raise ValueError(f"qubit index {qubit} above the limit {MAX_QUBIT_INDEX}")
             if qubit in collected:
                 raise ValueError(f"qubit {qubit} listed more than once")
-            if axis is PauliAxis.I:
-                continue
             collected[qubit] = axis
+        items = tuple(sorted(item for item in collected.items() if item[1] is not PauliAxis.I))
         x_mask = 0
         z_mask = 0
-        for qubit, axis in collected.items():
+        for qubit, axis in items:
             bit = 1 << qubit
             if axis is not PauliAxis.Z:
                 x_mask |= bit
             if axis is not PauliAxis.X:
                 z_mask |= bit
-        self._lay_out(tuple(sorted(collected.items())), x_mask, z_mask)
+        self._lay_out(items, x_mask, z_mask)
 
     def _lay_out(self, items: tuple[tuple[int, PauliAxis], ...], x_mask: int, z_mask: int) -> PauliWord:
         """Set the fields from checked ``items`` sorted by qubit and their masks."""

@@ -3,8 +3,11 @@
 Everything here is deliberately written from first principles (dense
 matrices, subset enumeration, subset dynamic programming) and shares no
 algorithmic machinery with the package under test.  The exceptions:
-:func:`relabelling_clique_removal` runs the package's own clique finders on
-rebuilt subgraphs, so that it checks only the removal loop around them, and
+:func:`relabelling_clique_removal` runs the package's own ``ramsey`` finder
+and :func:`full_search_max_clique_bkt` on rebuilt subgraphs, so that it
+checks only the removal loop around them;
+:func:`full_search_max_clique_bkt` is the package's earlier exact search,
+run to the end, the reference for its bounded steps and walk; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -34,7 +37,9 @@ import numpy as np
 
 from qwcover import (
     COEFFICIENT_PRUNE_THRESHOLD,
+    DEFAULT_NODE_BUDGET,
     MAX_QUBIT_INDEX,
+    BudgetExceededError,
     CliqueCover,
     Coloring,
     Hamiltonian,
@@ -45,7 +50,6 @@ from qwcover import (
     PauliWord,
     TermGraph,
     iter_bits,
-    max_clique_bkt,
     qubit_wise_commute,
     ramsey_clique,
 )
@@ -57,6 +61,7 @@ from qwcover.pauli import (
     _bounded_int,
     _parse_coefficient,
 )
+from qwcover.removal import _alive_mask
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -150,7 +155,7 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
     with no mask, and its labels are mapped back.  This is the reference
     for the library's alive-mask removal, which must give the same groups.
     """
-    find = max_clique_bkt if finder is Heuristic.BKT else ramsey_clique
+    find = full_search_max_clique_bkt if finder is Heuristic.BKT else ramsey_clique
     kept = list(range(g.n))
     groups = []
     while kept:
@@ -159,6 +164,79 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
         groups.append(group)
         kept = [v for v in kept if v not in group]
     return tuple(groups)
+
+
+def full_search_max_clique_bkt(
+    g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, alive: int | None = None
+) -> frozenset[int]:
+    """Exact maximum clique via pivoting branch and bound.
+
+    Searches the subgraph induced by the ``alive`` bitmask (default: every
+    vertex).  Candidates are greedily colored at every node; a vertex whose
+    color bound cannot beat the incumbent prunes the whole remaining
+    branch.  Fully deterministic, so ties between maximum cliques always
+    resolve the same way.  The search runs on an explicit stack, so clique
+    size is not limited by the interpreter's recursion limit.
+
+    Raises:
+        ValueError: no vertex is alive.
+        BudgetExceededError: more than ``node_budget`` search nodes.
+    """
+    alive = _alive_mask(g, alive)
+    if not alive:
+        raise ValueError("maximum clique of an empty graph is undefined")
+    rows = g.rows
+    best_mask = 0
+    best_size = 0
+    expanded = 0
+
+    def color_order(candidates: int) -> list[tuple[int, int]]:
+        # Greedy coloring of the candidate set; vertices come out grouped
+        # by color class, so position bounds are non-decreasing.
+        order: list[tuple[int, int]] = []
+        uncolored = candidates
+        color = 0
+        while uncolored:
+            color += 1
+            available = uncolored
+            while available:
+                v = available.bit_length() - 1
+                bit = 1 << v
+                order.append((v, color))
+                uncolored ^= bit
+                available &= ~(bit | rows[v])
+        return order
+
+    # Frame: [run_mask, run_size, color order still to visit, remaining
+    # candidates]; the order is visited from its end, largest bound first.
+    stack: list[list] = []
+
+    def push(run_mask: int, run_size: int, candidates: int) -> None:
+        nonlocal expanded
+        expanded += 1
+        if expanded > node_budget:
+            raise BudgetExceededError(
+                f"maximum-clique search exceeded {node_budget} nodes"
+            )
+        stack.append([run_mask, run_size, color_order(candidates), candidates])
+
+    push(0, 0, alive)
+    while stack:
+        frame = stack[-1]
+        run_mask, run_size, order, remaining = frame
+        if not order or run_size + order[-1][1] <= best_size:
+            stack.pop()
+            continue
+        v, _ = order.pop()
+        bit = 1 << v
+        frame[3] = remaining ^ bit
+        extended = remaining & rows[v]
+        if extended:
+            push(run_mask | bit, run_size + 1, extended)
+        elif run_size + 1 > best_size:
+            best_mask = run_mask | bit
+            best_size = run_size + 1
+    return frozenset(iter_bits(best_mask))
 
 
 def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:

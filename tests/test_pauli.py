@@ -41,6 +41,8 @@ def words(max_qubit=5):
 class TestPauliWord:
     def test_identity_entries_dropped(self):
         assert PauliWord({0: PauliAxis.I, 2: PauliAxis.X}) == PauliWord({2: "X"})
+        assert PauliWord([(0, "I"), (2, "X")]) == PauliWord({2: "X"})
+        assert PauliWord({0: "I"}).is_identity
 
     def test_empty_word_is_identity(self):
         word = PauliWord()
@@ -60,6 +62,15 @@ class TestPauliWord:
     def test_duplicate_qubit_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
             PauliWord([(0, "X"), (0, "Z")])
+
+    @pytest.mark.parametrize("factors", [
+        [(0, "X"), (0, "I")],
+        [(0, "I"), (0, "X")],
+        [(0, PauliAxis.I), (0, PauliAxis.I)],
+    ])
+    def test_identity_entry_lists_its_qubit(self, factors):
+        with pytest.raises(ValueError, match="more than once"):
+            PauliWord(factors)
 
     @pytest.mark.parametrize("qubit", [1.7, 2.0, "3"])
     def test_non_integer_index_rejected(self, qubit):

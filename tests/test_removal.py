@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,17 @@ from qwcover import (
     BudgetExceededError,
     Heuristic,
     TermGraph,
+    build_qwc_graph,
     clique_removal_cover,
     exact_mcc,
     max_clique_bkt,
+    parse_hamiltonian,
     ramsey_clique,
     validate_cover,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
 
 
 def complete_graph(n):
@@ -53,6 +59,28 @@ class TestMaxCliqueBkt:
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
         assert max_clique_bkt(g) == max_clique_bkt(g)
+
+    def test_matches_full_search(self):
+        # the bounded first step, the degree-order proof and the walk
+        # return the clique of the search run to the end
+        rng = random.Random(7)
+        for trial in range(300):
+            n = rng.randint(1, 60)
+            g = oracles.random_gnp(n, rng.choice([0.3, 0.5, 0.7, 0.8, 0.9]), 2000 + trial)
+            alive = (1 << n) - 1 if trial % 2 == 0 else rng.getrandbits(n) or 1
+            expected = oracles.full_search_max_clique_bkt(g, alive=alive)
+            assert max_clique_bkt(g, alive=alive) == expected, trial
+
+    @pytest.mark.parametrize("name", GOLDEN_INPUTS)
+    def test_golden_covers_match_full_search(self, name):
+        g = build_qwc_graph(parse_hamiltonian((GOLDEN / name).read_text()))
+        expected = []
+        alive = (1 << g.n) - 1
+        while alive:
+            clique = oracles.full_search_max_clique_bkt(g, alive=alive)
+            expected.append(clique)
+            alive &= ~sum(1 << v for v in clique)
+        assert clique_removal_cover(g, Heuristic.BKT).groups == tuple(expected)
 
     def test_deep_search_leaves_recursion_limit_alone(self):
         # the search descends once per clique member, past the default limit
@@ -142,9 +170,24 @@ class TestCliqueRemovalCover:
         with pytest.raises(BudgetExceededError):
             clique_removal_cover(g, Heuristic.BKT, node_budget=3)
 
+    def test_budget_spares_the_proof(self):
+        # the search run to the end needs a budget of 21,434 nodes here, the
+        # three steps 2,360
+        h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
+        g = build_qwc_graph(h)
+        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=10_000)
+        validate_cover(g, cover)
+
     def test_matches_relabelling_reference(self, demo_graph):
         rng = random.Random(6)
-        graphs = [demo_graph, removal_trap_graph()]
+        # in the last two, an extraction's degree-ordered proof of the clique
+        # number stops at the previous extraction's size
+        graphs = [
+            demo_graph,
+            removal_trap_graph(),
+            oracles.random_gnp(61, 0.7, 331),
+            oracles.random_gnp(69, 0.7, 2353),
+        ]
         for trial in range(60):
             n = rng.randint(1, 40)
             graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1500 + trial))
