@@ -8,7 +8,6 @@ clique-removal schemes) plus an exact small-instance solver for testing.
 """
 
 from .coloring import (
-    Coloring,
     cosine_coloring,
     cover_from_coloring,
     db_coloring,
@@ -66,7 +65,6 @@ __all__ = [
     "BudgetExceededError",
     "CapacityError",
     "CliqueCover",
-    "Coloring",
     "CoverStats",
     "COEFFICIENT_PRUNE_THRESHOLD",
     "DEFAULT_NODE_BUDGET",

@@ -10,7 +10,7 @@ derived from its Pauli words, which fails on any non-QWC pair.
 
 Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
-emitted only with ``--timings`` so that repeated runs stay byte-identical.
+emitted only with ``run --timings``, keeping reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ def _parser() -> _Parser:
                        help="node budget for each exact clique search, all its steps counted")
         p.add_argument("--bkt-skip-above", type=_int_at_least(0), default=DEFAULT_BKT_SKIP_ABOVE,
                        help="with --algorithm all, skip bkt on graphs larger than this")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock milliseconds (breaks byte-identical reruns)")
 
-    add_common(sub.add_parser("run", help="solve one file and print the full report"))
+    run = sub.add_parser("run", help="solve one file and print the full report")
+    add_common(run)
+    run.add_argument("--timings", action="store_true",
+                     help="include wall-clock milliseconds (breaks byte-identical reruns)")
     add_common(sub.add_parser("compare", help="tabulate group counts over one or more files"))
     return parser
 
@@ -274,7 +275,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text)
+        # UTF-8 like the input; surrogateescape restores a path's undecodable bytes.
+        Path(output).write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise _UsageError(f"cannot write report to {output}: {exc.strerror}") from None
 

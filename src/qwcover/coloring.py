@@ -15,10 +15,13 @@ of a whole neighborhood, or narrowing a candidate set to its minimum or
 maximum count, costs O(log n) big-integer operations instead of one Python
 call per vertex.
 
-RLF and COSINE grow one color class at a time on the graph's own rows.
-RLF, COSINE and DB choose through one candidate scan, :func:`_most_shared`.
-Only DB keeps a merged graph, because its rule is about merged
-supervertices; COSINE only grows its current one, which is RLF's class.
+A coloring is the list of its color classes as vertex bitmasks, color
+``c`` at index ``c``.  RLF and COSINE grow one class at a time on the
+graph's own rows through one loop, :func:`_grow_class`, from different
+seeds.  RLF, COSINE and DB choose through one candidate scan,
+:func:`_most_shared`.  Only DB keeps a merged graph, because its rule is
+about merged supervertices; COSINE only grows its current one, which is
+RLF's class.
 
 DB picks its pair by lazy greedy evaluation (Minoux's accelerated greedy):
 each row keeps an upper bound on the common-neighbor counts of its pairs,
@@ -32,14 +35,12 @@ would choose.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 
 from .cover import CliqueCover
 from .graph import TermGraph, iter_bits
 
 __all__ = [
-    "Coloring",
     "cosine_coloring",
     "cover_from_coloring",
     "db_coloring",
@@ -50,28 +51,6 @@ __all__ = [
     "sequential_coloring",
     "smallest_last_order",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Coloring:
-    """A proper vertex coloring with contiguous colors ``0..n_colors-1``."""
-
-    color_of: tuple[int, ...]
-    n_colors: int
-
-    def __post_init__(self) -> None:
-        used = set(self.color_of)
-        if self.color_of and used != set(range(self.n_colors)):
-            raise ValueError("colors must be exactly 0..n_colors-1")
-        if not self.color_of and self.n_colors != 0:
-            raise ValueError("empty coloring must use zero colors")
-
-    def classes(self) -> list[list[int]]:
-        """Vertices per color, ascending within each class."""
-        out: list[list[int]] = [[] for _ in range(self.n_colors)]
-        for v, c in enumerate(self.color_of):
-            out[c].append(v)
-        return out
 
 
 def input_order(g: TermGraph) -> tuple[int, ...]:
@@ -154,7 +133,7 @@ def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def sequential_coloring(g: TermGraph, order: Sequence[int]) -> Coloring:
+def sequential_coloring(g: TermGraph, order: Sequence[int]) -> list[int]:
     """Greedy coloring along ``order``.
 
     The first vertex gets color 0; each later vertex gets the lowest color
@@ -163,7 +142,6 @@ def sequential_coloring(g: TermGraph, order: Sequence[int]) -> Coloring:
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the graph's vertices")
-    color_of = [0] * g.n
     class_masks: list[int] = []
     for v in order:
         row = g.rows[v]
@@ -174,11 +152,10 @@ def sequential_coloring(g: TermGraph, order: Sequence[int]) -> Coloring:
             c = len(class_masks)
             class_masks.append(0)
         class_masks[c] |= 1 << v
-        color_of[v] = c
-    return Coloring(tuple(color_of), len(class_masks))
+    return class_masks
 
 
-def dsatur_coloring(g: TermGraph) -> Coloring:
+def dsatur_coloring(g: TermGraph) -> list[int]:
     """Saturation-driven coloring.
 
     Colors the largest-degree vertex first, then repeatedly the uncolored
@@ -191,7 +168,7 @@ def dsatur_coloring(g: TermGraph) -> Coloring:
     costs O(log n) bitset operations plus one test per color.
     """
     rows = g.rows
-    color_of = [0] * g.n
+    classes: list[int] = []
     near: list[int] = []
     degree = _planes(g.degrees)
     saturation: list[int] = []
@@ -206,13 +183,14 @@ def dsatur_coloring(g: TermGraph) -> Coloring:
         else:
             c = len(near)
             near.append(0)
-        color_of[v] = c
+            classes.append(0)
+        classes[c] |= bit
         uncolored ^= bit
         neighbors = rows[v] & uncolored
         _decrement(degree, neighbors)
         _increment(saturation, neighbors & ~near[c])
         near[c] |= rows[v]
-    return Coloring(tuple(color_of), len(near))
+    return classes
 
 
 def _most_shared(rows: Sequence[int], mask: int, candidates: int) -> tuple[int, int]:
@@ -234,37 +212,44 @@ def _most_shared(rows: Sequence[int], mask: int, candidates: int) -> tuple[int, 
     return best, pick
 
 
-def rlf_coloring(g: TermGraph) -> Coloring:
+def _grow_class(rows: Sequence[int], uncolored: int, seed: int) -> int:
+    """The color class grown from ``seed``, an independent set of uncolored
+    vertices: the seed's vertices in index order, then RLF's picks until no
+    candidate is left."""
+    class_mask = blocked = 0  # blocked: uncolored vertices adjacent to the class
+    candidates = uncolored
+    bit = seed & -seed
+    while bit:
+        row = rows[bit.bit_length() - 1]
+        class_mask |= bit
+        blocked |= row & candidates
+        candidates &= ~(row | bit)
+        seed ^= bit
+        bit = seed & -seed or _most_shared(rows, blocked, candidates)[1]
+    return class_mask
+
+
+def rlf_coloring(g: TermGraph) -> list[int]:
     """Recursive-largest-first coloring.
 
-    Builds one color class at a time: seed with the largest-degree vertex
-    of the uncolored subgraph, then, among uncolored vertices not adjacent
-    to the class (candidate set), repeatedly add the one with the most
-    neighbors among the excluded uncolored vertices, until no candidate
-    remains.  Repeats on the rest of the graph with the next color.
+    Builds one color class at a time (:func:`_grow_class`): seed with the
+    largest-degree vertex of the uncolored subgraph, then, among uncolored
+    vertices not adjacent to the class (candidate set), repeatedly add the
+    one with the most neighbors among the excluded uncolored vertices,
+    until no candidate remains.  Repeats on the rest of the graph with the
+    next color.
     """
     rows = g.rows
-    color_of = [0] * g.n
+    classes: list[int] = []
     uncolored = (1 << g.n) - 1
-    n_colors = 0
     while uncolored:
-        _, bit = _most_shared(rows, uncolored, uncolored)
-        class_mask = blocked = 0  # blocked: uncolored vertices adjacent to the class
-        candidates = uncolored
-        while bit:
-            row = rows[bit.bit_length() - 1]
-            class_mask |= bit
-            blocked |= row & candidates
-            candidates &= ~(row | bit)
-            _, bit = _most_shared(rows, blocked, candidates)
-        for v in iter_bits(class_mask):
-            color_of[v] = n_colors
-        uncolored &= ~class_mask
-        n_colors += 1
-    return Coloring(tuple(color_of), n_colors)
+        _, seed = _most_shared(rows, uncolored, uncolored)
+        classes.append(_grow_class(rows, uncolored, seed))
+        uncolored ^= classes[-1]
+    return classes
 
 
-def db_coloring(g: TermGraph) -> Coloring:
+def db_coloring(g: TermGraph) -> list[int]:
     """Pairwise-merge coloring, best pair globally.
 
     Repeatedly merges the non-adjacent supervertex pair with the most
@@ -349,14 +334,10 @@ def db_coloring(g: TermGraph) -> Coloring:
             heappop(heap)
     if any(rows[v] & active != active & ~(1 << v) for v in iter_bits(active)):
         raise AssertionError("merge process terminated on a non-complete graph")
-    color_of = [0] * g.n
-    for color, sv in enumerate(iter_bits(active)):
-        for v in iter_bits(members[sv]):
-            color_of[v] = color
-    return Coloring(tuple(color_of), active.bit_count())
+    return [members[sv] for sv in iter_bits(active)]
 
 
-def cosine_coloring(g: TermGraph) -> Coloring:
+def cosine_coloring(g: TermGraph) -> list[int]:
     """Pairwise-merge coloring, chained from the first non-adjacent pair.
 
     Merges the lexicographically first non-adjacent pair, then keeps
@@ -375,37 +356,23 @@ def cosine_coloring(g: TermGraph) -> Coloring:
     start differs: the lowest uncolored vertex, then its lowest candidate.
     """
     rows = g.rows
-    color_of = [0] * g.n
+    classes: list[int] = []
     uncolored = (1 << g.n) - 1
-    n_colors = 0
     while uncolored:
-        class_mask = uncolored & -uncolored
-        row = rows[class_mask.bit_length() - 1]
-        blocked = row & uncolored  # uncolored vertices adjacent to the class
-        candidates = uncolored & ~(row | class_mask)
-        bit = candidates & -candidates
-        while bit:
-            row = rows[bit.bit_length() - 1]
-            class_mask |= bit
-            blocked |= row & candidates
-            candidates &= ~(row | bit)
-            _, bit = _most_shared(rows, blocked, candidates)
-        for v in iter_bits(class_mask):
-            color_of[v] = n_colors
-        uncolored &= ~class_mask
-        n_colors += 1
-    return Coloring(tuple(color_of), n_colors)
+        low = uncolored & -uncolored
+        later = uncolored & ~(rows[low.bit_length() - 1] | low)
+        classes.append(_grow_class(rows, uncolored, low | later & -later))
+        uncolored ^= classes[-1]
+    return classes
 
 
-def cover_from_coloring(g_qwc: TermGraph, coloring: Coloring) -> CliqueCover:
+def cover_from_coloring(g_qwc: TermGraph, classes: Sequence[int]) -> CliqueCover:
     """Turn a proper coloring of the complement into a clique cover.
 
-    Color classes become groups, ordered by their smallest member.  The
-    classes are not checked here: a coloring that is not proper on the
-    complement gives groups that are not cliques, which
-    :func:`~qwcover.cover.validate_cover` reports.
+    Color classes (vertex bitmasks) become groups, ordered by their
+    smallest member.  They are not checked here: classes that do not
+    partition the vertices, or that hold an edge of the complement, give a
+    cover that :func:`~qwcover.cover.validate_cover` rejects.
     """
-    if len(coloring.color_of) != g_qwc.n:
-        raise ValueError("coloring does not match the graph's vertex count")
-    groups = sorted((frozenset(vs) for vs in coloring.classes()), key=min)
-    return CliqueCover(tuple(groups))
+    ordered = sorted(classes, key=lambda mask: mask & -mask)
+    return CliqueCover(tuple([frozenset(iter_bits(mask)) for mask in ordered]))

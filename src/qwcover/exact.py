@@ -3,13 +3,14 @@
 Intended as a test oracle: the cover size equals the chromatic number of
 the complement graph: the fewest colors k for which an exhaustive
 backtracking search succeeds, trying k upward from the size of a greedy
-clique (no smaller k can succeed).  No heuristic solver runs here, so the
-oracle is independent of those it judges.
+clique (no smaller k can succeed).  Colorings are lists of class
+bitmasks, as in :mod:`qwcover.coloring`.  No heuristic solver runs here,
+so the oracle is independent of those it judges.
 """
 
 from __future__ import annotations
 
-from .coloring import Coloring, cover_from_coloring
+from .coloring import cover_from_coloring
 from .cover import CliqueCover
 from .graph import CapacityError, TermGraph, iter_bits
 
@@ -46,12 +47,11 @@ def _greedy_clique_size(g: TermGraph) -> int:
     return best
 
 
-def _color_with(g: TermGraph, k: int, order: tuple[int, ...]) -> Coloring | None:
+def _color_with(g: TermGraph, k: int, order: tuple[int, ...]) -> list[int] | None:
     """Complete backtracking search for a proper coloring with at most k
     colors; new colors are opened in index order (symmetry breaking)."""
     n = g.n
     rows = g.rows
-    color_of = [0] * n
     class_masks = [0] * k
 
     def assign(position: int, n_used: int) -> bool:
@@ -63,7 +63,6 @@ def _color_with(g: TermGraph, k: int, order: tuple[int, ...]) -> Coloring | None
             if class_masks[c] & row:
                 continue
             class_masks[c] |= 1 << v
-            color_of[v] = c
             if assign(position + 1, max(n_used, c + 1)):
                 return True
             class_masks[c] ^= 1 << v
@@ -71,18 +70,16 @@ def _color_with(g: TermGraph, k: int, order: tuple[int, ...]) -> Coloring | None
 
     if not assign(0, 0):
         return None
-    return Coloring(tuple(color_of), max(color_of) + 1)
+    return [mask for mask in class_masks if mask]
 
 
-def minimum_coloring(g: TermGraph) -> Coloring:
-    """A provably optimal proper coloring.
+def minimum_coloring(g: TermGraph) -> list[int]:
+    """A provably optimal proper coloring, as class bitmasks in color order.
 
     Raises:
         CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
     """
     _check_capacity(g)
-    if g.n == 0:
-        return Coloring((), 0)
     order = tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
     k = _greedy_clique_size(g)
     while (found := _color_with(g, k, order)) is None:

@@ -41,7 +41,6 @@ from qwcover import (
     MAX_QUBIT_INDEX,
     BudgetExceededError,
     CliqueCover,
-    Coloring,
     Hamiltonian,
     HamiltonianTerm,
     Heuristic,
@@ -281,7 +280,7 @@ def scan_smallest_last_order(g: TermGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def scan_dsatur_coloring(g: TermGraph) -> Coloring:
+def scan_dsatur_coloring(g: TermGraph) -> list[int]:
     """Saturation-driven coloring.
 
     Colors the largest-degree vertex first, then repeatedly the uncolored
@@ -290,9 +289,8 @@ def scan_dsatur_coloring(g: TermGraph) -> Coloring:
     """
     n = g.n
     if n == 0:
-        return Coloring((), 0)
+        return []
     rows = g.rows
-    color_of = [0] * n
     seen_colors = [0] * n  # per-vertex bitmask of colors on colored neighbors
     class_masks: list[int] = []
     uncolored = (1 << n) - 1
@@ -305,7 +303,6 @@ def scan_dsatur_coloring(g: TermGraph) -> Coloring:
         if c == len(class_masks):
             class_masks.append(0)
         class_masks[c] |= 1 << current
-        color_of[current] = c
         uncolored ^= 1 << current
         if not uncolored:
             break
@@ -319,10 +316,10 @@ def scan_dsatur_coloring(g: TermGraph) -> Coloring:
                 -v,
             ),
         )
-    return Coloring(tuple(color_of), len(class_masks))
+    return class_masks
 
 
-def scan_rlf_coloring(g: TermGraph) -> Coloring:
+def scan_rlf_coloring(g: TermGraph) -> list[int]:
     """Recursive-largest-first coloring.
 
     Builds one color class at a time: seed with the largest-degree vertex
@@ -333,9 +330,8 @@ def scan_rlf_coloring(g: TermGraph) -> Coloring:
     """
     n = g.n
     rows = g.rows
-    color_of = [0] * n
+    classes = []
     uncolored = (1 << n) - 1
-    n_colors = 0
     while uncolored:
         seed = max(
             iter_bits(uncolored),
@@ -352,11 +348,9 @@ def scan_rlf_coloring(g: TermGraph) -> Coloring:
             class_mask |= 1 << v
             blocked |= rows[v] & candidates
             candidates &= ~(rows[v] | (1 << v))
-        for v in iter_bits(class_mask):
-            color_of[v] = n_colors
+        classes.append(class_mask)
         uncolored &= ~class_mask
-        n_colors += 1
-    return Coloring(tuple(color_of), n_colors)
+    return classes
 
 
 class _MergeState:
@@ -369,7 +363,6 @@ class _MergeState:
     """
 
     def __init__(self, g: TermGraph):
-        self.n = g.n
         self.active = (1 << g.n) - 1
         self.rows = list(g.rows)
         self.members = {v: 1 << v for v in range(g.n)}
@@ -396,17 +389,13 @@ class _MergeState:
             self.rows[v] == self.active & ~(1 << v) for v in iter_bits(self.active)
         )
 
-    def to_coloring(self) -> Coloring:
+    def to_classes(self) -> list[int]:
         if not self.is_complete():
             raise AssertionError("merge process terminated on a non-complete graph")
-        color_of = [0] * self.n
-        for color, sv in enumerate(sorted(self.members)):
-            for v in iter_bits(self.members[sv]):
-                color_of[v] = color
-        return Coloring(tuple(color_of), len(self.members))
+        return [self.members[sv] for sv in sorted(self.members)]
 
 
-def scan_db_coloring(g: TermGraph) -> Coloring:
+def scan_db_coloring(g: TermGraph) -> list[int]:
     """Pairwise-merge coloring, best pair globally.
 
     Repeatedly merges the non-adjacent supervertex pair with the most
@@ -414,7 +403,7 @@ def scan_db_coloring(g: TermGraph) -> Coloring:
     merged graph is complete; each supervertex is one color.
     """
     if g.n == 0:
-        return Coloring((), 0)
+        return []
     state = _MergeState(g)
     rows = state.rows
     while True:
@@ -443,10 +432,10 @@ def scan_db_coloring(g: TermGraph) -> Coloring:
         if best_pair is None:
             break
         state.merge(*best_pair)
-    return state.to_coloring()
+    return state.to_classes()
 
 
-def merge_cosine_coloring(g: TermGraph) -> Coloring:
+def merge_cosine_coloring(g: TermGraph) -> list[int]:
     """Pairwise-merge coloring, chained from the first non-adjacent pair.
 
     Merges the lexicographically first non-adjacent pair, then keeps
@@ -456,7 +445,7 @@ def merge_cosine_coloring(g: TermGraph) -> Coloring:
     next first pair; stops when the merged graph is complete.
     """
     if g.n == 0:
-        return Coloring((), 0)
+        return []
     state = _MergeState(g)
     while True:
         first_pair = None
@@ -478,7 +467,7 @@ def merge_cosine_coloring(g: TermGraph) -> Coloring:
                 key=lambda w: (state.common_neighbors(current, w), -w),
             )
             state.merge(current, partner)
-    return state.to_coloring()
+    return state.to_classes()
 
 
 def brute_force_max_clique(g: TermGraph) -> set[int]:
@@ -533,8 +522,16 @@ def is_clique(g: TermGraph, vertices) -> bool:
     )
 
 
-def is_proper_coloring(g: TermGraph, color_of) -> bool:
-    return all(color_of[i] != color_of[j] for i, j in g.edges())
+def is_proper_coloring(g: TermGraph, classes) -> bool:
+    """``classes`` (vertex bitmasks, one per color) are non-empty, partition
+    the vertices of ``g``, and no class holds both ends of an edge."""
+    color_of = {}
+    for c, mask in enumerate(classes):
+        members = [v for v, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+        if not members or any(v >= g.n or v in color_of for v in members):
+            return False
+        color_of.update(dict.fromkeys(members, c))
+    return len(color_of) == g.n and all(color_of[i] != color_of[j] for i, j in g.edges())
 
 
 def random_gnp(n: int, p: float, seed: int) -> TermGraph:

@@ -147,7 +147,7 @@ def test_criterion_5_no_ordering_beats_chromatic_number():
         g = oracles.random_gnp(n, density, 7000 + seed)
         chi = oracles.chromatic_number_dp(g)
         best = min(
-            sequential_coloring(g, order).n_colors
+            len(sequential_coloring(g, order))
             for order in itertools.permutations(range(n))
         )
         assert best >= chi, (n, density, seed)

@@ -86,6 +86,19 @@ class TestRun:
         assert out == ""
         assert json.loads(target.read_text())["results"][0]["n_groups"] == 2
 
+    def test_output_keeps_undecodable_path_bytes(self, tmp_path, capsys):
+        # argv decodes the byte 0xff to a lone surrogate; the report file
+        # must hold the path's own bytes, as stdout would.
+        raw = os.fsencode(tmp_path / "bad") + b"\xff.ham"
+        with open(raw, "wb") as handle:
+            handle.write(DEMO_TEXT.encode())
+        target = tmp_path / "report.txt"
+        code, _, _ = run_cli(
+            capsys, "run", "--input", os.fsdecode(raw), "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes().startswith(b"input: " + raw + b"\n")
+
     def test_deterministic_json_reports(self, demo_file, capsys):
         _, first, _ = run_cli(
             capsys, "run", "--input", str(demo_file), "--algorithm", "all",
@@ -377,6 +390,11 @@ class TestErrors:
             main([
                 "run", "--input", str(demo_file), "--input", str(demo_file),
             ])
+        assert excinfo.value.code == 1
+
+    def test_compare_rejects_timings(self, demo_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--input", str(demo_file), "--timings"])
         assert excinfo.value.code == 1
 
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):

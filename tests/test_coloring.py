@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DEMO_MINIMUM_GROUPS
 from qwcover import (
-    Coloring,
     Heuristic,
+    InvalidCoverError,
     TermGraph,
     build_qwc_graph,
     cosine_coloring,
@@ -25,6 +25,7 @@ from qwcover import (
     sequential_coloring,
     smallest_last_order,
     solve_mcc,
+    validate_cover,
 )
 from qwcover.coloring import (
     _decrement,
@@ -64,32 +65,22 @@ def cycle_graph(n):
     return TermGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-class TestColoringType:
-    def test_colors_must_be_contiguous(self):
-        with pytest.raises(ValueError, match="0..n_colors-1"):
-            Coloring((0, 2), 3)
-
-    def test_classes(self):
-        c = Coloring((0, 1, 0), 2)
-        assert c.classes() == [[0, 2], [1]]
-
-
 class TestSequential:
     def test_edgeless_one_color(self):
         g = edgeless_graph(6)
-        assert sequential_coloring(g, input_order(g)).n_colors == 1
+        assert len(sequential_coloring(g, input_order(g))) == 1
 
     def test_complete_n_colors(self):
         g = complete_graph(5)
         for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
-            assert sequential_coloring(g, order).n_colors == 5
+            assert len(sequential_coloring(g, order)) == 5
 
     def test_lowest_available_color_chosen(self):
         # path 0-1-2: coloring order (1, 0, 2) gives 1->0, then both ends
         # see only color 0 and reuse color 1? no: lowest absent is 1,1
         g = path_graph(3)
         coloring = sequential_coloring(g, [1, 0, 2])
-        assert coloring.color_of == (1, 0, 1)
+        assert coloring == [0b010, 0b101]
 
     def test_rejects_non_permutation(self):
         g = edgeless_graph(3)
@@ -98,7 +89,7 @@ class TestSequential:
 
     def test_demo_complement_lf_two_colors(self, demo_graph):
         comp = demo_graph.complement()
-        assert sequential_coloring(comp, largest_first_order(comp)).n_colors == 2
+        assert len(sequential_coloring(comp, largest_first_order(comp))) == 2
 
 
 class TestOrders:
@@ -148,13 +139,13 @@ class TestOrders:
 
 class TestDsatur:
     def test_odd_cycle_three_colors(self):
-        assert dsatur_coloring(cycle_graph(5)).n_colors == 3
+        assert len(dsatur_coloring(cycle_graph(5))) == 3
 
     def test_even_cycle_two_colors(self):
-        assert dsatur_coloring(cycle_graph(6)).n_colors == 2
+        assert len(dsatur_coloring(cycle_graph(6))) == 2
 
     def test_demo_complement_two_colors(self, demo_graph):
-        assert dsatur_coloring(demo_graph.complement()).n_colors == 2
+        assert len(dsatur_coloring(demo_graph.complement())) == 2
 
 
 class TestScanOracle:
@@ -291,7 +282,7 @@ class TestBitSlicedCounters:
     def test_empty_graph(self):
         assert _planes([]) == []
         assert smallest_last_order(edgeless_graph(0)) == ()
-        assert dsatur_coloring(edgeless_graph(0)) == Coloring((), 0)
+        assert dsatur_coloring(edgeless_graph(0)) == []
 
 
 @st.composite
@@ -321,33 +312,33 @@ class TestMostShared:
 
 class TestRlf:
     def test_complete_graph(self):
-        assert rlf_coloring(complete_graph(5)).n_colors == 5
+        assert len(rlf_coloring(complete_graph(5))) == 5
 
     def test_edgeless_graph(self):
-        assert rlf_coloring(edgeless_graph(5)).n_colors == 1
+        assert len(rlf_coloring(edgeless_graph(5))) == 1
 
     def test_demo_complement_two_colors(self, demo_graph):
-        assert rlf_coloring(demo_graph.complement()).n_colors == 2
+        assert len(rlf_coloring(demo_graph.complement())) == 2
 
 
 class TestMergeSchemes:
     def test_db_complete_graph_no_merges(self):
-        assert db_coloring(complete_graph(4)).n_colors == 4
+        assert len(db_coloring(complete_graph(4))) == 4
 
     def test_db_edgeless_single_color(self):
-        assert db_coloring(edgeless_graph(5)).n_colors == 1
+        assert len(db_coloring(edgeless_graph(5))) == 1
 
     def test_db_demo_complement(self, demo_graph):
-        assert db_coloring(demo_graph.complement()).n_colors == 2
+        assert len(db_coloring(demo_graph.complement())) == 2
 
     def test_cosine_complete_graph(self):
-        assert cosine_coloring(complete_graph(4)).n_colors == 4
+        assert len(cosine_coloring(complete_graph(4))) == 4
 
     def test_cosine_edgeless(self):
-        assert cosine_coloring(edgeless_graph(5)).n_colors == 1
+        assert len(cosine_coloring(edgeless_graph(5))) == 1
 
     def test_cosine_demo_complement(self, demo_graph):
-        assert cosine_coloring(demo_graph.complement()).n_colors == 2
+        assert len(cosine_coloring(demo_graph.complement())) == 2
 
 
 class TestPropernessProperty:
@@ -358,7 +349,7 @@ class TestPropernessProperty:
             n = rng.randint(1, 14)
             g = oracles.random_gnp(n, rng.choice([0.15, 0.4, 0.7, 0.9]), trial)
             coloring = ALL_COLORINGS[name](g)
-            assert oracles.is_proper_coloring(g, coloring.color_of), (name, trial)
+            assert oracles.is_proper_coloring(g, coloring), (name, trial)
 
     @pytest.mark.parametrize("name", sorted(ALL_COLORINGS))
     def test_deterministic(self, name):
@@ -375,13 +366,25 @@ class TestCoverFromColoring:
 
     def test_single_vertex(self):
         g = edgeless_graph(1)
-        cover = cover_from_coloring(g, Coloring((0,), 1))
+        cover = cover_from_coloring(g, [0b1])
         assert cover.groups == (frozenset({0}),)
 
     def test_groups_sorted_by_min_member(self):
         g = edgeless_graph(3)
-        cover = cover_from_coloring(g, Coloring((2, 1, 0), 3))
+        cover = cover_from_coloring(g, [0b100, 0b010, 0b001])
         assert [min(group) for group in cover.groups] == [0, 1, 2]
+
+    @pytest.mark.parametrize("classes, message", [
+        ([0b111, 0], "group 0 is empty"),
+        ([0b1111], "references unknown vertex 3"),
+        ([0b011, 0b110], "vertex 1 appears in more than one group"),
+        ([0b011], "vertex 2 is not covered"),
+    ])
+    def test_malformed_classes_fail_validation(self, classes, message):
+        # Every pair is an edge, so only the partition checks can fail.
+        g = complete_graph(3)
+        with pytest.raises(InvalidCoverError, match=message):
+            validate_cover(g, cover_from_coloring(g, classes))
 
     def test_random_proper_colorings_make_valid_covers(self):
         rng = random.Random(4242)

@@ -211,8 +211,8 @@ class TestExactMcc:
             n = rng.randint(1, 9)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 3000 + trial)
             coloring = minimum_coloring(g)
-            assert oracles.is_proper_coloring(g, coloring.color_of)
-            assert coloring.n_colors == oracles.chromatic_number_dp(g), trial
+            assert oracles.is_proper_coloring(g, coloring)
+            assert len(coloring) == oracles.chromatic_number_dp(g), trial
 
     def test_minimum_coloring_beats_first_fit(self):
         # A crown graph labelled u0 v0 u1 v1 ...: first fit in index order
@@ -224,8 +224,8 @@ class TestExactMcc:
         for n, edges, chromatic in ((8, crown, 2), (13, crown + cycle, 3)):
             g = TermGraph.from_edges(n, edges)
             coloring = minimum_coloring(g)
-            assert oracles.is_proper_coloring(g, coloring.color_of)
-            assert coloring.n_colors == chromatic, n
+            assert oracles.is_proper_coloring(g, coloring)
+            assert len(coloring) == chromatic, n
 
 
 class TestConcurrentSolvers:
