@@ -20,7 +20,6 @@ from .coloring import (
 )
 from .cover import (
     BasisConflictError,
-    CliqueCover,
     CoverStats,
     Heuristic,
     InvalidCoverError,
@@ -64,7 +63,6 @@ __all__ = [
     "BasisConflictError",
     "BudgetExceededError",
     "CapacityError",
-    "CliqueCover",
     "CoverStats",
     "COEFFICIENT_PRUNE_THRESHOLD",
     "DEFAULT_NODE_BUDGET",

@@ -23,15 +23,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cover import (
-    CliqueCover,
-    CoverStats,
-    Heuristic,
-    basis_of_group,
-    compute_stats,
-    validate_cover,
-)
-from .graph import CapacityError, TermGraph, build_qwc_graph
+from .cover import CoverStats, Heuristic, basis_of_group, compute_stats, validate_cover
+from .graph import CapacityError, TermGraph, build_qwc_graph, iter_bits
 from .pauli import Hamiltonian, ParseError, PauliAxis, parse_hamiltonian
 from .removal import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .solvers import solve_mcc
@@ -79,7 +72,7 @@ def _int_at_least(lowest: int):
 @dataclass
 class _HeuristicResult:
     heuristic: Heuristic
-    cover: CliqueCover | None = None
+    cover: tuple[int, ...] | None = None
     stats: CoverStats | None = None
     bases: list[dict[int, PauliAxis]] | None = None
     wall_ms: float = 0.0
@@ -162,7 +155,7 @@ def _solve_one(
     validate_cover(g, cover)
     result.cover = cover
     result.stats = compute_stats(cover)
-    result.bases = [basis_of_group(h, group) for group in cover.groups]
+    result.bases = [basis_of_group(h, group) for group in cover]
     return result
 
 
@@ -203,10 +196,10 @@ def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult],
         if args.timings:
             out += (',\n      "wall_ms": ', json.dumps(round(r.wall_ms, 3)))
         out.append(',\n      "groups": [')
-        for index, (group, basis) in enumerate(zip(r.cover.groups, r.bases)):
+        for index, (group, basis) in enumerate(zip(r.cover, r.bases)):
             out += (",\n        {" if index else "\n        {",
                     '\n          "terms": [\n            ',
-                    ",\n            ".join(map(str, sorted(group))),
+                    ",\n            ".join(map(str, iter_bits(group))),
                     '\n          ],\n          "basis": ')
             if basis:
                 # ``_value_`` is the plain attribute behind the slower ``.value``.
@@ -216,7 +209,7 @@ def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult],
                         "\n          }\n        }")
             else:
                 out.append("{}\n        }")
-        out.append("\n      ]\n    }" if r.cover.groups else "]\n    }")
+        out.append("\n      ]\n    }" if r.cover else "]\n    }")
     out.append("\n  ]\n}\n")
     return "".join(out)
 
@@ -236,10 +229,10 @@ def _render_run_text(path: str, h: Hamiltonian, results: list[_HeuristicResult],
             f"== {r.heuristic.value}: {r.stats.n_groups} groups, "
             f"max size {r.stats.max_size}, size std {r.stats.size_std:g}{timing}"
         )
-        for index, (group, basis) in enumerate(zip(r.cover.groups, r.bases)):
+        for index, (group, basis) in enumerate(zip(r.cover, r.bases)):
             basis_text = " ".join(f"{q}:{axis}" for q, axis in basis.items()) or "(none)"
             lines.append(f"group {index} | basis: {basis_text}")
-            lines.extend(f"  [{i}] {h.terms[i]}" for i in sorted(group))
+            lines.extend(f"  [{i}] {h.terms[i]}" for i in iter_bits(group))
     return "\n".join(lines) + "\n"
 
 

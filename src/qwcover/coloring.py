@@ -37,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush, heapreplace
 
-from .cover import CliqueCover
 from .graph import TermGraph, iter_bits
 
 __all__ = [
@@ -366,7 +365,7 @@ def cosine_coloring(g: TermGraph) -> list[int]:
     return classes
 
 
-def cover_from_coloring(g_qwc: TermGraph, classes: Sequence[int]) -> CliqueCover:
+def cover_from_coloring(classes: Sequence[int]) -> tuple[int, ...]:
     """Turn a proper coloring of the complement into a clique cover.
 
     Color classes (vertex bitmasks) become groups, ordered by their
@@ -374,5 +373,4 @@ def cover_from_coloring(g_qwc: TermGraph, classes: Sequence[int]) -> CliqueCover
     partition the vertices, or that hold an edge of the complement, give a
     cover that :func:`~qwcover.cover.validate_cover` rejects.
     """
-    ordered = sorted(classes, key=lambda mask: mask & -mask)
-    return CliqueCover(tuple([frozenset(iter_bits(mask)) for mask in ordered]))
+    return tuple(sorted(classes, key=lambda mask: mask & -mask))

@@ -1,18 +1,20 @@
-"""Clique covers, per-group measurement bases, and cover statistics."""
+"""Clique covers, per-group measurement bases, and cover statistics.
+
+A cover is a tuple of group bitmasks, term ``i`` as bit ``i``, as a
+coloring is a list of class bitmasks.
+"""
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graph import TermGraph
+from .graph import TermGraph, iter_bits
 from .pauli import Hamiltonian, PauliAxis
 
 __all__ = [
     "BasisConflictError",
-    "CliqueCover",
     "CoverStats",
     "Heuristic",
     "InvalidCoverError",
@@ -50,58 +52,48 @@ class BasisConflictError(ValueError):
     """A group needs two different axes on one qubit, so it is not QWC."""
 
 
-@dataclass(frozen=True, slots=True)
-class CliqueCover:
-    """Disjoint partition of term indices into cliques of the QWC graph;
-    :func:`validate_cover` checks that it is one."""
-
-    groups: tuple[frozenset[int], ...]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        # From a list: tuple() resizes a generator's result, and resized
-        # tuples collect in the tuple free lists until a full collection.
-        return tuple([len(group) for group in self.groups])
-
-
-def validate_cover(g: TermGraph, cover: CliqueCover) -> None:
-    """Check the partition and clique properties against the graph.
+def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
+    """Check that the group bitmasks partition the graph's vertices into
+    cliques.
 
     Raises:
-        InvalidCoverError: groups overlap, miss a vertex, reference an
-            unknown vertex, or contain a non-adjacent pair.
+        InvalidCoverError: a group is not an int, is empty, references a
+            vertex outside the graph (or is negative), overlaps an earlier
+            group, or holds a non-adjacent pair; or a vertex is uncovered.
     """
-    seen: set[int] = set()
-    for index, group in enumerate(cover.groups):
+    covered = 0
+    for index, group in enumerate(cover):
+        if not isinstance(group, int):
+            raise InvalidCoverError(f"group {index} is not a vertex bitmask: {group!r}")
         if not group:
             raise InvalidCoverError(f"group {index} is empty")
-        mask = 0
-        for v in group:
-            if not 0 <= v < g.n:
-                raise InvalidCoverError(f"group {index} references unknown vertex {v}")
-            if v in seen:
-                raise InvalidCoverError(f"vertex {v} appears in more than one group")
-            seen.add(v)
-            mask |= 1 << v
-        for v in group:
-            missing = mask & ~g.rows[v] & ~(1 << v)
+        # A negative mask holds every vertex from some point up.
+        unknown = group >> g.n << g.n
+        if unknown:
+            v = (unknown & -unknown).bit_length() - 1
+            raise InvalidCoverError(f"group {index} references unknown vertex {v}")
+        overlap = covered & group
+        if overlap:
+            raise InvalidCoverError(
+                f"vertex {next(iter_bits(overlap))} appears in more than one group"
+            )
+        covered |= group
+        for v in iter_bits(group):
+            missing = group & ~g.rows[v] & ~(1 << v)
             if missing:
                 other = missing.bit_length() - 1
                 raise InvalidCoverError(
                     f"group {index} is not a clique: ({v}, {other}) is not an edge"
                 )
-    if len(seen) != g.n:
-        missing_vertex = next(v for v in range(g.n) if v not in seen)
-        raise InvalidCoverError(f"vertex {missing_vertex} is not covered")
+    uncovered = ~covered & ((1 << g.n) - 1)
+    if uncovered:
+        raise InvalidCoverError(f"vertex {next(iter_bits(uncovered))} is not covered")
 
 
-def basis_of_group(h: Hamiltonian, group: Iterable[int]) -> dict[int, PauliAxis]:
-    """The shared tensor-product basis of a QWC group, as ``{qubit: axis}``
-    ordered by qubit; qubits no word in the group touches are absent.
+def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
+    """The shared tensor-product basis of a QWC group (a bitmask of term
+    indices), as ``{qubit: axis}`` ordered by qubit; qubits no word in the
+    group touches are absent.
 
     Every qubit touched by any word in the group is read along that word's
     axis; qubit-wise commutation guarantees the axis is unique per qubit.
@@ -111,7 +103,7 @@ def basis_of_group(h: Hamiltonian, group: Iterable[int]) -> dict[int, PauliAxis]
             i.e. the group was not actually a clique of the QWC graph.
     """
     assignment: dict[int, PauliAxis] = {}
-    for index in group:
+    for index in iter_bits(group):
         for qubit, axis in h.terms[index].word:
             current = assignment.get(qubit)
             if current is None:
@@ -134,7 +126,7 @@ class CoverStats:
     total_terms: int
 
 
-def _population_std(sizes: tuple[int, ...]) -> float:
+def _population_std(sizes: list[int]) -> float:
     """sqrt((n·Σs² − (Σs)²) / n²), correctly rounded on every Python: the
     exact variance, scaled by a power of four, keeps 109 bits in its integer
     square root, which is rounded to odd so the float conversion rounds once."""
@@ -150,8 +142,8 @@ def _population_std(sizes: tuple[int, ...]) -> float:
     return math.ldexp(root | (root * root * den != num), shift)
 
 
-def compute_stats(cover: CliqueCover) -> CoverStats:
-    sizes = cover.sizes
+def compute_stats(cover: tuple[int, ...]) -> CoverStats:
+    sizes = [group.bit_count() for group in cover]
     if not sizes:
         return CoverStats(0, 0, 0.0, 0)
     return CoverStats(

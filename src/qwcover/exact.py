@@ -11,7 +11,6 @@ so the oracle is independent of those it judges.
 from __future__ import annotations
 
 from .coloring import cover_from_coloring
-from .cover import CliqueCover
 from .graph import CapacityError, TermGraph, iter_bits
 
 __all__ = ["EXACT_MCC_MAX_VERTICES", "exact_mcc", "minimum_coloring"]
@@ -87,12 +86,12 @@ def minimum_coloring(g: TermGraph) -> list[int]:
     return found
 
 
-def exact_mcc(g: TermGraph) -> CliqueCover:
-    """A provably minimum clique cover, via exact coloring of the
-    complement graph.
+def exact_mcc(g: TermGraph) -> tuple[int, ...]:
+    """A provably minimum clique cover, as group bitmasks, via exact
+    coloring of the complement graph.
 
     Raises:
         CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
     """
     _check_capacity(g)
-    return cover_from_coloring(g, minimum_coloring(g.complement()))
+    return cover_from_coloring(minimum_coloring(g.complement()))

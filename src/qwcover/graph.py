@@ -39,7 +39,13 @@ class CapacityError(RuntimeError):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of set bits, ascending."""
+    """Yield the indices of set bits, ascending.
+
+    Raises:
+        ValueError: ``mask`` is negative, so it has endlessly many set bits.
+    """
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -11,23 +11,13 @@ Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
 over the original rows, and both finders search the subgraph it induces,
 reading each residual neighborhood as ``rows[v] & alive``.  Vertices keep
 their labels, so every pivot, color order and tie-break is the one a
-relabelled induced subgraph would give.
+relabelled induced subgraph would give.  Each finder returns its clique as
+a bitmask, which the cover records as a group and clears from ``alive``.
 
 The exact finder returns the first maximum clique in its search's
 depth-first order without running that search to the end, where most of
-its nodes would go to proving the clique maximum.  Each extraction takes
-up to three steps, and the node budget counts the nodes of all of them:
-
-1. The search, stopped at the first clique that reaches an upper bound on
-   the clique number (its root coloring's color count, or the previous
-   extraction's size) or after one node per alive vertex.  A clique at
-   the bound is maximum, and the search never replaces a clique with one
-   of equal size, so it is the one the full search returns.
-2. Otherwise the same search on rows relabelled once per cover, highest
-   degree first, finds the clique number ω.
-3. If step 1 stopped below ω, a walk down the search's own order enters
-   only the children that hold an ω-clique, as the relabelled search
-   decides; the first such child holds the full search's first ω-clique.
+its nodes would go to proving the clique maximum; :func:`max_clique_bkt`
+lists its three steps.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from contextvars import ContextVar
 from functools import cached_property
 from operator import itemgetter
 
-from .cover import CliqueCover, Heuristic
+from .cover import Heuristic
 from .graph import TermGraph, iter_bits
 
 __all__ = [
@@ -227,8 +217,8 @@ _cover: ContextVar[_Cover | None] = ContextVar("qwcover_removal_cover", default=
 
 def max_clique_bkt(
     g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, alive: int | None = None
-) -> frozenset[int]:
-    """Exact maximum clique via coloring branch and bound.
+) -> int:
+    """Exact maximum clique via coloring branch and bound, as a bitmask.
 
     Searches the subgraph induced by the ``alive`` bitmask (default: every
     vertex) and returns the first maximum clique in the depth-first order
@@ -276,7 +266,7 @@ def max_clique_bkt(
             clique = search.first_clique(g.rows, degree_order, alive, omega)
             size = omega
     cover.size = size
-    return frozenset(iter_bits(clique))
+    return clique
 
 
 def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
@@ -312,8 +302,9 @@ def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
     return clique
 
 
-def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:
-    """Maximal clique in polynomial time.
+def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
+    """Maximal clique in polynomial time, as a bitmask (0 when no vertex is
+    alive).
 
     Searches the subgraph induced by the ``alive`` bitmask (default: every
     vertex).  The recursive pivot construction can return a clique that is
@@ -326,15 +317,15 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:
     for v in iter_bits(alive & ~clique):
         if not clique & ~rows[v]:
             clique |= 1 << v
-    return frozenset(iter_bits(clique))
+    return clique
 
 
 def clique_removal_cover(
     g: TermGraph,
     finder: Heuristic = Heuristic.BKT,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> CliqueCover:
-    """Cover by repeated clique extraction.
+) -> tuple[int, ...]:
+    """Cover by repeated clique extraction, as group bitmasks.
 
     Finds a clique among the alive vertices with the selected finder,
     records it, clears its vertices from the alive mask, and repeats until
@@ -345,7 +336,7 @@ def clique_removal_cover(
     """
     if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
         raise ValueError(f"not a clique-removal method: {finder}")
-    groups: list[frozenset[int]] = []
+    groups: list[int] = []
     alive = (1 << g.n) - 1
     token = _cover.set(_Cover(g) if finder is Heuristic.BKT else None)
     try:
@@ -355,8 +346,7 @@ def clique_removal_cover(
             else:
                 clique = ramsey_clique(g, alive=alive)
             groups.append(clique)
-            for v in clique:
-                alive ^= 1 << v
+            alive ^= clique
     finally:
         _cover.reset(token)
-    return CliqueCover(tuple(groups))
+    return tuple(groups)

@@ -17,7 +17,7 @@ from .coloring import (
     sequential_coloring,
     smallest_last_order,
 )
-from .cover import CliqueCover, Heuristic
+from .cover import Heuristic
 from .graph import TermGraph
 from .removal import DEFAULT_NODE_BUDGET, clique_removal_cover
 
@@ -40,9 +40,10 @@ def solve_mcc(
     heuristic: Heuristic,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> CliqueCover:
+) -> tuple[int, ...]:
     """Approximate (or, for small graphs and BKT, exactly extracted)
-    minimum clique cover of ``g`` with the chosen heuristic.
+    minimum clique cover of ``g`` with the chosen heuristic, as group
+    bitmasks.
 
     Coloring heuristics run on the complement graph, which ``g`` builds
     once and shares across calls.  ``node_budget`` only affects BKT.
@@ -50,4 +51,4 @@ def solve_mcc(
     color = _COLORINGS.get(heuristic)
     if color is None:
         return clique_removal_cover(g, heuristic, node_budget)
-    return cover_from_coloring(g, color(g.complement()))
+    return cover_from_coloring(color(g.complement()))

@@ -22,14 +22,12 @@ DEMO_TEXT = """\
 1.0 [Y0 Y1 X2 X3]
 """
 
-DEMO_MINIMUM_GROUPS = frozenset({frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})})
+# Covers are tuples of group bitmasks, term i as bit i.
+DEMO_MINIMUM_GROUPS = frozenset({0b0001111, 0b1110000})  # {0, 1, 2, 3}, {4, 5, 6}
 
-# A legal but non-minimal 3-group cover of the same Hamiltonian.
-DEMO_THREE_GROUP_COVER = (
-    frozenset({1, 2, 3}),
-    frozenset({0, 4}),
-    frozenset({5, 6}),
-)
+# A legal but non-minimal 3-group cover of the same Hamiltonian:
+# {1, 2, 3}, {0, 4}, {5, 6}.
+DEMO_THREE_GROUP_COVER = (0b0001110, 0b0010001, 0b1100000)
 
 
 @pytest.fixture(scope="session")

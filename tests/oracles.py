@@ -40,7 +40,6 @@ from qwcover import (
     DEFAULT_NODE_BUDGET,
     MAX_QUBIT_INDEX,
     BudgetExceededError,
-    CliqueCover,
     Hamiltonian,
     HamiltonianTerm,
     Heuristic,
@@ -105,14 +104,30 @@ def fully_commute(a: PauliWord, b: PauliWord) -> bool:
     return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
 
 
-def assert_qwc_partition(h: Hamiltonian, cover: CliqueCover) -> None:
-    """Every term index in exactly one group, and every in-group pair of
-    words qubit-wise commuting by the 2x2-matrix commutator test."""
-    members = sorted(v for group in cover.groups for v in group)
-    assert members == list(range(h.n_terms)), "cover does not partition the terms"
+def members(mask: int) -> list[int]:
+    """The vertices of a non-negative bitmask, ascending, read off its
+    binary digits."""
+    assert mask >= 0, f"negative mask {mask}"
+    return [v for v, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex collection."""
+    return sum(1 << v for v in set(vertices))
+
+
+def assert_qwc_partition(h: Hamiltonian, cover: tuple[int, ...]) -> None:
+    """The group bitmasks are non-empty, every term index is in exactly one
+    of them, and every in-group pair of words qubit-wise commutes by the
+    2x2-matrix commutator test."""
+    groups = [members(group) for group in cover]
+    assert all(groups), "cover has an empty group"
+    assert sorted(v for group in groups for v in group) == list(range(h.n_terms)), (
+        "cover does not partition the terms"
+    )
     words = h.words()
-    for index, group in enumerate(cover.groups):
-        for a, b in itertools.combinations(sorted(group), 2):
+    for index, group in enumerate(groups):
+        for a, b in itertools.combinations(group, 2):
             assert dense_qubit_wise_commute(words[a], words[b], h.n_qubits), (
                 f"group {index}: terms {a} and {b} do not qubit-wise commute"
             )
@@ -154,7 +169,11 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
     with no mask, and its labels are mapped back.  This is the reference
     for the library's alive-mask removal, which must give the same groups.
     """
-    find = full_search_max_clique_bkt if finder is Heuristic.BKT else ramsey_clique
+    if finder is Heuristic.BKT:
+        find = full_search_max_clique_bkt
+    else:
+        def find(sub: TermGraph) -> frozenset[int]:
+            return frozenset(members(ramsey_clique(sub)))
     kept = list(range(g.n))
     groups = []
     while kept:
@@ -516,10 +535,8 @@ def min_clique_cover_size(g: TermGraph) -> int:
     return chromatic_number_dp(g.complement())
 
 
-def is_clique(g: TermGraph, vertices) -> bool:
-    return all(
-        g.has_edge(i, j) for i, j in itertools.combinations(sorted(vertices), 2)
-    )
+def is_clique(g: TermGraph, mask: int) -> bool:
+    return all(g.has_edge(i, j) for i, j in itertools.combinations(members(mask), 2))
 
 
 def is_proper_coloring(g: TermGraph, classes) -> bool:
@@ -527,10 +544,12 @@ def is_proper_coloring(g: TermGraph, classes) -> bool:
     the vertices of ``g``, and no class holds both ends of an edge."""
     color_of = {}
     for c, mask in enumerate(classes):
-        members = [v for v, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
-        if not members or any(v >= g.n or v in color_of for v in members):
+        if mask <= 0:
             return False
-        color_of.update(dict.fromkeys(members, c))
+        vertices = members(mask)
+        if any(v >= g.n or v in color_of for v in vertices):
+            return False
+        color_of.update(dict.fromkeys(vertices, c))
     return len(color_of) == g.n and all(color_of[i] != color_of[j] for i, j in g.edges())
 
 

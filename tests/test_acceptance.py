@@ -25,7 +25,6 @@ from conftest import (
     removal_trap_graph,
 )
 from qwcover import (
-    CliqueCover,
     Heuristic,
     PauliAxis,
     PauliWord,
@@ -58,12 +57,12 @@ def test_criterion_1_worked_example_exactness(demo_hamiltonian, demo_graph):
         cover = solve_mcc(demo_graph, heuristic)
         validate_cover(demo_graph, cover)
         oracles.assert_qwc_partition(demo_hamiltonian, cover)
-        outcomes[heuristic.value] = set(cover.groups)
+        outcomes[heuristic.value] = set(cover)
     oracle = exact_mcc(demo_graph)
     elapsed = time.perf_counter() - started
     ok = (
         all(groups == DEMO_MINIMUM_GROUPS for groups in outcomes.values())
-        and oracle.n_groups == 2
+        and len(oracle) == 2
         and elapsed < 1.0
     )
     _verdict(
@@ -74,13 +73,13 @@ def test_criterion_1_worked_example_exactness(demo_hamiltonian, demo_graph):
 
 def test_criterion_2_non_minimal_cover_is_legal(demo_hamiltonian, demo_graph):
     """A 3-group cover of the same Hamiltonian validates but is larger."""
-    cover = CliqueCover(DEMO_THREE_GROUP_COVER)
+    cover = DEMO_THREE_GROUP_COVER
     validate_cover(demo_graph, cover)
     oracles.assert_qwc_partition(demo_hamiltonian, cover)
-    optimum = exact_mcc(demo_graph).n_groups
+    optimum = len(exact_mcc(demo_graph))
     _verdict(
         "criterion-2 non-minimal cover exists",
-        cover.n_groups == 3 and cover.n_groups > optimum,
+        len(cover) == 3 and len(cover) > optimum,
         f"valid 3-group cover vs optimum {optimum}",
     )
 
@@ -94,8 +93,8 @@ def test_criterion_3_exact_removal_can_exceed_minimum():
     validate_cover(g, optimum)
     _verdict(
         "criterion-3 removal strictly beats-able",
-        removal.n_groups > optimum.n_groups,
-        f"removal={removal.n_groups} > minimum={optimum.n_groups}",
+        len(removal) > len(optimum),
+        f"removal={len(removal)} > minimum={len(optimum)}",
     )
 
 
@@ -109,23 +108,23 @@ def test_criterion_4_oracle_soundness_sweep():
         for density in densities:
             n = rng.randint(2, 10)
             g = oracles.random_gnp(n, density, trial * 100 + int(density * 10))
-            optimum = exact_mcc(g).n_groups
+            optimum = len(exact_mcc(g))
             for heuristic in Heuristic:
                 cover = solve_mcc(g, heuristic)
                 validate_cover(g, cover)
-                assert cover.n_groups >= optimum, (heuristic, trial, density)
+                assert len(cover) >= optimum, (heuristic, trial, density)
             graphs += 1
     hamiltonians = 0
     for trial in range(40):
         h = oracles.random_hamiltonian(rng, rng.randint(2, 10), rng.randint(2, 6))
         g = build_qwc_graph(h)
-        optimum = exact_mcc(g).n_groups
+        optimum = len(exact_mcc(g))
         for heuristic in Heuristic:
             cover = solve_mcc(g, heuristic)
             validate_cover(g, cover)
             oracles.assert_qwc_partition(h, cover)
-            assert cover.n_groups >= optimum
-            for group in cover.groups:
+            assert len(cover) >= optimum
+            for group in cover:
                 basis_of_group(h, group)
         hamiltonians += 1
     elapsed = time.perf_counter() - started
@@ -169,10 +168,10 @@ def test_criterion_6_reference_water_hamiltonian():
     assert h.n_terms == 1086
     cover = solve_mcc(build_qwc_graph(h), Heuristic.LF)
     expected = 313
-    ok = abs(cover.n_groups - expected) <= 0.10 * expected
+    ok = abs(len(cover) - expected) <= 0.10 * expected
     _verdict(
         "criterion-6 reference water Hamiltonian", ok,
-        f"LF groups={cover.n_groups}, reference {expected} +/-10%",
+        f"LF groups={len(cover)}, reference {expected} +/-10%",
     )
 
 

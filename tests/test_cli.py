@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 import qwcover.cli
 from conftest import DEMO_TEXT
-from qwcover import (
-    CliqueCover,
-    Heuristic,
-    InvalidCoverError,
-    PauliAxis,
-    compute_stats,
-)
+from qwcover import Heuristic, InvalidCoverError, PauliAxis, compute_stats
 from qwcover.cli import _HeuristicResult, _render_run_json, main
 
 ALL_NAMES = ["gc", "lf", "sl", "dsatur", "rlf", "db", "cosine", "ramsey", "bkt"]
@@ -155,10 +149,10 @@ def reference_run_report(path, h, results, args) -> str:
                 record["wall_ms"] = round(r.wall_ms, 3)
             record["groups"] = [
                 {
-                    "terms": sorted(group),
+                    "terms": [v for v in range(h.n_terms) if group >> v & 1],
                     "basis": {str(q): str(axis) for q, axis in basis.items()},
                 }
-                for group, basis in zip(r.cover.groups, r.bases)
+                for group, basis in zip(r.cover, r.bases)
             ]
         records.append(record)
     report = {"input": path, "n_qubits": h.n_qubits, "total_terms": h.n_terms, "results": records}
@@ -166,7 +160,7 @@ def reference_run_report(path, h, results, args) -> str:
 
 
 def _solved(heuristic, groups, bases, wall_ms=0.0):
-    cover = CliqueCover(tuple(frozenset(g) for g in groups))
+    cover = tuple(sum(1 << v for v in group) for group in groups)
     return _HeuristicResult(
         heuristic, cover=cover, stats=compute_stats(cover),
         bases=[dict(sorted(b.items())) for b in bases], wall_ms=wall_ms,
@@ -439,7 +433,7 @@ class TestErrors:
         # the demo's seven terms do not all qubit-wise commute
         monkeypatch.setattr(
             qwcover.cli, "solve_mcc",
-            lambda g, heuristic, **_: CliqueCover((frozenset(range(g.n)),)),
+            lambda g, heuristic, **_: ((1 << g.n) - 1,),
         )
         with pytest.raises(InvalidCoverError, match="not a clique"):
             main(["run", "--input", str(demo_file), "--algorithm", algorithm])

@@ -361,18 +361,14 @@ class TestCoverFromColoring:
     def test_demo_cover_groups(self, demo_hamiltonian, demo_graph):
         comp = demo_graph.complement()
         for name, fn in ALL_COLORINGS.items():
-            cover = cover_from_coloring(demo_graph, fn(comp))
-            assert set(cover.groups) == DEMO_MINIMUM_GROUPS, name
+            cover = cover_from_coloring(fn(comp))
+            assert set(cover) == DEMO_MINIMUM_GROUPS, name
 
     def test_single_vertex(self):
-        g = edgeless_graph(1)
-        cover = cover_from_coloring(g, [0b1])
-        assert cover.groups == (frozenset({0}),)
+        assert cover_from_coloring([0b1]) == (0b1,)
 
     def test_groups_sorted_by_min_member(self):
-        g = edgeless_graph(3)
-        cover = cover_from_coloring(g, [0b100, 0b010, 0b001])
-        assert [min(group) for group in cover.groups] == [0, 1, 2]
+        assert cover_from_coloring([0b100, 0b010, 0b001]) == (0b001, 0b010, 0b100)
 
     @pytest.mark.parametrize("classes, message", [
         ([0b111, 0], "group 0 is empty"),
@@ -384,7 +380,7 @@ class TestCoverFromColoring:
         # Every pair is an edge, so only the partition checks can fail.
         g = complete_graph(3)
         with pytest.raises(InvalidCoverError, match=message):
-            validate_cover(g, cover_from_coloring(g, classes))
+            validate_cover(g, cover_from_coloring(classes))
 
     def test_random_proper_colorings_make_valid_covers(self):
         rng = random.Random(4242)
@@ -393,9 +389,9 @@ class TestCoverFromColoring:
             g = oracles.random_gnp(n, 0.5, 1000 + trial)
             comp = g.complement()
             coloring = dsatur_coloring(comp)
-            cover = cover_from_coloring(g, coloring)
-            assert sorted(v for group in cover.groups for v in group) == list(range(n))
-            for group in cover.groups:
+            cover = cover_from_coloring(coloring)
+            assert sorted(v for group in cover for v in oracles.members(group)) == list(range(n))
+            for group in cover:
                 assert oracles.is_clique(g, group)
 
 
@@ -407,7 +403,7 @@ class TestSoundness:
         for trial in range(60):
             n = rng.randint(2, 10)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 5000 + trial)
-            optimum = exact_mcc(g).n_groups
+            optimum = len(exact_mcc(g))
             for heuristic in Heuristic:
                 cover = solve_mcc(g, heuristic)
-                assert cover.n_groups >= optimum, (heuristic, trial)
+                assert len(cover) >= optimum, (heuristic, trial)

@@ -12,7 +12,6 @@ import oracles
 from qwcover import (
     BasisConflictError,
     CapacityError,
-    CliqueCover,
     Heuristic,
     InvalidCoverError,
     PauliAxis,
@@ -38,38 +37,52 @@ def complete_graph(n):
 
 class TestValidateCover:
     def test_demo_minimum_cover_valid(self, demo_hamiltonian, demo_graph):
-        cover = CliqueCover((frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})))
+        cover = (0b0001111, 0b1110000)
         validate_cover(demo_graph, cover)
         oracles.assert_qwc_partition(demo_hamiltonian, cover)
 
     def test_three_group_cover_valid(self, demo_hamiltonian, demo_graph):
         from conftest import DEMO_THREE_GROUP_COVER
 
-        cover = CliqueCover(DEMO_THREE_GROUP_COVER)
+        cover = DEMO_THREE_GROUP_COVER
         validate_cover(demo_graph, cover)
         oracles.assert_qwc_partition(demo_hamiltonian, cover)
-        assert cover.n_groups == 3
+        assert len(cover) == 3
 
     def test_overlap_rejected(self, demo_graph):
-        cover = CliqueCover((frozenset({0, 1, 2, 3}), frozenset({3, 4, 5, 6})))
-        with pytest.raises(InvalidCoverError, match="more than one group"):
+        cover = (0b0001111, 0b1111000)  # {0, 1, 2, 3}, {3, 4, 5, 6}
+        with pytest.raises(InvalidCoverError, match="vertex 3 appears in more than one group"):
             validate_cover(demo_graph, cover)
 
     def test_missing_vertex_rejected(self, demo_graph):
-        cover = CliqueCover((frozenset({0, 1, 2, 3}), frozenset({4, 5})))
-        with pytest.raises(InvalidCoverError, match="not covered"):
+        cover = (0b0001111, 0b0110000)  # {0, 1, 2, 3}, {4, 5}
+        with pytest.raises(InvalidCoverError, match="vertex 6 is not covered"):
             validate_cover(demo_graph, cover)
 
     def test_non_clique_rejected(self, demo_graph):
-        cover = CliqueCover((frozenset({0, 1, 2, 3, 4}), frozenset({5, 6})))
-        with pytest.raises(InvalidCoverError, match="not a clique"):
+        cover = (0b0011111, 0b1100000)  # {0, 1, 2, 3, 4}, {5, 6}
+        with pytest.raises(InvalidCoverError, match=r"group 0 is not a clique: \(2, 4\)"):
+            validate_cover(demo_graph, cover)
+
+    # The demo graph has vertices 0..6, so 1 << 7 is the first unknown one.
+    @pytest.mark.parametrize("cover, message", [
+        ((0b1111, -1), "group 1 references unknown vertex 7"),
+        ((-0b10000, 0b1111), "group 0 references unknown vertex 7"),
+        ((0b1111, 0, 0b1110000), "group 1 is empty"),
+        ((0b1111, 0b1110000, 1 << 7), "group 2 references unknown vertex 7"),
+        ((0b1111, 0b1110000 | 1 << 9), "group 1 references unknown vertex 9"),
+        # vertex sets are not masks
+        ((frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})), "group 0 is not a vertex bitmask"),
+    ])
+    def test_malformed_group_rejected(self, demo_graph, cover, message):
+        with pytest.raises(InvalidCoverError, match=message):
             validate_cover(demo_graph, cover)
 
     def test_word_level_check_catches_non_qwc_group(self, demo_hamiltonian):
         # Y0 X2 X3 joins the nested-Z words: qubit 0 needs both Z and Y.
-        cover = CliqueCover((frozenset({0, 1, 2, 3, 5}), frozenset({4, 6})))
+        cover = (0b0101111, 0b1010000)
         with pytest.raises(BasisConflictError, match="qubit 0 would need both"):
-            for group in cover.groups:
+            for group in cover:
                 basis_of_group(demo_hamiltonian, group)
         with pytest.raises(AssertionError, match="do not qubit-wise commute"):
             oracles.assert_qwc_partition(demo_hamiltonian, cover)
@@ -77,25 +90,29 @@ class TestValidateCover:
 
 class TestBasisOfGroup:
     def test_nested_z_group(self, demo_hamiltonian):
-        basis = basis_of_group(demo_hamiltonian, {0, 1, 2, 3})
+        basis = basis_of_group(demo_hamiltonian, 0b0001111)
         assert basis == {q: PauliAxis.Z for q in range(4)}
 
     def test_x_tail_group(self, demo_hamiltonian):
-        basis = basis_of_group(demo_hamiltonian, {4, 5, 6})
+        basis = basis_of_group(demo_hamiltonian, 0b1110000)
         assert basis == {
             0: PauliAxis.Y, 1: PauliAxis.Y, 2: PauliAxis.X, 3: PauliAxis.X,
         }
 
     def test_identity_singleton_empty_assignment(self):
         h = parse_hamiltonian("1.0 []")
-        assert basis_of_group(h, {0}) == {}
+        assert basis_of_group(h, 0b1) == {}
 
     def test_untouched_qubits_unassigned(self, demo_hamiltonian):
-        assert basis_of_group(demo_hamiltonian, {4}) == {2: PauliAxis.X, 3: PauliAxis.X}
+        assert basis_of_group(demo_hamiltonian, 1 << 4) == {2: PauliAxis.X, 3: PauliAxis.X}
 
     def test_conflict_raises(self, demo_hamiltonian):
         with pytest.raises(BasisConflictError, match="qubit 0"):
-            basis_of_group(demo_hamiltonian, {0, 5})  # Z0 vs Y0
+            basis_of_group(demo_hamiltonian, 0b100001)  # Z0 vs Y0
+
+    def test_negative_group_rejected(self, demo_hamiltonian):
+        with pytest.raises(ValueError, match="negative mask"):
+            basis_of_group(demo_hamiltonian, -1)
 
     def test_every_heuristic_group_is_measurable(self):
         rng = random.Random(123)
@@ -104,12 +121,12 @@ class TestBasisOfGroup:
             g = build_qwc_graph(h)
             for heuristic in Heuristic:
                 cover = solve_mcc(g, heuristic)
-                for group in cover.groups:
+                for group in cover:
                     basis_of_group(h, group)  # must not raise
 
     def test_ordered_by_qubit(self, demo_hamiltonian):
         # X2 X3 comes first, then Y0 X2 X3: qubit 0 is met last but keyed first.
-        assert list(basis_of_group(demo_hamiltonian, {4, 5})) == [0, 2, 3]
+        assert list(basis_of_group(demo_hamiltonian, 0b110000)) == [0, 2, 3]
 
     @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.ham")))
     def test_every_golden_group_ordered_by_qubit(self, name):
@@ -117,7 +134,7 @@ class TestBasisOfGroup:
         h = parse_hamiltonian((GOLDEN / name).read_text())
         g = build_qwc_graph(h)
         for heuristic in Heuristic:
-            for group in solve_mcc(g, heuristic).groups:
+            for group in solve_mcc(g, heuristic):
                 basis = basis_of_group(h, group)
                 assert list(basis) == sorted(basis)
 
@@ -133,14 +150,14 @@ class TestStats:
         assert stats.total_terms == 7
 
     def test_singletons(self):
-        cover = CliqueCover(tuple(frozenset({v}) for v in range(5)))
+        cover = tuple(1 << v for v in range(5))
         stats = compute_stats(cover)
         assert stats.max_size == 1
         assert stats.size_std == 0.0
         assert stats.total_terms == 5
 
     def test_single_group(self):
-        cover = CliqueCover((frozenset(range(8)),))
+        cover = (0b11111111,)
         stats = compute_stats(cover)
         assert stats.n_groups == 1
         assert stats.size_std == 0.0
@@ -148,7 +165,7 @@ class TestStats:
     def test_size_std_correctly_rounded_pinned(self):
         # A float mean-and-deviations pstdev (CPython 3.10) prints
         # 3.091206165165235 here; the correctly rounded value differs.
-        cover = CliqueCover((frozenset({0}), frozenset({1, 2}), frozenset(range(3, 11))))
+        cover = (0b1, 0b110, 0b11111111000)  # sizes 1, 2, 8
         assert compute_stats(cover).size_std == 3.0912061651652345
 
     @settings(max_examples=500, deadline=None)
@@ -159,7 +176,7 @@ class TestStats:
     def test_size_std_correctly_rounded(self, sizes):
         n = len(sizes)
         variance = Fraction(n * sum(s * s for s in sizes) - sum(sizes) ** 2, n * n)
-        result = _population_std(tuple(sizes))
+        result = _population_std(sizes)
         # The square of each half-ULP midpoint around the result brackets
         # the exact variance; below 0.0 the midpoint counts as 0.
         low = max((Fraction(result) + Fraction(math.nextafter(result, -math.inf))) / 2, 0)
@@ -167,22 +184,22 @@ class TestStats:
         assert low * low <= variance <= high * high
 
     def test_empty_cover(self):
-        stats = compute_stats(CliqueCover(()))
-        assert stats == compute_stats(CliqueCover(()))
+        stats = compute_stats(())
+        assert stats == compute_stats(())
         assert stats.n_groups == 0
 
 
 class TestExactMcc:
     def test_demo_graph_minimum_two(self, demo_graph):
         cover = exact_mcc(demo_graph)
-        assert cover.n_groups == 2
+        assert len(cover) == 2
         validate_cover(demo_graph, cover)
 
     def test_complete_graph_one_group(self):
-        assert exact_mcc(complete_graph(6)).n_groups == 1
+        assert exact_mcc(complete_graph(6)) == (0b111111,)
 
     def test_edgeless_graph_n_groups(self):
-        assert exact_mcc(TermGraph.from_edges(5, [])).n_groups == 5
+        assert len(exact_mcc(TermGraph.from_edges(5, []))) == 5
 
     def test_vertex_cap(self):
         g = TermGraph.from_edges(EXACT_MCC_MAX_VERTICES + 1, [])
@@ -196,14 +213,14 @@ class TestExactMcc:
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 2000 + trial)
             cover = exact_mcc(g)
             validate_cover(g, cover)
-            assert cover.n_groups == oracles.min_clique_cover_size(g), trial
+            assert len(cover) == oracles.min_clique_cover_size(g), trial
 
     def test_equals_chromatic_number_of_complement(self):
         rng = random.Random(7)
         for trial in range(25):
             n = rng.randint(1, 8)
             g = oracles.random_gnp(n, rng.uniform(0.2, 0.8), 2500 + trial)
-            assert exact_mcc(g).n_groups == oracles.chromatic_number_dp(g.complement())
+            assert len(exact_mcc(g)) == oracles.chromatic_number_dp(g.complement())
 
     def test_minimum_coloring_proper_and_optimal(self):
         rng = random.Random(8)
@@ -250,5 +267,5 @@ class TestReconstruction:
             g = build_qwc_graph(h)
             for heuristic in Heuristic:
                 cover = solve_mcc(g, heuristic)
-                indices = sorted(v for group in cover.groups for v in group)
+                indices = sorted(v for group in cover for v in oracles.members(group))
                 assert indices == list(range(h.n_terms)), heuristic

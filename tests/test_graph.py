@@ -12,6 +12,7 @@ from qwcover import (
     PauliWord,
     TermGraph,
     build_qwc_graph,
+    iter_bits,
     parse_hamiltonian,
     qubit_wise_commute,
 )
@@ -156,3 +157,10 @@ class TestComplement:
     def test_demo_complement_is_two_colorable(self, demo_graph):
         assert oracles.chromatic_number_dp(demo_graph.complement()) == 2
 
+
+
+class TestIterBits:
+    def test_negative_mask_rejected(self):
+        # -1 has every bit set; yielding them would never end.
+        with pytest.raises(ValueError, match="negative mask"):
+            next(iter_bits(-1))
