@@ -99,9 +99,15 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     axis; qubit-wise commutation guarantees the axis is unique per qubit.
 
     Raises:
+        ValueError: the group is negative, or references a term ``h``
+            does not have; the message names the lowest such term.
         BasisConflictError: two group members disagree on a qubit's axis,
             i.e. the group was not actually a clique of the QWC graph.
     """
+    n = len(h.terms)
+    unknown = group >> n << n
+    if unknown > 0:
+        raise ValueError(f"group references unknown term {(unknown & -unknown).bit_length() - 1}")
     assignment: dict[int, PauliAxis] = {}
     for index in iter_bits(group):
         for qubit, axis in h.terms[index].word:

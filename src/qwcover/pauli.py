@@ -33,6 +33,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache
 
 __all__ = [
     "COEFFICIENT_PRUNE_THRESHOLD",
@@ -313,12 +314,20 @@ def _parse_coefficient(token: str, line_no: int, column: int) -> float:
     return value
 
 
+@cache
+def _digit_count(limit: int) -> int:
+    return len(str(limit))
+
+
 def _bounded_int(digits: str, limit: int, what: str, line_no: int, column: int | None = None) -> int:
     """The decimal ``digits`` as an int, or a :class:`ParseError` when it
-    exceeds ``limit``; the digit count is checked first, so no huge
-    integer is ever built."""
-    significant = digits.lstrip("0") or "0"
-    value = int(significant) if len(significant) <= len(str(limit)) else limit + 1
+    exceeds ``limit``; the digit count is checked first, and leading zeros
+    are stripped only from a longer string, so no huge integer is ever
+    built."""
+    width = _digit_count(limit)
+    if len(digits) > width:
+        digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= width else limit + 1
     if value > limit:
         raise ParseError(f"{what} above the limit {limit}", line_no, column)
     return value

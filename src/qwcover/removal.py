@@ -9,15 +9,20 @@ can exceed the true minimum.
 
 Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
 over the original rows, and both finders search the subgraph it induces,
-reading each residual neighborhood as ``rows[v] & alive``.  Vertices keep
-their labels, so every pivot, color order and tie-break is the one a
-relabelled induced subgraph would give.  Each finder returns its clique as
-a bitmask, which the cover records as a group and clears from ``alive``.
+reading each residual neighborhood as ``rows[v] & alive`` and each residual
+non-neighborhood as ``alive & other[v]``, where ``other`` holds the rows of
+the graph's cached complement (every vertex but ``v`` and its neighbors).
+So no search loop complements a mask.  Vertices keep their labels, so every
+pivot, color order and tie-break is the one a relabelled induced subgraph
+would give.  Each finder returns its clique as a bitmask, which the cover
+records as a group and clears from ``alive``.
 
-The exact finder returns the first maximum clique in its search's
-depth-first order without running that search to the end, where most of
-its nodes would go to proving the clique maximum; :func:`max_clique_bkt`
-lists its three steps.
+The exact finder colors the candidates of every search node greedily into
+class bitmasks (as in the bitset algorithm BBMC of San Segundo et al.),
+and it returns the first maximum clique in its search's depth-first order
+without running that search to the end, where most of its nodes would go
+to proving the clique maximum; :func:`max_clique_bkt` lists its three
+steps.
 """
 
 from __future__ import annotations
@@ -55,23 +60,23 @@ def _alive_mask(g: TermGraph, alive: int | None) -> int:
     return full if alive is None else alive
 
 
-def _color_order(rows: tuple[int, ...], candidates: int) -> list[tuple[int, int]]:
-    """Greedy coloring of the candidate set, each class built from the
-    highest label down; vertices come out grouped by color class, so
-    position bounds are non-decreasing."""
-    order: list[tuple[int, int]] = []
+def _color_classes(other: tuple[int, ...], candidates: int) -> list[int]:
+    """Greedy coloring of the candidate set into class bitmasks, each class
+    grown from the highest label down: ``other[v]`` is every vertex but
+    ``v`` and its neighbors, so ``available &= other[v]`` keeps what may
+    still join ``v``'s class."""
+    classes: list[int] = []
     uncolored = candidates
-    color = 0
     while uncolored:
-        color += 1
         available = uncolored
+        members = 0
         while available:
             v = available.bit_length() - 1
-            bit = 1 << v
-            order.append((v, color))
-            uncolored ^= bit
-            available &= ~(bit | rows[v])
-    return order
+            members |= 1 << v
+            available &= other[v]
+        classes.append(members)
+        uncolored ^= members
+    return classes
 
 
 class _Search:
@@ -84,20 +89,25 @@ class _Search:
     def run(
         self,
         rows: tuple[int, ...],
+        other: tuple[int, ...],
         candidates: int,
         best_size: int,
         bound: int,
         cap: int | None = None,
     ) -> tuple[int, int, bool]:
         """Search the nonempty ``candidates`` for a clique larger than
-        ``best_size``.
+        ``best_size``; ``other`` holds the complement's rows.
 
-        Candidates are greedily colored at every node (:func:`_color_order`)
-        and visited from the end of that order, largest bound first; a
-        vertex whose color bound cannot beat the incumbent prunes the rest
-        of its node.  So the labels fix the whole search, and a clique never
-        replaces one of equal size.  The search stops at the first clique
-        that reaches ``bound`` or the root coloring's color count, both
+        Candidates are greedily colored into class masks at every node
+        (:func:`_color_classes`), and the lowest vertex of the last class is
+        visited next, so the class count bounds what a node can still add.
+        A node whose class count cannot beat the incumbent is pruned.  So
+        the labels fix the whole search, and a clique never replaces one of
+        equal size.  Each node's candidates play the part of ``alive`` in
+        the pair ``rows[v] & alive`` (a child's candidates) and
+        ``alive & other[v]`` (what may still join ``v``'s class), so no mask
+        is complemented inside the loop.  The search stops at the first clique
+        that reaches ``bound`` or the root coloring's class count, both
         upper bounds on the clique size.
 
         Returns the clique mask (0 if none beats ``best_size``), its size
@@ -108,23 +118,27 @@ class _Search:
         limit = self.node_budget if cap is None else min(self.node_budget, nodes + cap)
         if nodes == limit:
             raise self._exceeded()
-        order = _color_order(rows, candidates)
-        bound = min(bound, order[-1][1])
-        # Frame: [run_mask, run_size, color order still to visit, remaining
-        # candidates].
-        stack: list[list] = [[0, 0, order, candidates]]
+        classes = _color_classes(other, candidates)
+        bound = min(bound, len(classes))
+        # Frame: [run_mask, run_size, color classes still to visit,
+        # remaining candidates].  Every frame starts with a class.
+        stack: list[list] = [[0, 0, classes, candidates]]
         nodes += 1
         best_mask = 0
         while stack:
             frame = stack[-1]
-            run_mask, run_size, order, remaining = frame
-            if not order or run_size + order[-1][1] <= best_size:
+            run_mask, run_size, classes, remaining = frame
+            if run_size + len(classes) <= best_size:
                 stack.pop()
                 continue
-            v, _ = order.pop()
-            bit = 1 << v
+            members = classes[-1]
+            bit = members & -members
+            if members == bit:
+                classes.pop()
+            else:
+                classes[-1] = members ^ bit
             frame[3] = remaining ^ bit
-            extended = remaining & rows[v]
+            extended = remaining & rows[bit.bit_length() - 1]
             if extended:
                 if nodes == limit:
                     self.nodes = nodes
@@ -132,7 +146,8 @@ class _Search:
                         raise self._exceeded()
                     return best_mask, best_size, False
                 nodes += 1
-                stack.append([run_mask | bit, run_size + 1, _color_order(rows, extended), extended])
+                classes = _color_classes(other, extended)
+                stack.append([run_mask | bit, run_size + 1, classes, extended])
             elif run_size + 1 > best_size:
                 best_mask = run_mask | bit
                 best_size = run_size + 1
@@ -141,34 +156,35 @@ class _Search:
         self.nodes = nodes
         return best_mask, best_size, True
 
-    def first_clique(
-        self, rows: tuple[int, ...], degree_order: _DegreeOrder, candidates: int, size: int
-    ) -> int:
+    def first_clique(self, cover: _Cover, candidates: int, size: int) -> int:
         """The first clique of ``size`` vertices in the depth-first order of
-        :meth:`run` on ``rows``, where ``size`` is the clique number of
-        ``candidates``.
+        :meth:`run` on the cover's graph, where ``size`` is the clique
+        number of ``candidates``.
 
         Walks down that order one vertex at a time, entering a child only
         if its candidates hold a clique of the size still needed, which
         :meth:`run` on the degree order decides.  Children are tried in the
-        search's order, so the first one entered holds the search's first
-        such clique, and the walk never backs up.  Each step down counts
-        one node.
+        search's order (the classes from the last, each from its lowest
+        vertex), so the first one entered holds the search's first such
+        clique, and the walk never backs up.  Each step down counts one
+        node.
         """
+        rows, other, degree = cover.graph.rows, cover.other, cover.degree_order
         clique = 0
         for need in range(size - 1, -1, -1):
             if self.nodes == self.node_budget:
                 raise self._exceeded()
             self.nodes += 1
             remaining = candidates
-            for v, _ in reversed(_color_order(rows, candidates)):
+            classes = reversed(_color_classes(other, candidates))
+            for v in [u for members in classes for u in iter_bits(members)]:
                 candidates = remaining & rows[v]
                 remaining ^= 1 << v
                 if not need:
                     break
                 if candidates.bit_count() >= need:
                     _, found, _ = self.run(
-                        degree_order.rows, degree_order.relabel(candidates), need - 1, need
+                        degree.rows, degree.other, degree.relabel(candidates), need - 1, need
                     )
                     if found == need:
                         break
@@ -180,9 +196,9 @@ class _Search:
 
 
 class _DegreeOrder:
-    """A graph relabelled by ascending degree, ties by label: vertex
-    ``order[j]`` becomes ``j``, so the highest degree gets the highest label
-    and is colored and branched on first."""
+    """A graph and its complement relabelled by ascending degree, ties by
+    label: vertex ``order[j]`` becomes ``j``, so the highest degree gets
+    the highest label and is colored and branched on first."""
 
     def __init__(self, g: TermGraph):
         order = sorted(range(g.n), key=g.degrees.__getitem__)
@@ -191,18 +207,22 @@ class _DegreeOrder:
         self._width = f"0{g.n}b"
         self._pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
         self.rows = tuple([self.relabel(g.rows[v]) for v in order])
+        full = (1 << g.n) - 1
+        self.other = tuple([full ^ (row | 1 << j) for j, row in enumerate(self.rows)])
 
     def relabel(self, mask: int) -> int:
         return int("".join(self._pick(format(mask, self._width))), 2)
 
 
 class _Cover:
-    """What consecutive extractions from one graph share: its degree order,
-    built on first need, and the last clique size.  Each alive set lies
-    inside the last one, so that size bounds the next clique."""
+    """What consecutive extractions from one graph share: the complement's
+    rows, its degree order, built on first need, and the last clique size.
+    Each alive set lies inside the last one, so that size bounds the next
+    clique."""
 
     def __init__(self, g: TermGraph):
         self.graph = g
+        self.other = g.complement().rows
         self.size = g.n
 
     @cached_property
@@ -210,9 +230,14 @@ class _Cover:
         return _DegreeOrder(self.graph)
 
 
-# The cover clique_removal_cover is building, so that each of its
-# max_clique_bkt calls reuses what the previous ones computed.
+# The cover clique_removal_cover is building, so that each of its finder
+# calls reuses what the previous ones computed.
 _cover: ContextVar[_Cover | None] = ContextVar("qwcover_removal_cover", default=None)
+
+
+def _cover_of(g: TermGraph) -> _Cover:
+    cover = _cover.get()
+    return cover if cover is not None and cover.graph is g else _Cover(g)
 
 
 def max_clique_bkt(
@@ -254,31 +279,33 @@ def max_clique_bkt(
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
-    cover = _cover.get()
-    if cover is None or cover.graph is not g:
-        cover = _Cover(g)
+    cover = _cover_of(g)
     search = _Search(node_budget)
-    clique, size, finished = search.run(g.rows, alive, 0, cover.size, cap=alive.bit_count())
+    clique, size, finished = search.run(
+        g.rows, cover.other, alive, 0, cover.size, cap=alive.bit_count()
+    )
     if not finished:
         degree_order = cover.degree_order
-        _, omega, _ = search.run(degree_order.rows, degree_order.relabel(alive), size, cover.size)
+        _, omega, _ = search.run(
+            degree_order.rows, degree_order.other, degree_order.relabel(alive), size, cover.size
+        )
         if omega > size:
-            clique = search.first_clique(g.rows, degree_order, alive, omega)
+            clique = search.first_clique(cover, alive, omega)
             size = omega
     cover.size = size
     return clique
 
 
-def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
+def _ramsey_clique_mask(rows: tuple[int, ...], other: tuple[int, ...], alive: int) -> int:
     """Recursive pivot construction, evaluated with an explicit stack.
 
     R(m) pivots on the lowest-index candidate v of m and returns the larger
     of {v} + R(m & N(v)) and R(m minus v and N(v)), preferring the pivot
     branch on ties.  Unrolling the second branch, R(m) is the first largest
     of the cliques {v_i} + R(m_i & N(v_i)) along the chain m_0 = m,
-    m_(i+1) = m_i minus v_i and N(v_i).  Each frame walks that chain as a
-    loop, holding [candidates left, best clique so far, pending pivot bit],
-    so the stack grows only along pivot branches.
+    m_(i+1) = m_i & other[v_i], the complement's row.  Each frame walks
+    that chain as a loop, holding [candidates left, best clique so far,
+    pending pivot bit], so the stack grows only along pivot branches.
     """
     stack: list[list[int]] = [[alive, 0, 0]]
     clique = 0
@@ -295,10 +322,10 @@ def _ramsey_clique_mask(rows: tuple[int, ...], alive: int) -> int:
             stack.pop()
             continue
         pivot = left & -left
-        row = rows[pivot.bit_length() - 1]
-        frame[0] = left & ~row & ~pivot
+        v = pivot.bit_length() - 1
+        frame[0] = left & other[v]
         frame[2] = pivot
-        stack.append([left & row, 0, 0])
+        stack.append([left & rows[v], 0, 0])
     return clique
 
 
@@ -309,14 +336,20 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
     Searches the subgraph induced by the ``alive`` bitmask (default: every
     vertex).  The recursive pivot construction can return a clique that is
     not maximal, so the result is greedily extended (ascending index over
-    the alive vertices) until no alive vertex is adjacent to all members.
+    the alive vertices) until no alive vertex is adjacent to all members:
+    the members' common neighbors among the alive vertices, narrowed by
+    each vertex added, give the next one as their lowest bit.
     """
     alive = _alive_mask(g, alive)
     rows = g.rows
-    clique = _ramsey_clique_mask(rows, alive)
-    for v in iter_bits(alive & ~clique):
-        if not clique & ~rows[v]:
-            clique |= 1 << v
+    clique = _ramsey_clique_mask(rows, _cover_of(g).other, alive)
+    common = alive
+    for v in iter_bits(clique):
+        common &= rows[v]
+    while common:
+        low = common & -common
+        clique |= low
+        common &= rows[low.bit_length() - 1]
     return clique
 
 
@@ -338,7 +371,7 @@ def clique_removal_cover(
         raise ValueError(f"not a clique-removal method: {finder}")
     groups: list[int] = []
     alive = (1 << g.n) - 1
-    token = _cover.set(_Cover(g) if finder is Heuristic.BKT else None)
+    token = _cover.set(_Cover(g))
     try:
         while alive:
             if finder is Heuristic.BKT:

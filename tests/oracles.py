@@ -7,7 +7,10 @@ algorithmic machinery with the package under test.  The exceptions:
 and :func:`full_search_max_clique_bkt` on rebuilt subgraphs, so that it
 checks only the removal loop around them;
 :func:`full_search_max_clique_bkt` is the package's earlier exact search,
-run to the end, the reference for its bounded steps and walk; and
+run to the end, the reference for its bounded steps and walk;
+:func:`counted_max_clique_bkt` is its earlier three-step search, which
+colored into ``(vertex, color)`` pairs, with its node count: the reference
+for the class-mask search's nodes; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -19,8 +22,8 @@ is the package's earlier copy, so no reference shares a solver's internals.
 :func:`reference_parse_hamiltonian` is the package's earlier parser, which
 checked each factor as it read it and again in the earlier
 :class:`ReferencePauliWord` constructor: the reference for the one-pass
-parser.  It shares the parser's unchanged helpers (coefficients, index
-bounds, line and header patterns).
+parser, with its earlier index bound.  It shares the parser's unchanged
+helpers (coefficients, line and header patterns).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import random
 import re
 from collections.abc import Iterable, Mapping
 from functools import reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,7 +60,6 @@ from qwcover.pauli import (
     _NEGATIVE_FACTOR_RE,
     _TERM_RE,
     _as_axis,
-    _bounded_int,
     _parse_coefficient,
 )
 from qwcover.removal import _alive_mask
@@ -257,12 +260,163 @@ def full_search_max_clique_bkt(
     return frozenset(iter_bits(best_mask))
 
 
-def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
-    """``ramsey_clique`` restricted to ``alive``, as plain recursion.
+def _color_order(rows: tuple[int, ...], candidates: int) -> list[tuple[int, int]]:
+    """Greedy coloring of the candidate set, each class built from the
+    highest label down; vertices come out grouped by color class, so
+    position bounds are non-decreasing."""
+    order: list[tuple[int, int]] = []
+    uncolored = candidates
+    color = 0
+    while uncolored:
+        color += 1
+        available = uncolored
+        while available:
+            v = available.bit_length() - 1
+            bit = 1 << v
+            order.append((v, color))
+            uncolored ^= bit
+            available &= ~(bit | rows[v])
+    return order
+
+
+class _Search:
+    """Branch and bound over bitset rows; its runs share one node budget."""
+
+    def __init__(self, node_budget: int):
+        self.node_budget = node_budget
+        self.nodes = 0
+
+    def run(
+        self,
+        rows: tuple[int, ...],
+        candidates: int,
+        best_size: int,
+        bound: int,
+        cap: int | None = None,
+    ) -> tuple[int, int, bool]:
+        nodes = self.nodes
+        limit = self.node_budget if cap is None else min(self.node_budget, nodes + cap)
+        if nodes == limit:
+            raise self._exceeded()
+        order = _color_order(rows, candidates)
+        bound = min(bound, order[-1][1])
+        # Frame: [run_mask, run_size, color order still to visit, remaining
+        # candidates].
+        stack: list[list] = [[0, 0, order, candidates]]
+        nodes += 1
+        best_mask = 0
+        while stack:
+            frame = stack[-1]
+            run_mask, run_size, order, remaining = frame
+            if not order or run_size + order[-1][1] <= best_size:
+                stack.pop()
+                continue
+            v, _ = order.pop()
+            bit = 1 << v
+            frame[3] = remaining ^ bit
+            extended = remaining & rows[v]
+            if extended:
+                if nodes == limit:
+                    self.nodes = nodes
+                    if nodes == self.node_budget:
+                        raise self._exceeded()
+                    return best_mask, best_size, False
+                nodes += 1
+                stack.append([run_mask | bit, run_size + 1, _color_order(rows, extended), extended])
+            elif run_size + 1 > best_size:
+                best_mask = run_mask | bit
+                best_size = run_size + 1
+                if best_size >= bound:
+                    break
+        self.nodes = nodes
+        return best_mask, best_size, True
+
+    def first_clique(
+        self, rows: tuple[int, ...], degree_order: _DegreeOrder, candidates: int, size: int
+    ) -> int:
+        clique = 0
+        for need in range(size - 1, -1, -1):
+            if self.nodes == self.node_budget:
+                raise self._exceeded()
+            self.nodes += 1
+            remaining = candidates
+            for v, _ in reversed(_color_order(rows, candidates)):
+                candidates = remaining & rows[v]
+                remaining ^= 1 << v
+                if not need:
+                    break
+                if candidates.bit_count() >= need:
+                    _, found, _ = self.run(
+                        degree_order.rows, degree_order.relabel(candidates), need - 1, need
+                    )
+                    if found == need:
+                        break
+            clique |= 1 << v
+        return clique
+
+    def _exceeded(self) -> BudgetExceededError:
+        return BudgetExceededError(f"maximum-clique search exceeded {self.node_budget} nodes")
+
+
+class _DegreeOrder:
+    def __init__(self, g: TermGraph):
+        order = sorted(range(g.n), key=g.degrees.__getitem__)
+        self._width = f"0{g.n}b"
+        self._pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
+        self.rows = tuple([self.relabel(g.rows[v]) for v in order])
+
+    def relabel(self, mask: int) -> int:
+        return int("".join(self._pick(format(mask, self._width))), 2)
+
+
+def counted_max_clique_bkt(
+    g: TermGraph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    alive: int | None = None,
+    bound: int | None = None,
+) -> tuple[int, int]:
+    """The package's earlier three-step ``max_clique_bkt``, which colored
+    into a list of ``(vertex, color)`` pairs, as ``(clique mask, nodes)``.
+
+    ``bound`` is the previous extraction's clique size inside a cover
+    (default: the vertex count, as in a standalone call).  The reference
+    for the class-mask search, which must return the same clique after
+    the same number of nodes.
+    """
+    alive = _alive_mask(g, alive)
+    if not alive:
+        raise ValueError("maximum clique of an empty graph is undefined")
+    bound = g.n if bound is None else bound
+    search = _Search(node_budget)
+    clique, size, finished = search.run(g.rows, alive, 0, bound, cap=alive.bit_count())
+    if not finished:
+        degree_order = _DegreeOrder(g)
+        _, omega, _ = search.run(degree_order.rows, degree_order.relabel(alive), size, bound)
+        if omega > size:
+            clique = search.first_clique(g.rows, degree_order, alive, omega)
+    return clique, search.nodes
+
+
+def counted_bkt_cover(g: TermGraph) -> list[tuple[int, int]]:
+    """``(clique, nodes)`` of every extraction of the package's earlier
+    ``bkt`` cover, each search bounded by the previous clique's size."""
+    extractions = []
+    alive = (1 << g.n) - 1
+    bound = g.n
+    while alive:
+        clique, nodes = counted_max_clique_bkt(g, alive=alive, bound=bound)
+        extractions.append((clique, nodes))
+        alive ^= clique
+        bound = clique.bit_count()
+    return extractions
+
+
+def recursive_ramsey_pivot_clique(g: TermGraph, alive: int) -> frozenset[int]:
+    """The recursive pivot construction alone, restricted to ``alive``.
 
     R(S) pivots on the lowest vertex v of S and returns the larger of
-    {v} + R(S & N(v)) and R(S - N(v) - {v}), the pivot branch on ties; the
-    result is then extended greedily in ascending index order.
+    {v} + R(S & N(v)) and R(S - N(v) - {v}), the pivot branch on ties.
     """
 
     def ramsey(candidates: frozenset[int]) -> frozenset[int]:
@@ -274,10 +428,16 @@ def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
         without_pivot = ramsey(candidates - neighbors - {v})
         return with_pivot if len(with_pivot) >= len(without_pivot) else without_pivot
 
-    vertices = [v for v in range(g.n) if alive >> v & 1]
-    clique = set(ramsey(frozenset(vertices)))
-    for v in vertices:
-        if v not in clique and all(g.has_edge(v, u) for u in clique):
+    return ramsey(frozenset(v for v in range(g.n) if alive >> v & 1))
+
+
+def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
+    """``ramsey_clique`` restricted to ``alive``, as plain recursion: the
+    pivot construction's clique, extended greedily in ascending index
+    order."""
+    clique = set(recursive_ramsey_pivot_clique(g, alive))
+    for v in range(g.n):
+        if alive >> v & 1 and v not in clique and all(g.has_edge(v, u) for u in clique):
             clique.add(v)
     return frozenset(clique)
 
@@ -618,6 +778,15 @@ class ReferencePauliWord(PauliWord):
 
 
 _FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)$")
+
+
+def _bounded_int(digits: str, limit: int, what: str, line_no: int, column: int | None = None) -> int:
+    """The package's earlier index bound: strip, then compare digit counts."""
+    significant = digits.lstrip("0") or "0"
+    value = int(significant) if len(significant) <= len(str(limit)) else limit + 1
+    if value > limit:
+        raise ParseError(f"{what} above the limit {limit}", line_no, column)
+    return value
 
 
 def _reference_parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:

@@ -114,6 +114,13 @@ class TestBasisOfGroup:
         with pytest.raises(ValueError, match="negative mask"):
             basis_of_group(demo_hamiltonian, -1)
 
+    def test_unknown_term_named(self):
+        h = parse_hamiltonian("1.0 [Z0]\n1.0 [X1]\n")
+        with pytest.raises(ValueError, match="unknown term 5$"):
+            basis_of_group(h, 1 << 5)
+        with pytest.raises(ValueError, match="unknown term 2$"):
+            basis_of_group(h, 0b1011101)
+
     def test_every_heuristic_group_is_measurable(self):
         rng = random.Random(123)
         for trial in range(15):

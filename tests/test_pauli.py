@@ -386,7 +386,10 @@ COEFFICIENTS = [
     "1.0", "-0.25", "3", "1e-13", "1e308", "nan", "(0.5,0)", "(1,2)", "(1,", "x", "",
     "1_0", "(1_0,0)", "\u0663", "\uff11", "1e\u0663",
 ]
-INDICES = ["0", "1", "7", "12", "007", "-1", "", "99999", "\u0663", "\uff13"]
+INDICES = [
+    "0", "1", "7", "12", "007", "-1", "", "99999", "\u0663", "\uff13",
+    "65535", "65536", "0065535", "0065536", "00000", "000000", "1" + "0" * 20,
+]
 SPACES = ["", " ", "  ", "\t", "\x0c", "\x0b", "\x85", "\u2028"]
 BREAKS = ["\n", "\r\n", "\r", "\x0c\n", "\n\n"]
 NOISE = list("0123456789.-+e(),[]XYZxyzI# :") + ["qubits", "\r", "\x0c", "\u0663", "\u00b3"]

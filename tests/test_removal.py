@@ -28,6 +28,16 @@ def complete_graph(n):
     return TermGraph.from_edges(n, itertools.combinations(range(n), 2))
 
 
+def assert_nodes_of_earlier_search(g, alive, clique):
+    """``max_clique_bkt`` finds ``clique`` within exactly the node budget
+    that the earlier search over ``(vertex, color)`` pairs needed."""
+    found, nodes = oracles.counted_max_clique_bkt(g, alive=alive)
+    assert found == clique
+    assert max_clique_bkt(g, node_budget=nodes, alive=alive) == clique
+    with pytest.raises(BudgetExceededError):
+        max_clique_bkt(g, node_budget=nodes - 1, alive=alive)
+
+
 class TestMaxCliqueBkt:
     def test_complete_graph(self):
         assert max_clique_bkt(complete_graph(5)) == 0b11111
@@ -68,8 +78,9 @@ class TestMaxCliqueBkt:
             n = rng.randint(1, 60)
             g = oracles.random_gnp(n, rng.choice([0.3, 0.5, 0.7, 0.8, 0.9]), 2000 + trial)
             alive = (1 << n) - 1 if trial % 2 == 0 else rng.getrandbits(n) or 1
-            expected = oracles.full_search_max_clique_bkt(g, alive=alive)
-            assert max_clique_bkt(g, alive=alive) == oracles.mask_of(expected), trial
+            expected = oracles.mask_of(oracles.full_search_max_clique_bkt(g, alive=alive))
+            assert max_clique_bkt(g, alive=alive) == expected, trial
+            assert_nodes_of_earlier_search(g, alive, expected)
 
     @pytest.mark.parametrize("name", GOLDEN_INPUTS)
     def test_golden_covers_match_full_search(self, name):
@@ -78,9 +89,18 @@ class TestMaxCliqueBkt:
         alive = (1 << g.n) - 1
         while alive:
             clique = oracles.mask_of(oracles.full_search_max_clique_bkt(g, alive=alive))
+            assert_nodes_of_earlier_search(g, alive, clique)
             expected.append(clique)
             alive &= ~clique
         assert clique_removal_cover(g, Heuristic.BKT) == tuple(expected)
+        # inside a cover each search is also bounded by the previous
+        # clique's size, and the budget applies to each extraction
+        extractions = oracles.counted_bkt_cover(g)
+        assert [clique for clique, _ in extractions] == expected
+        budget = max(nodes for _, nodes in extractions)
+        assert clique_removal_cover(g, Heuristic.BKT, node_budget=budget) == tuple(expected)
+        with pytest.raises(BudgetExceededError):
+            clique_removal_cover(g, Heuristic.BKT, node_budget=budget - 1)
 
     def test_deep_search_leaves_recursion_limit_alone(self):
         # the search descends once per clique member, past the default limit
@@ -134,6 +154,19 @@ class TestRamseyClique:
             expected = oracles.recursive_ramsey_clique(g, alive)
             assert ramsey_clique(g, alive=alive) == oracles.mask_of(expected), trial
 
+    @pytest.mark.parametrize("seed", [68, 297, 1230, 2160])
+    def test_extension_adds_to_a_non_maximal_pivot_clique(self, seed):
+        # graphs and alive masks on which the pivot construction alone
+        # stops at a clique that some alive vertex extends
+        rng = random.Random(seed)
+        n = rng.randint(4, 16)
+        g = oracles.random_gnp(n, rng.choice([0.3, 0.5, 0.7]), seed)
+        alive = rng.getrandbits(n) | 1
+        pivot = oracles.recursive_ramsey_pivot_clique(g, alive)
+        expected = oracles.recursive_ramsey_clique(g, alive)
+        assert len(expected) > len(pivot)
+        assert ramsey_clique(g, alive=alive) == oracles.mask_of(expected)
+
     def test_deep_recursion_safe(self):
         # complete graph drives the pivot chain through every vertex
         assert ramsey_clique(complete_graph(1100)).bit_count() == 1100
@@ -172,11 +205,13 @@ class TestCliqueRemovalCover:
 
     def test_budget_spares_the_proof(self):
         # the search run to the end needs a budget of 21,434 nodes here, the
-        # three steps 2,360
+        # three steps 2,360 and not one fewer
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         g = build_qwc_graph(h)
-        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=10_000)
+        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=2360)
         validate_cover(g, cover)
+        with pytest.raises(BudgetExceededError):
+            clique_removal_cover(g, Heuristic.BKT, node_budget=2359)
 
     def test_matches_relabelling_reference(self, demo_graph):
         rng = random.Random(6)
