@@ -8,20 +8,22 @@ complement therefore yields a cover through :func:`cover_from_coloring`.
 All tie-breaking is by ascending vertex index (pairs lexicographically),
 so every solver is deterministic; none of them uses randomness.
 
-Smallest-last and DSATUR select on per-vertex counts (residual degree,
-saturation) that they keep as bit-sliced counters over the row bitsets:
-plane ``j`` holds bit ``j`` of every vertex's count, so updating the counts
-of a whole neighborhood, or narrowing a candidate set to its minimum or
-maximum count, costs O(log n) big-integer operations instead of one Python
-call per vertex.
+Smallest-last, DSATUR and RLF select on per-vertex counts (residual
+degree, saturation) that they keep as bit-sliced counters over the row
+bitsets: plane ``j`` holds bit ``j`` of every vertex's count, so updating
+the counts of a whole neighborhood, or narrowing a candidate set to its
+minimum or maximum count, costs O(log n) big-integer operations instead of
+one Python call per vertex.  Each starts its residual degrees from a copy
+of the graph's :attr:`~qwcover.graph.TermGraph.degree_planes`, built once
+per graph.
 
 A coloring is the list of its color classes as vertex bitmasks, color
 ``c`` at index ``c``.  RLF and COSINE grow one class at a time on the
 graph's own rows through one loop, :func:`_grow_class`, from different
-seeds.  RLF, COSINE and DB choose through one candidate scan,
-:func:`_most_shared`.  Only DB keeps a merged graph, because its rule is
-about merged supervertices; COSINE only grows its current one, which is
-RLF's class.
+seeds: RLF's seed comes from its residual-degree counters.  Class growth
+and DB choose through one candidate scan, :func:`_most_shared`.  Only DB
+keeps a merged graph, because its rule is about merged supervertices;
+COSINE only grows its current one, which is RLF's class.
 
 DB picks its pair by lazy greedy evaluation (Minoux's accelerated greedy):
 each row keeps an upper bound on the common-neighbor counts of its pairs,
@@ -60,14 +62,6 @@ def input_order(g: TermGraph) -> tuple[int, ...]:
 def largest_first_order(g: TermGraph) -> tuple[int, ...]:
     """Vertices by non-increasing degree, ties by ascending index."""
     return tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
-
-
-def _planes(values: Sequence[int]) -> list[int]:
-    """Bit-sliced counters: bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``."""
-    return [
-        sum(1 << u for u, value in enumerate(values) if value >> j & 1)
-        for j in range(max(values, default=0).bit_length())
-    ]
 
 
 def _decrement(planes: list[int], mask: int) -> None:
@@ -120,7 +114,7 @@ def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
     """
     rows = g.rows
     remaining = (1 << g.n) - 1
-    degree = _planes(g.degrees)
+    degree = list(g.degree_planes)
     order = [0] * g.n
     for position in range(g.n - 1, -1, -1):
         smallest = _keep_min(degree, remaining)
@@ -169,7 +163,7 @@ def dsatur_coloring(g: TermGraph) -> list[int]:
     rows = g.rows
     classes: list[int] = []
     near: list[int] = []
-    degree = _planes(g.degrees)
+    degree = list(g.degree_planes)
     saturation: list[int] = []
     uncolored = (1 << g.n) - 1
     while uncolored:
@@ -232,19 +226,32 @@ def rlf_coloring(g: TermGraph) -> list[int]:
     """Recursive-largest-first coloring.
 
     Builds one color class at a time (:func:`_grow_class`): seed with the
-    largest-degree vertex of the uncolored subgraph, then, among uncolored
-    vertices not adjacent to the class (candidate set), repeatedly add the
-    one with the most neighbors among the excluded uncolored vertices,
-    until no candidate remains.  Repeats on the rest of the graph with the
-    next color.
+    largest-degree vertex of the uncolored subgraph (ties by index), then,
+    among uncolored vertices not adjacent to the class (candidate set),
+    repeatedly add the one with the most neighbors among the excluded
+    uncolored vertices, until no candidate remains.  Repeats on the rest of
+    the graph with the next color.
+
+    Residual degrees are bit-sliced counters, lowered by each class
+    member's uncolored neighbors, so picking a seed costs O(log n) bitset
+    operations instead of a scan of the uncolored rows.
     """
     rows = g.rows
     classes: list[int] = []
+    degree = list(g.degree_planes)
     uncolored = (1 << g.n) - 1
     while uncolored:
-        _, seed = _most_shared(rows, uncolored, uncolored)
-        classes.append(_grow_class(rows, uncolored, seed))
-        uncolored ^= classes[-1]
+        seed = _keep_max(degree, uncolored)
+        class_mask = _grow_class(rows, uncolored, seed & -seed)
+        classes.append(class_mask)
+        uncolored ^= class_mask
+        members = class_mask if uncolored else 0  # the last class lowers no count
+        while members:
+            bit = members & -members
+            members ^= bit
+            neighbors = rows[bit.bit_length() - 1] & uncolored
+            if neighbors:
+                _decrement(degree, neighbors)
     return classes
 
 

@@ -52,6 +52,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _planes(values: Sequence[int]) -> list[int]:
+    """Bit-sliced counters: bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``.
+
+    One pass over each value's set bits, so tiny graphs pay little.
+    """
+    planes = [0] * max(values, default=0).bit_length()
+    for u, value in enumerate(values):
+        bit = 1 << u
+        while value:
+            low = value & -value
+            planes[low.bit_length() - 1] |= bit
+            value ^= low
+    return planes
+
+
 class TermGraph:
     """Immutable undirected graph over ``n`` vertices, bitset rows.
 
@@ -60,7 +75,7 @@ class TermGraph:
     self-loops, and the factories keep rows symmetric.
     """
 
-    __slots__ = ("n", "_rows", "_degrees", "_complement")
+    __slots__ = ("n", "_rows", "_degrees", "_degree_planes", "_complement")
 
     def __init__(self, rows: Sequence[int]):
         n = len(rows)
@@ -77,6 +92,7 @@ class TermGraph:
         self.n = n
         self._rows = tuple(rows)
         self._degrees: tuple[int, ...] | None = None
+        self._degree_planes: tuple[int, ...] | None = None
         self._complement: TermGraph | None = None
 
     @classmethod
@@ -100,6 +116,14 @@ class TermGraph:
             # tuples collect in the tuple free lists until a full collection.
             self._degrees = tuple([row.bit_count() for row in self._rows])
         return self._degrees
+
+    @property
+    def degree_planes(self) -> tuple[int, ...]:
+        """The degrees as bit-sliced counters: bit ``u`` of plane ``j`` is
+        bit ``j`` of vertex ``u``'s degree; built once per graph."""
+        if self._degree_planes is None:
+            self._degree_planes = tuple(_planes(self.degrees))
+        return self._degree_planes
 
     @property
     def edge_count(self) -> int:

@@ -18,10 +18,13 @@ with common electronic-structure dumps::
 
 Qubit indices are zero-based everywhere in this package.
 
-Each factor is checked once.  The parser checks every factor it reads
-(letter, index range, repeated qubit) while it builds the word's masks, and
-lays the word out from them without a second pass; :class:`PauliWord` itself
-checks only what library callers pass it.  A word hashes its two masks.
+Each distinct factor token is checked once per parse.  One call of
+:func:`parse_hamiltonian` keeps a dict from each factor token it has read,
+such as ``Z3``, to its checked qubit, axis and mask bits; only the
+repeated-qubit test runs on every occurrence, against the word's masks.
+The parser lays each word out from those masks without a second pass;
+:class:`PauliWord` itself checks only what library callers pass it.  A word
+hashes its two masks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache
+from itertools import islice
 
 __all__ = [
     "COEFFICIENT_PRUNE_THRESHOLD",
@@ -157,7 +160,7 @@ class PauliWord:
     def from_string(cls, text: str) -> "PauliWord":
         """Build a word from factor notation such as ``"Z0 Z1 X4"``, read as
         the factors of a Hamiltonian file's line 1 (so errors are ParseErrors)."""
-        return _parse_word(text, 0, 1)
+        return _parse_word(text, 0, 1, {})
 
     @property
     def x_mask(self) -> int:
@@ -276,14 +279,16 @@ class Hamiltonian:
 
 _HEADER_RE = re.compile(r"#\s*qubits\s*:\s*([0-9]+)\s*$")
 _TERM_RE = re.compile(r"(?P<coef>\([^()\[\]]*\)|[^\s\[]+)\s*\[(?P<body>[^\]]*)\]\s*(?P<tail>\S?.*)$")
-# One whitespace-separated token: a factor, with its letter and index as
-# groups, or anything else, with both groups None.
-_TOKEN_RE = re.compile(r"([XYZxyz])([0-9]+)(?!\S)|\S+")
+_FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)")
 _NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
 # Each factor letter's axis and whether it sets the word's x and z bits.
 _LETTERS = {
     letter: (PauliAxis(letter.upper()), letter in "XYxy", letter in "YZyz") for letter in "XYZxyz"
 }
+
+# A checked factor: its ``(qubit, axis)`` item, its qubit's bit, and that bit
+# or 0 for each of the word's x and z masks.
+_Factor = tuple[tuple[int, PauliAxis], int, int, int]
 
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
@@ -299,7 +304,7 @@ def _parse_coefficient(token: str, line_no: int, column: int) -> float:
             real, imag = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"invalid complex coefficient {token!r}", line_no, column) from None
-        if abs(imag) > IMAGINARY_TOLERANCE:
+        if not abs(imag) <= IMAGINARY_TOLERANCE:  # NaN fails every comparison
             raise ParseError(
                 f"coefficient has non-negligible imaginary part {imag!r}", line_no, column
             )
@@ -314,49 +319,63 @@ def _parse_coefficient(token: str, line_no: int, column: int) -> float:
     return value
 
 
-@cache
-def _digit_count(limit: int) -> int:
-    return len(str(limit))
+def _bounded_int(digits: str, limit: int) -> int | None:
+    """The decimal ``digits`` as an int, or None when it exceeds ``limit``;
+    the digit count is checked after leading zeros are stripped, so no huge
+    integer is ever built."""
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > len(str(limit)):
+        return None
+    value = int(significant)
+    return value if value <= limit else None
 
 
-def _bounded_int(digits: str, limit: int, what: str, line_no: int, column: int | None = None) -> int:
-    """The decimal ``digits`` as an int, or a :class:`ParseError` when it
-    exceeds ``limit``; the digit count is checked first, and leading zeros
-    are stripped only from a longer string, so no huge integer is ever
-    built."""
-    width = _digit_count(limit)
-    if len(digits) > width:
-        digits = digits.lstrip("0") or "0"
-    value = int(digits) if len(digits) <= width else limit + 1
-    if value > limit:
-        raise ParseError(f"{what} above the limit {limit}", line_no, column)
-    return value
+def _check_factor(token: str) -> _Factor | str:
+    """The checked factor that ``token`` names, or why it names none."""
+    factor = _FACTOR_RE.fullmatch(token)
+    if factor is None:
+        if _NEGATIVE_FACTOR_RE.fullmatch(token):
+            return f"negative qubit index in factor {token!r}"
+        return f"bad Pauli factor {token!r}"
+    letter, digits = factor.groups()
+    qubit = _bounded_int(digits, MAX_QUBIT_INDEX)
+    if qubit is None:
+        return f"qubit index above the limit {MAX_QUBIT_INDEX}"
+    axis, x, z = _LETTERS[letter]
+    bit = 1 << qubit
+    return (qubit, axis), bit, bit if x else 0, bit if z else 0
 
 
-def _parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
-    """The word whose factors ``body`` lists, each checked here and only here."""
+def _token_column(body: str, body_offset: int, index: int) -> int:
+    """The 1-based column of token ``index`` of ``body``, which starts at
+    ``body_offset``; ``str.split`` and ``\\S+`` find the same tokens."""
+    match = next(islice(re.finditer(r"\S+", body), index, None))
+    return body_offset + match.start() + 1
+
+
+def _parse_word(body: str, body_offset: int, line_no: int, factors: dict[str, _Factor]) -> PauliWord:
+    """The word whose factors ``body`` lists.  ``factors`` maps each token
+    already checked in this parse to its factor, and gains each new one; a
+    bad token ends the parse, so it is never stored."""
     items: list[tuple[int, PauliAxis]] = []
     x_mask = z_mask = 0
-    for match in _TOKEN_RE.finditer(body):
-        letter, digits = match.groups()
-        column = body_offset + match.start() + 1
-        if letter is None:
-            token = match.group(0)
-            if _NEGATIVE_FACTOR_RE.fullmatch(token):
-                raise ParseError(f"negative qubit index in factor {token!r}", line_no, column)
-            raise ParseError(f"bad Pauli factor {token!r}", line_no, column)
-        qubit = _bounded_int(digits, MAX_QUBIT_INDEX, "qubit index", line_no, column)
-        bit = 1 << qubit
+    for token in body.split():
+        factor = factors.get(token)
+        if factor is None:
+            factor = _check_factor(token)
+            if isinstance(factor, str):
+                raise ParseError(factor, line_no, _token_column(body, body_offset, len(items)))
+            factors[token] = factor
+        item, bit, x_bit, z_bit = factor
         if (x_mask | z_mask) & bit:
             raise ParseError(
-                f"qubit {qubit} assigned more than one factor in one word", line_no, column
+                f"qubit {item[0]} assigned more than one factor in one word",
+                line_no,
+                _token_column(body, body_offset, len(items)),
             )
-        axis, x, z = _LETTERS[letter]
-        items.append((qubit, axis))
-        if x:
-            x_mask |= bit
-        if z:
-            z_mask |= bit
+        items.append(item)
+        x_mask |= x_bit
+        z_mask |= z_bit
     items.sort()
     return object.__new__(PauliWord)._lay_out(tuple(items), x_mask, z_mask)
 
@@ -377,7 +396,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     Raises:
         ParseError: malformed line, duplicate qubit within a word,
             negative qubit index or one above :data:`MAX_QUBIT_INDEX`,
-            an imaginary part beyond tolerance, a repeated word whose
+            an imaginary part beyond tolerance or NaN, a repeated word whose
             coefficients sum to a non-finite value (located at the line
             that overflows), a header smaller than the largest used index,
             or neither a term line nor a header (located at the last line
@@ -387,7 +406,8 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     declared_qubits: int | None = None
     header_line = 0
     merged: dict[PauliWord, float] = {}
-    max_seen = -1
+    factors: dict[str, _Factor] = {}  # each factor token read so far, checked
+    support = 0  # every qubit a word has used
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -399,9 +419,11 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             if header is not None:
                 if declared_qubits is not None:
                     raise ParseError("duplicate 'qubits:' header", line_no)
-                declared_qubits = _bounded_int(
-                    header.group(1), MAX_QUBIT_INDEX + 1, "declared qubit count", line_no
-                )
+                declared_qubits = _bounded_int(header.group(1), MAX_QUBIT_INDEX + 1)
+                if declared_qubits is None:
+                    raise ParseError(
+                        f"declared qubit count above the limit {MAX_QUBIT_INDEX + 1}", line_no
+                    )
                 header_line = line_no
             continue
         indent = len(line) - len(line.lstrip())
@@ -415,9 +437,8 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
                 indent + match.start("tail") + 1,
             )
         coefficient = _parse_coefficient(match.group("coef"), line_no, indent + 1)
-        word = _parse_word(match.group("body"), indent + match.start("body"), line_no)
-        if word.max_qubit is not None:
-            max_seen = max(max_seen, word.max_qubit)
+        word = _parse_word(match.group("body"), indent + match.start("body"), line_no, factors)
+        support |= word._x_mask | word._z_mask
         if word in merged:
             total = merged[word] + coefficient
             if not math.isfinite(total):
@@ -429,6 +450,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             merged[word] = coefficient
     if not merged and declared_qubits is None:
         raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
+    max_seen = support.bit_length() - 1
     if declared_qubits is not None and max_seen >= declared_qubits:
         raise ParseError(
             f"header declares {declared_qubits} qubits but qubit {max_seen} is used",

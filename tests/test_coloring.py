@@ -33,8 +33,8 @@ from qwcover.coloring import (
     _keep_max,
     _keep_min,
     _most_shared,
-    _planes,
 )
+from qwcover.graph import _planes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

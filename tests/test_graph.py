@@ -131,6 +131,17 @@ class TestTermGraph:
             g = oracles.random_gnp(12, 0.4, seed)
             assert g.degrees == tuple(row.bit_count() for row in g.rows)
 
+    def test_degree_planes_slice_the_degrees(self):
+        for seed in range(5):
+            g = oracles.random_gnp(12, 0.4, seed)
+            planes = g.degree_planes
+            assert planes is g.degree_planes
+            assert planes[-1]  # no empty top plane
+            assert [
+                sum((plane >> u & 1) << j for j, plane in enumerate(planes)) for u in range(g.n)
+            ] == list(g.degrees)
+        assert TermGraph([0, 0]).degree_planes == ()
+
 
 class TestComplement:
     def test_complement_of_clique_is_edgeless(self):

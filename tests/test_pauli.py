@@ -227,9 +227,10 @@ class TestParsing:
         assert h.terms[0].coefficient == pytest.approx(0.25)
 
     def test_complex_coefficient_rejected(self):
-        with pytest.raises(ParseError, match="imaginary") as excinfo:
-            parse_hamiltonian("1.0 [Z0]\n(0.25,0.5) [X0]")
-        assert excinfo.value.line == 2
+        for token in ["(0.25,0.5)", "(1,nan)", "(1,-nan)"]:
+            with pytest.raises(ParseError, match="non-negligible imaginary part") as excinfo:
+                parse_hamiltonian(f"1.0 [Z0]\n  {token} [X0]")
+            assert (excinfo.value.line, excinfo.value.column) == (2, 3)
 
     def test_near_zero_terms_pruned(self):
         h = parse_hamiltonian(f"1.0 [Z0]\n{COEFFICIENT_PRUNE_THRESHOLD / 10!r} [X1]")
@@ -477,6 +478,22 @@ class TestParserReference:
     @settings(max_examples=200, deadline=None)
     @given(term_texts())
     def test_term_texts(self, text):
+        assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.0 [Z0 Q1]\n2.0 [X1 Q1]\n",  # a bad token that recurs on a later line
+            "1.0 [Z0 X1]\n2.0 [Y2]\n3.0 [Z0 Z-1]\n4.0 [Z-1]\n",
+            "1.0 [Z0 z0]\n",  # two tokens for one qubit
+            "1.0 [X1]\n2.0 [Z0  X1 X1]\n",  # the same token twice
+            "1.0 [Z65536]\n2.0 [Z65536]\n",
+            "1.0 [X0 Z65536 Z65536]\n",
+            "1.0 [Z0\u00a0X1]\n2.0 [X1\x1cZ0]\n",
+            "1.0 [Z0\u00a0X1\x1cZ0]\n",
+        ],
+    )
+    def test_chosen_texts(self, text):
         assert_parses_as_reference(text)
 
     @pytest.mark.parametrize("path", sorted((TESTS / "golden").glob("*.ham")), ids=lambda p: p.stem)
