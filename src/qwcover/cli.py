@@ -5,8 +5,9 @@ heuristic(s) and emits the full grouping report; ``compare`` solves one or
 more files and emits a grid of group counts (one row per input, one column
 per heuristic).
 
-Every cover is checked once against the graph, and each group's basis is
-derived from its Pauli words, which fails on any non-QWC pair.
+Every cover is checked once against the graph, and each distinct group of a
+file has its basis derived from its Pauli words (which fails on any non-QWC
+pair) and its report text rendered once per ``main`` call.
 
 Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
@@ -69,12 +70,14 @@ def _int_at_least(lowest: int):
     return parse
 
 
+_Bases = dict[int, dict[int, PauliAxis]]  # one file's distinct group masks to their bases
+
+
 @dataclass
 class _HeuristicResult:
     heuristic: Heuristic
     cover: tuple[int, ...] | None = None
     stats: CoverStats | None = None
-    bases: list[dict[int, PauliAxis]] | None = None
     wall_ms: float = 0.0
     error: str | None = None
     skipped: str | None = None
@@ -138,7 +141,9 @@ def _solve_one(
     heuristic: Heuristic,
     args: argparse.Namespace,
     explicit: bool,
+    bases: _Bases,
 ) -> _HeuristicResult:
+    """Solve and check one heuristic's cover; ``bases`` gains its new groups."""
     result = _HeuristicResult(heuristic)
     if heuristic is Heuristic.BKT and not explicit and g.n > args.bkt_skip_above:
         result.skipped = (
@@ -155,29 +160,34 @@ def _solve_one(
     validate_cover(g, cover)
     result.cover = cover
     result.stats = compute_stats(cover)
-    result.bases = [basis_of_group(h, group) for group in cover]
+    for group in cover:
+        if group not in bases:
+            bases[group] = basis_of_group(h, group)
     return result
 
 
-def _solve_file(path: str, args: argparse.Namespace) -> tuple[Hamiltonian, list[_HeuristicResult]]:
+def _solve_file(path: str, args: argparse.Namespace) -> tuple[Hamiltonian, _Bases, list[_HeuristicResult]]:
     h = _load(path)
     g = build_qwc_graph(h)
     heuristics = _selected_heuristics(args.algorithm)
     explicit = args.algorithm != "all"
-    return h, [_solve_one(h, g, hx, args, explicit) for hx in heuristics]
+    bases: _Bases = {}
+    return h, bases, [_solve_one(h, g, hx, args, explicit, bases) for hx in heuristics]
 
 
-def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult], args) -> str:
+def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
+                     results: list[_HeuristicResult], args) -> str:
     """The run report, byte for byte as ``json.dumps(report, indent=2)``
     lays it out, written directly into one list of pieces that is joined
-    once at the end (a group's term indices and basis entries each enter
-    it as one separator-joined piece).
+    once at the end; each distinct group's object is rendered once, into a
+    dict local to the call.
 
     ``json.dumps`` renders only the free-text strings (the input path,
     skip and error messages) and the floats; heuristic names, axis letters
     and integers need no escaping.  Every group is non-empty, since
     :func:`validate_cover` has accepted its cover.
     """
+    rendered: dict[int, str] = {}
     out = ['{\n  "input": ', json.dumps(path), ',\n  "n_qubits": ', str(h.n_qubits),
            ',\n  "total_terms": ', str(h.n_terms), ',\n  "results": [']
     for number, r in enumerate(results):
@@ -188,33 +198,31 @@ def _render_run_json(path: str, h: Hamiltonian, results: list[_HeuristicResult],
         if r.error is not None:
             out += (',\n      "error": ', json.dumps(r.error), "\n    }")
             continue
-        assert r.cover is not None and r.stats is not None and r.bases is not None
+        assert r.cover is not None and r.stats is not None
         out += (',\n      "total_terms": ', str(h.n_terms),
                 ',\n      "n_groups": ', str(r.stats.n_groups),
                 ',\n      "max_size": ', str(r.stats.max_size),
                 ',\n      "size_std": ', json.dumps(r.stats.size_std))
         if args.timings:
             out += (',\n      "wall_ms": ', json.dumps(round(r.wall_ms, 3)))
-        out.append(',\n      "groups": [')
-        for index, (group, basis) in enumerate(zip(r.cover, r.bases)):
-            out += (",\n        {" if index else "\n        {",
-                    '\n          "terms": [\n            ',
-                    ",\n            ".join(map(str, iter_bits(group))),
-                    '\n          ],\n          "basis": ')
-            if basis:
+        for group in r.cover:
+            if group not in rendered:
                 # ``_value_`` is the plain attribute behind the slower ``.value``.
-                out += ("{\n            ",
-                        ",\n            ".join([
-                            f'"{q}": "{axis._value_}"' for q, axis in basis.items()]),
-                        "\n          }\n        }")
-            else:
-                out.append("{}\n        }")
-        out.append("\n      ]\n    }" if r.cover else "]\n    }")
+                basis = ",\n            ".join([
+                    f'"{q}": "{axis._value_}"' for q, axis in bases[group].items()])
+                rendered[group] = "".join([
+                    '{\n          "terms": [\n            ',
+                    ",\n            ".join(map(str, iter_bits(group))),
+                    '\n          ],\n          "basis": ',
+                    f"{{\n            {basis}\n          }}" if basis else "{}", "\n        }"])
+        groups = ",\n        ".join([rendered[group] for group in r.cover])
+        out += (',\n      "groups": [', f"\n        {groups}\n      " if groups else "", "]\n    }")
     out.append("\n  ]\n}\n")
     return "".join(out)
 
 
-def _render_run_text(path: str, h: Hamiltonian, results: list[_HeuristicResult], args) -> str:
+def _render_run_text(path: str, h: Hamiltonian, bases: _Bases,
+                     results: list[_HeuristicResult], args) -> str:
     lines = [f"input: {path}", f"qubits: {h.n_qubits}", f"terms: {h.n_terms}"]
     for r in results:
         if r.skipped is not None:
@@ -223,14 +231,14 @@ def _render_run_text(path: str, h: Hamiltonian, results: list[_HeuristicResult],
         if r.error is not None:
             lines.append(f"== {r.heuristic.value}: error ({r.error})")
             continue
-        assert r.stats is not None and r.cover is not None and r.bases is not None
+        assert r.stats is not None and r.cover is not None
         timing = f", {r.wall_ms:.3f} ms" if args.timings else ""
         lines.append(
             f"== {r.heuristic.value}: {r.stats.n_groups} groups, "
             f"max size {r.stats.max_size}, size std {r.stats.size_std:g}{timing}"
         )
-        for index, (group, basis) in enumerate(zip(r.cover, r.bases)):
-            basis_text = " ".join(f"{q}:{axis}" for q, axis in basis.items()) or "(none)"
+        for index, group in enumerate(r.cover):
+            basis_text = " ".join(f"{q}:{axis}" for q, axis in bases[group].items()) or "(none)"
             lines.append(f"group {index} | basis: {basis_text}")
             lines.extend(f"  [{i}] {h.terms[i]}" for i in iter_bits(group))
     return "\n".join(lines) + "\n"
@@ -290,14 +298,14 @@ def main(argv: list[str] | None = None) -> int:
             if len(args.input) != 1:
                 parser.error("'run' takes exactly one --input; use 'compare' for several")
             path = args.input[0]
-            h, results = _solve_file(path, args)
+            h, bases, results = _solve_file(path, args)
             render = _render_run_json if args.format == "json" else _render_run_text
-            _emit(render(path, h, results, args), args.output)
+            _emit(render(path, h, bases, results, args), args.output)
             return _exit_code(results, args.algorithm != "all")
         rows = []
         all_results: list[_HeuristicResult] = []
         for path in args.input:
-            h, results = _solve_file(path, args)
+            h, _, results = _solve_file(path, args)
             rows.append((path, h.n_terms, results))
             all_results.extend(results)
         render = _render_compare_json if args.format == "json" else _render_compare_text

@@ -78,47 +78,55 @@ def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
                 f"vertex {next(iter_bits(overlap))} appears in more than one group"
             )
         covered |= group
-        for v in iter_bits(group):
-            missing = group & ~g.rows[v] & ~(1 << v)
+        rest = group
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            missing = group & ~(g.rows[v] | low)
             if missing:
                 other = missing.bit_length() - 1
                 raise InvalidCoverError(
                     f"group {index} is not a clique: ({v}, {other}) is not an edge"
                 )
+            rest ^= low
     uncovered = ~covered & ((1 << g.n) - 1)
     if uncovered:
         raise InvalidCoverError(f"vertex {next(iter_bits(uncovered))} is not covered")
 
 
+_AXES = (PauliAxis.I, PauliAxis.X, PauliAxis.Z, PauliAxis.Y)  # by x bit + 2 * z bit
+
+
 def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     """The shared tensor-product basis of a QWC group (a bitmask of term
-    indices), as ``{qubit: axis}`` ordered by qubit; qubits no word in the
-    group touches are absent.
-
-    Every qubit touched by any word in the group is read along that word's
-    axis; qubit-wise commutation guarantees the axis is unique per qubit.
+    indices), as ``{qubit: axis}`` ordered by qubit, from its words' x and z
+    masks ORed in term order; qubits no word in the group touches are absent.
 
     Raises:
         ValueError: the group is negative, or references a term ``h``
             does not have; the message names the lowest such term.
         BasisConflictError: two group members disagree on a qubit's axis,
-            i.e. the group was not actually a clique of the QWC graph.
+            i.e. the group was not actually a clique of the QWC graph; the
+            message names the first clashing term's lowest such qubit.
     """
     n = len(h.terms)
     unknown = group >> n << n
     if unknown > 0:
         raise ValueError(f"group references unknown term {(unknown & -unknown).bit_length() - 1}")
-    assignment: dict[int, PauliAxis] = {}
+    x = z = 0
     for index in iter_bits(group):
-        for qubit, axis in h.terms[index].word:
-            current = assignment.get(qubit)
-            if current is None:
-                assignment[qubit] = axis
-            elif current is not axis:
-                raise BasisConflictError(
-                    f"qubit {qubit} would need both {current} and {axis}"
-                )
-    return dict(sorted(assignment.items()))
+        word = h.terms[index].word
+        wx, wz = word.x_mask, word.z_mask
+        clash = (wx | wz) & (x | z) & ((wx ^ x) | (wz ^ z))
+        if clash:
+            q = (clash & -clash).bit_length() - 1
+            raise BasisConflictError(
+                f"qubit {q} would need both {_AXES[(x >> q & 1) | (z >> q & 1) << 1]} "
+                f"and {_AXES[(wx >> q & 1) | (wz >> q & 1) << 1]}"
+            )
+        x |= wx
+        z |= wz
+    return {q: _AXES[(x >> q & 1) | (z >> q & 1) << 1] for q in iter_bits(x | z)}
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,9 +22,9 @@ Each distinct factor token is checked once per parse.  One call of
 :func:`parse_hamiltonian` keeps a dict from each factor token it has read,
 such as ``Z3``, to its checked qubit, axis and mask bits; only the
 repeated-qubit test runs on every occurrence, against the word's masks.
-The parser lays each word out from those masks without a second pass;
-:class:`PauliWord` itself checks only what library callers pass it.  A word
-hashes its two masks.
+The parser lays each word out from those masks without a second pass, and
+its terms and Hamiltonian without re-checking them; the classes check only
+what library callers pass them.  A word hashes its two masks.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class HamiltonianTerm:
 class Hamiltonian:
     """An ordered list of weighted Pauli words over ``n_qubits`` qubits.
 
-    Direct construction expects already-normalized input (unique words,
+    Direct construction checks that the input is normalized (unique words,
     indices within range); :func:`parse_hamiltonian` merges duplicates and
     prunes negligible coefficients.  Term order is significant: it is
     preserved from the input and defines the input-order coloring heuristic.
@@ -273,6 +273,14 @@ class Hamiltonian:
 
     def words(self) -> tuple[PauliWord, ...]:
         return tuple(term.word for term in self.terms)
+
+
+def _parsed_term(coefficient: float, word: PauliWord) -> HamiltonianTerm:
+    """A term whose coefficient the parser has found finite, without ``__post_init__``."""
+    term = object.__new__(HamiltonianTerm)
+    object.__setattr__(term, "coefficient", coefficient)
+    object.__setattr__(term, "word", word)
+    return term
 
 
 # --- text format -----------------------------------------------------------
@@ -456,12 +464,14 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             f"header declares {declared_qubits} qubits but qubit {max_seen} is used",
             header_line,
         )
-    terms = [
-        HamiltonianTerm(coefficient, word)
+    h = object.__new__(Hamiltonian)  # the merged words are unique and within n_qubits
+    object.__setattr__(h, "terms", tuple([
+        _parsed_term(coefficient, word)
         for word, coefficient in merged.items()
         if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
-    ]
-    return Hamiltonian(tuple(terms), max_seen + 1 if declared_qubits is None else declared_qubits)
+    ]))
+    object.__setattr__(h, "n_qubits", max_seen + 1 if declared_qubits is None else declared_qubits)
+    return h
 
 
 def format_hamiltonian(h: Hamiltonian) -> str:

@@ -24,6 +24,8 @@ checked each factor as it read it and again in the earlier
 :class:`ReferencePauliWord` constructor: the reference for the one-pass
 parser, with its earlier index bound.  It shares the parser's unchanged
 helpers (coefficients, line and header patterns).
+:func:`scan_basis_of_group` is the package's earlier per-factor basis
+derivation, the reference for the one built from the words' masks.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from qwcover import (
     COEFFICIENT_PRUNE_THRESHOLD,
     DEFAULT_NODE_BUDGET,
     MAX_QUBIT_INDEX,
+    BasisConflictError,
     BudgetExceededError,
     Hamiltonian,
     HamiltonianTerm,
@@ -134,6 +137,26 @@ def assert_qwc_partition(h: Hamiltonian, cover: tuple[int, ...]) -> None:
             assert dense_qubit_wise_commute(words[a], words[b], h.n_qubits), (
                 f"group {index}: terms {a} and {b} do not qubit-wise commute"
             )
+
+
+def scan_basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
+    """The package's earlier ``basis_of_group``: each member's factors in
+    term order, each qubit's first axis kept, then sorted by qubit."""
+    n = len(h.terms)
+    unknown = group >> n << n
+    if unknown > 0:
+        raise ValueError(f"group references unknown term {(unknown & -unknown).bit_length() - 1}")
+    assignment: dict[int, PauliAxis] = {}
+    for index in iter_bits(group):
+        for qubit, axis in h.terms[index].word:
+            current = assignment.get(qubit)
+            if current is None:
+                assignment[qubit] = axis
+            elif current is not axis:
+                raise BasisConflictError(
+                    f"qubit {qubit} would need both {current} and {axis}"
+                )
+    return dict(sorted(assignment.items()))
 
 
 def is_symmetric(g: TermGraph) -> bool:

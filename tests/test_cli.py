@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,10 +13,19 @@ from hypothesis import strategies as st
 
 import qwcover.cli
 from conftest import DEMO_TEXT
-from qwcover import Heuristic, InvalidCoverError, PauliAxis, compute_stats
+from qwcover import (
+    BasisConflictError,
+    Heuristic,
+    InvalidCoverError,
+    PauliAxis,
+    TermGraph,
+    compute_stats,
+)
 from qwcover.cli import _HeuristicResult, _render_run_json, main
 
 ALL_NAMES = ["gc", "lf", "sl", "dsatur", "rlf", "db", "cosine", "ramsey", "bkt"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
 
 
 def run_cli(capsys, *argv):
@@ -127,8 +137,54 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["results"][0]["n_groups"] == 2
 
+    @pytest.mark.parametrize("name", GOLDEN_INPUTS)
+    def test_each_distinct_group_derived_once(self, name, monkeypatch, capsys):
+        derived = Counter()
+        original = qwcover.cli.basis_of_group
 
-def reference_run_report(path, h, results, args) -> str:
+        def counting(h, group):
+            derived[group] += 1
+            return original(h, group)
+
+        monkeypatch.setattr(qwcover.cli, "basis_of_group", counting)
+        monkeypatch.chdir(GOLDEN)  # the reports embed the bare file name
+        expected = json.loads((GOLDEN / name).with_suffix(".json").read_text())
+        distinct = {
+            sum(1 << v for v in group["terms"])
+            for record in expected["results"] for group in record["groups"]
+        }
+        for fmt, suffix in (("json", ".json"), ("text", ".txt")):
+            derived.clear()
+            code, out, _ = run_cli(
+                capsys, "run", "--input", name, "--algorithm", "all", "--format", fmt,
+            )
+            assert code == 0
+            assert out == (GOLDEN / name).with_suffix(suffix).read_text()
+            assert derived == Counter(dict.fromkeys(distinct, 1))
+
+    def test_word_check_runs_on_first_occurrence_of_shared_group(
+        self, demo_file, monkeypatch, capsys
+    ):
+        # On a complete graph every heuristic reports the one group of all
+        # seven terms, which the graph check accepts and the words refute.
+        def complete_graph(h):
+            return TermGraph([((1 << h.n_terms) - 1) ^ (1 << v) for v in range(h.n_terms)])
+
+        derived = []
+        original = qwcover.cli.basis_of_group
+
+        def recording(h, group):
+            derived.append(group)
+            return original(h, group)
+
+        monkeypatch.setattr(qwcover.cli, "build_qwc_graph", complete_graph)
+        monkeypatch.setattr(qwcover.cli, "basis_of_group", recording)
+        with pytest.raises(BasisConflictError, match="would need both"):
+            main(["run", "--input", str(demo_file), "--algorithm", "all"])
+        assert derived == [0b1111111]
+
+
+def reference_run_report(path, h, bases, results, args) -> str:
     """The run report built as a dict and laid out by ``json.dumps``: the
     reference the direct JSON writer must reproduce byte for byte."""
     records = []
@@ -150,33 +206,32 @@ def reference_run_report(path, h, results, args) -> str:
             record["groups"] = [
                 {
                     "terms": [v for v in range(h.n_terms) if group >> v & 1],
-                    "basis": {str(q): str(axis) for q, axis in basis.items()},
+                    "basis": {str(q): str(axis) for q, axis in bases[group].items()},
                 }
-                for group, basis in zip(r.cover, r.bases)
+                for group in r.cover
             ]
         records.append(record)
     report = {"input": path, "n_qubits": h.n_qubits, "total_terms": h.n_terms, "results": records}
     return json.dumps(report, indent=2) + "\n"
 
 
-def _solved(heuristic, groups, bases, wall_ms=0.0):
+def _solved(heuristic, groups, wall_ms=0.0):
     cover = tuple(sum(1 << v for v in group) for group in groups)
-    return _HeuristicResult(
-        heuristic, cover=cover, stats=compute_stats(cover),
-        bases=[dict(sorted(b.items())) for b in bases], wall_ms=wall_ms,
-    )
+    return _HeuristicResult(heuristic, cover=cover, stats=compute_stats(cover), wall_ms=wall_ms)
 
 
 @st.composite
 def run_reports(draw):
-    """``(path, h, results, args)`` for the JSON writer: any text as the
-    path and messages, results that are solved, skipped or failed, and
-    covers that partition ``0..n_terms-1`` (possibly empty) with arbitrary
-    bases (possibly empty)."""
+    """``(path, h, bases, results, args)`` for the JSON writer: any text as
+    the path and messages, results that are solved, skipped or failed,
+    covers that partition ``0..n_terms-1`` (possibly empty, possibly an
+    earlier result's partition), and one arbitrary basis (possibly empty)
+    per distinct group, as the CLI derives them."""
     text = st.text(max_size=30)
     n_terms = draw(st.integers(0, 14))
     h = SimpleNamespace(n_qubits=draw(st.integers(0, 200)), n_terms=n_terms)
     results = []
+    partitions = []
     for heuristic in draw(st.lists(st.sampled_from(list(Heuristic)), min_size=1, unique=True)):
         kind = draw(st.sampled_from(["solved", "skipped", "error"]))
         if kind == "skipped":
@@ -184,26 +239,37 @@ def run_reports(draw):
         elif kind == "error":
             results.append(_HeuristicResult(heuristic, error=draw(text)))
         else:
-            order = draw(st.permutations(range(n_terms)))
-            cuts = sorted(draw(st.sets(st.integers(1, n_terms - 1)))) if n_terms > 1 else []
-            bounds = [0, *cuts, n_terms] if n_terms else [0]
-            groups = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-            basis = st.dictionaries(
-                st.integers(0, 200), st.sampled_from([PauliAxis.X, PauliAxis.Y, PauliAxis.Z]),
-                max_size=6,
-            )
-            bases = [draw(basis) for _ in groups]
+            if partitions and draw(st.booleans()):
+                groups = draw(st.sampled_from(partitions))
+            else:
+                order = draw(st.permutations(range(n_terms)))
+                cuts = sorted(draw(st.sets(st.integers(1, n_terms - 1)))) if n_terms > 1 else []
+                bounds = [0, *cuts, n_terms] if n_terms else [0]
+                groups = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+                partitions.append(groups)
             wall_ms = draw(st.floats(0.0, 1e7, allow_nan=False))
-            results.append(_solved(heuristic, groups, bases, wall_ms))
-    return draw(text), h, results, SimpleNamespace(timings=draw(st.booleans()))
+            results.append(_solved(heuristic, groups, wall_ms))
+    basis = st.dictionaries(
+        st.integers(0, 200), st.sampled_from([PauliAxis.X, PauliAxis.Y, PauliAxis.Z]),
+        max_size=6,
+    ).map(lambda b: dict(sorted(b.items())))
+    distinct = sorted({group for r in results if r.cover is not None for group in r.cover})
+    bases = {group: draw(basis) for group in distinct}
+    return draw(text), h, bases, results, SimpleNamespace(timings=draw(st.booleans()))
 
 
+# lf and ramsey report the same two groups in different orders, and sl
+# shares lf's singleton group {1}.
 _PINNED_REPORT = (
     'dir/\u00e9t\u00e9 "q" \\ back\\slash.ham',
     SimpleNamespace(n_qubits=3, n_terms=3),
+    {0b101: {0: PauliAxis.Z, 2: PauliAxis.X}, 0b010: {}, 0b001: {0: PauliAxis.Z},
+     0b100: {2: PauliAxis.X}},
     [
-        _solved(Heuristic.LF, [[2, 0], [1]], [{0: PauliAxis.Z, 2: PauliAxis.X}, {}], 1.23456),
+        _solved(Heuristic.LF, [[2, 0], [1]], 1.23456),
+        _solved(Heuristic.SL, [[1], [0], [2]]),
         _HeuristicResult(Heuristic.DB, skipped="graph has 3 vertices, above --bkt-skip-above=2"),
+        _solved(Heuristic.RAMSEY, [[1], [0, 2]]),
         _HeuristicResult(Heuristic.BKT, error='maximum-clique search exceeded 2 nodes "\u2026"'),
     ],
     SimpleNamespace(timings=True),
@@ -215,8 +281,8 @@ class TestRunJsonWriter:
     @given(case=run_reports())
     @example(case=_PINNED_REPORT)
     @example(case=(
-        "empty.ham", SimpleNamespace(n_qubits=1, n_terms=0),
-        [_solved(Heuristic.GC, [], []), _HeuristicResult(Heuristic.RAMSEY, skipped="")],
+        "empty.ham", SimpleNamespace(n_qubits=1, n_terms=0), {},
+        [_solved(Heuristic.GC, []), _HeuristicResult(Heuristic.RAMSEY, skipped="")],
         SimpleNamespace(timings=False),
     ))
     def test_matches_json_dumps(self, case):

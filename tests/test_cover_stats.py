@@ -88,7 +88,49 @@ class TestValidateCover:
             oracles.assert_qwc_partition(demo_hamiltonian, cover)
 
 
+def _basis_outcome(derive, h, group):
+    """The basis as a list of items (so key order counts), or the raised
+    exception's type and message."""
+    try:
+        return list(derive(h, group).items())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def hamiltonians_and_groups(draw):
+    """A random Hamiltonian (identity word possible) and a group mask: a
+    group of one heuristic's cover (QWC), any non-empty mask of its terms
+    (often not QWC), a mask with a bit past its last term, or a negative
+    mask."""
+    n_qubits = draw(st.integers(1, 6))
+    n_terms = draw(st.integers(1, min(12, 4 ** n_qubits)))
+    h = oracles.random_hamiltonian(random.Random(draw(st.integers(0, 2 ** 32))), n_terms, n_qubits)
+    kind = draw(st.sampled_from(["qwc", "any", "out-of-range", "negative"]))
+    if kind == "qwc":
+        group = draw(st.sampled_from(solve_mcc(build_qwc_graph(h), draw(st.sampled_from(list(Heuristic))))))
+    elif kind == "any":
+        group = draw(st.integers(1, (1 << n_terms) - 1))
+    elif kind == "out-of-range":
+        group = draw(st.integers(1 << n_terms, 1 << (n_terms + 6)))
+    else:
+        group = draw(st.integers(-(1 << (n_terms + 6)), -1))
+    return h, group
+
+
 class TestBasisOfGroup:
+    @settings(max_examples=400, deadline=None)
+    @given(case=hamiltonians_and_groups())
+    @example(case=(parse_hamiltonian("1.0 []\n1.0 [Z0 X2]\n1.0 [X2]\n"), 0b111))
+    @example(case=(parse_hamiltonian("1.0 []\n1.0 [Y1 Z3]\n1.0 [X1 X3]\n"), 0b111))
+    @example(case=(parse_hamiltonian("1.0 [Z0]\n1.0 [X0]\n"), -2))
+    @example(case=(parse_hamiltonian("1.0 [Z0]\n1.0 [X0]\n"), 0b111))
+    def test_matches_factor_scan(self, case):
+        h, group = case
+        assert _basis_outcome(basis_of_group, h, group) == _basis_outcome(
+            oracles.scan_basis_of_group, h, group
+        )
+
     def test_nested_z_group(self, demo_hamiltonian):
         basis = basis_of_group(demo_hamiltonian, 0b0001111)
         assert basis == {q: PauliAxis.Z for q in range(4)}
