@@ -223,6 +223,13 @@ def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
 
 def _render_run_text(path: str, h: Hamiltonian, bases: _Bases,
                      results: list[_HeuristicResult], args) -> str:
+    """The run report as text.  Each term's line is formatted once, each
+    distinct group's basis and term lines are joined once, into a dict
+    local to the call, and only the ``group {index} | `` prefix is written
+    per occurrence."""
+    # A single cover is a partition, so each term is formatted once anyway.
+    term_lines = [f"  [{i}] {term}" for i, term in enumerate(h.terms)]
+    rendered: dict[int, str] = {}
     lines = [f"input: {path}", f"qubits: {h.n_qubits}", f"terms: {h.n_terms}"]
     for r in results:
         if r.skipped is not None:
@@ -238,9 +245,11 @@ def _render_run_text(path: str, h: Hamiltonian, bases: _Bases,
             f"max size {r.stats.max_size}, size std {r.stats.size_std:g}{timing}"
         )
         for index, group in enumerate(r.cover):
-            basis_text = " ".join(f"{q}:{axis}" for q, axis in bases[group].items()) or "(none)"
-            lines.append(f"group {index} | basis: {basis_text}")
-            lines.extend(f"  [{i}] {h.terms[i]}" for i in iter_bits(group))
+            if group not in rendered:
+                basis_text = " ".join(f"{q}:{axis}" for q, axis in bases[group].items()) or "(none)"
+                rendered[group] = "\n".join(
+                    [f"basis: {basis_text}"] + [term_lines[i] for i in iter_bits(group)])
+            lines.append(f"group {index} | {rendered[group]}")
     return "\n".join(lines) + "\n"
 
 

@@ -85,10 +85,10 @@ class TermGraph:
             )
         limit = 1 << n
         for i, row in enumerate(rows):
-            if row >> i & 1:
-                raise ValueError(f"self-loop on vertex {i}")
             if row >= limit or row < 0:
                 raise ValueError(f"row {i} references vertices outside 0..{n - 1}")
+            if row >> i & 1:
+                raise ValueError(f"self-loop on vertex {i}")
         self.n = n
         self._rows = tuple(rows)
         self._degrees: tuple[int, ...] | None = None
@@ -99,6 +99,8 @@ class TermGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TermGraph":
         rows = [0] * n
         for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
             if i == j:
                 raise ValueError(f"self-loop on vertex {i}")
             rows[i] |= 1 << j

@@ -53,6 +53,11 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+def _check_budget(node_budget: int) -> None:
+    if node_budget < 0:
+        raise ValueError(f"node budget must be at least 0, got {node_budget}")
+
+
 def _alive_mask(g: TermGraph, alive: int | None) -> int:
     full = (1 << g.n) - 1
     if alive is not None and alive & ~full:
@@ -273,9 +278,10 @@ def max_clique_bkt(
     interpreter's recursion limit.
 
     Raises:
-        ValueError: no vertex is alive.
+        ValueError: ``node_budget`` is negative, or no vertex is alive.
         BudgetExceededError: more than ``node_budget`` search nodes.
     """
+    _check_budget(node_budget)
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
@@ -365,10 +371,14 @@ def clique_removal_cover(
     no vertex is alive.  Groups are reported in extraction order.
 
     Raises:
+        ValueError: ``finder`` is not a clique-removal method, or it is
+            ``BKT`` and ``node_budget`` is negative.
         BudgetExceededError: propagated from the exact finder.
     """
     if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
         raise ValueError(f"not a clique-removal method: {finder}")
+    if finder is Heuristic.BKT:
+        _check_budget(node_budget)
     groups: list[int] = []
     alive = (1 << g.n) - 1
     token = _cover.set(_Cover(g))

@@ -46,7 +46,9 @@ def solve_mcc(
     bitmasks.
 
     Coloring heuristics run on the complement graph, which ``g`` builds
-    once and shares across calls.  ``node_budget`` only affects BKT.
+    once and shares across calls.  ``node_budget`` only affects BKT, which
+    raises ``ValueError`` on a negative one and ``BudgetExceededError`` on
+    an extraction that needs more nodes than it allows.
     """
     color = _COLORINGS.get(heuristic)
     if color is None:

@@ -8,7 +8,9 @@ Usage, from the repository root::
 Each ``NAME.ham`` in this directory has a ``NAME.json`` and a ``NAME.txt``
 holding the output of ``qwcover run --input NAME.ham --algorithm all`` in
 ``--format json`` and ``--format text``, run from this directory so that
-the embedded input path is the bare file name.
+the embedded input path is the bare file name.  ``compare.json`` and
+``compare.txt`` hold ``qwcover compare --algorithm all`` over every input,
+in name order, in both formats.
 Reports change only when a change redefines a tie-break on purpose; such a
 change regenerates them and says so.
 
@@ -52,13 +54,13 @@ def write_inputs() -> None:
         (HERE / f"{stem}.ham").write_text(source.text)
 
 
-def report(name: str, fmt: str) -> str:
-    """The ``run --algorithm all --format FMT`` report of one input here."""
+def report(args: list[str], fmt: str) -> str:
+    """The report of a ``qwcover`` command run here in format ``fmt``."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(["run", "--input", name, "--algorithm", "all", "--format", fmt])
+        code = main(args + ["--format", fmt])
     if code != 0:
-        raise RuntimeError(f"qwcover exited {code} on {name}")
+        raise RuntimeError(f"qwcover exited {code} on {args}")
     return buffer.getvalue()
 
 
@@ -66,10 +68,14 @@ def regenerate(argv: list[str]) -> None:
     if "--inputs" in argv:
         write_inputs()
     os.chdir(HERE)
-    for path in sorted(HERE.glob("*.ham")):
+    names = sorted(path.name for path in HERE.glob("*.ham"))
+    commands = [(["run", "--input", name, "--algorithm", "all"], Path(name)) for name in names]
+    inputs = [arg for name in names for arg in ("--input", name)]
+    commands.append((["compare", "--algorithm", "all", *inputs], Path("compare")))
+    for args, stem in commands:
         for fmt, suffix in (("json", ".json"), ("text", ".txt")):
-            target = path.with_suffix(suffix)
-            target.write_text(report(path.name, fmt))
+            target = HERE / stem.with_suffix(suffix)
+            target.write_text(report(args, fmt))
             print(target.name)
 
 

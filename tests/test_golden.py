@@ -29,6 +29,14 @@ def _report(name, fmt, monkeypatch, capsys, algorithm="all"):
     return capsys.readouterr().out
 
 
+def _text_blocks(report):
+    """A text run report's header lines, and each heuristic's block of
+    lines (from its ``== NAME:`` line) by name."""
+    assert report.endswith("\n")
+    head, *blocks = re.split(r"\n(?=== )", report[:-1])
+    return head, {re.match(r"== (\w+):", block).group(1): block for block in blocks}
+
+
 def _records(report):
     """A JSON run report's text before its results, and each heuristic's
     record text by name."""
@@ -59,3 +67,22 @@ def test_single_heuristic_records_match_all_report(name, monkeypatch, capsys):
     for heuristic in Heuristic:
         report = _report(name, "json", monkeypatch, capsys, heuristic.value)
         assert _records(report) == (head, {heuristic.value: expected[heuristic.value]})
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_single_heuristic_text_blocks_match_all_report(name, monkeypatch, capsys):
+    # The text analogue: each group's lines are rendered once per report,
+    # whichever heuristic reports the group first.
+    head, expected = _text_blocks((GOLDEN / name).with_suffix(".txt").read_text())
+    assert list(expected) == [h.value for h in Heuristic]
+    for heuristic in Heuristic:
+        report = _report(name, "text", monkeypatch, capsys, heuristic.value)
+        assert _text_blocks(report) == (head, {heuristic.value: expected[heuristic.value]})
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", ".json"), ("text", ".txt")])
+def test_compare_report_unchanged(fmt, suffix, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    inputs = [arg for name in INPUTS for arg in ("--input", name)]
+    assert main(["compare", "--algorithm", "all", *inputs, "--format", fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "compare").with_suffix(suffix).read_text()

@@ -126,6 +126,19 @@ class TestTermGraph:
         with pytest.raises(ValueError, match="self-loop"):
             TermGraph.from_edges(2, [(1, 1)])
 
+    def test_row_outside_range_rejected_before_self_loop(self):
+        # -1 has every bit set, its own included: the range is what is wrong.
+        with pytest.raises(ValueError, match=r"row 0 references vertices outside 0\.\.0"):
+            TermGraph([-1])
+        with pytest.raises(ValueError, match=r"row 1 references vertices outside 0\.\.1"):
+            TermGraph([0, 0b110])
+
+    @pytest.mark.parametrize("edge", [(1, 3), (0, -1), (2, 0), (-2, 1)])
+    def test_from_edges_rejects_endpoint_outside_range(self, edge):
+        message = rf"edge \({edge[0]}, {edge[1]}\) has an endpoint outside 0\.\.1"
+        with pytest.raises(ValueError, match=message):
+            TermGraph.from_edges(2, [(0, 1), edge])
+
     def test_degree_cache_matches_rows(self):
         for seed in range(5):
             g = oracles.random_gnp(12, 0.4, seed)

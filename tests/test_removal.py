@@ -17,6 +17,7 @@ from qwcover import (
     max_clique_bkt,
     parse_hamiltonian,
     ramsey_clique,
+    solve_mcc,
     validate_cover,
 )
 
@@ -65,6 +66,16 @@ class TestMaxCliqueBkt:
         g = oracles.random_gnp(30, 0.7, 8)
         with pytest.raises(BudgetExceededError, match="exceeded"):
             max_clique_bkt(g, node_budget=3)
+
+    def test_zero_budget_exceeded_at_once(self):
+        with pytest.raises(BudgetExceededError, match="exceeded 0 nodes"):
+            max_clique_bkt(complete_graph(1), node_budget=0)
+
+    def test_negative_budget_rejected(self):
+        # A negative budget is an error, not a search without a limit.
+        for alive in (None, 0):
+            with pytest.raises(ValueError, match="node budget must be at least 0, got -1"):
+                max_clique_bkt(complete_graph(5), node_budget=-1, alive=alive)
 
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
@@ -202,6 +213,15 @@ class TestCliqueRemovalCover:
         g = oracles.random_gnp(30, 0.7, 9)
         with pytest.raises(BudgetExceededError):
             clique_removal_cover(g, Heuristic.BKT, node_budget=3)
+
+    def test_negative_budget_rejected(self):
+        for g in (complete_graph(5), TermGraph([])):
+            with pytest.raises(ValueError, match="node budget must be at least 0, got -1"):
+                clique_removal_cover(g, Heuristic.BKT, node_budget=-1)
+            with pytest.raises(ValueError, match="node budget must be at least 0, got -2"):
+                solve_mcc(g, Heuristic.BKT, node_budget=-2)
+        # Only the exact finder has a budget.
+        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=-1) == (0b11111,)
 
     def test_budget_spares_the_proof(self):
         # the search run to the end needs a budget of 21,434 nodes here, the
