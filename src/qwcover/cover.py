@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import TermGraph, iter_bits
-from .pauli import Hamiltonian, PauliAxis
+from .pauli import Hamiltonian, PauliAxis, _axis_at
 
 __all__ = [
     "BasisConflictError",
@@ -94,9 +94,6 @@ def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
         raise InvalidCoverError(f"vertex {next(iter_bits(uncovered))} is not covered")
 
 
-_AXES = (PauliAxis.I, PauliAxis.X, PauliAxis.Z, PauliAxis.Y)  # by x bit + 2 * z bit
-
-
 def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     """The shared tensor-product basis of a QWC group (a bitmask of term
     indices), as ``{qubit: axis}`` ordered by qubit, from its words' x and z
@@ -121,12 +118,11 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
         if clash:
             q = (clash & -clash).bit_length() - 1
             raise BasisConflictError(
-                f"qubit {q} would need both {_AXES[(x >> q & 1) | (z >> q & 1) << 1]} "
-                f"and {_AXES[(wx >> q & 1) | (wz >> q & 1) << 1]}"
+                f"qubit {q} would need both {_axis_at(x, z, q)} and {_axis_at(wx, wz, q)}"
             )
         x |= wx
         z |= wz
-    return {q: _AXES[(x >> q & 1) | (z >> q & 1) << 1] for q in iter_bits(x | z)}
+    return {q: _axis_at(x, z, q) for q in iter_bits(x | z)}
 
 
 @dataclass(frozen=True, slots=True)

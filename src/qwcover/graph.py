@@ -7,18 +7,20 @@ and common-neighbor counting cheap bitwise work.  Complements of QWC
 graphs are typically near-complete, so dense storage costs nothing over
 sparse lists here.
 
-:func:`build_qwc_graph` builds the rows from term bitsets as well: for each
-single-qubit factor ``(qubit, axis)`` it takes the set of terms that act on
-that qubit along a different axis, and row ``i`` is every term outside the
-union of those sets over term ``i``'s factors (and other than ``i``).  That
-is one bitset OR per factor of each term, with no pairwise loop.
+:func:`build_qwc_graph` builds the rows from term bitsets as well: per
+qubit, the terms whose words set its x bit and those that set its z bit.
+On that qubit X clashes with the z-bit terms, Z with the x-bit terms and
+Y with the terms that set just one of the two, and row ``i`` is every
+term outside the union of the clashes of term ``i``'s factors (and other
+than ``i``).  That is one bitset OR per factor of each term, with no
+pairwise loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .pauli import Hamiltonian, PauliAxis
+from .pauli import Hamiltonian
 
 __all__ = [
     "MAX_GRAPH_VERTICES",
@@ -52,12 +54,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _planes(values: Sequence[int]) -> list[int]:
-    """Bit-sliced counters: bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``.
+def _planes(values: Sequence[int], width: int | None = None) -> list[int]:
+    """Bit-sliced counters: bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``,
+    for ``width`` planes (default: as many as the largest value has bits).
 
     One pass over each value's set bits, so tiny graphs pay little.
     """
-    planes = [0] * max(values, default=0).bit_length()
+    planes = [0] * (max(values, default=0).bit_length() if width is None else width)
     for u, value in enumerate(values):
         bit = 1 << u
         while value:
@@ -177,22 +180,21 @@ def build_qwc_graph(h: Hamiltonian) -> TermGraph:
         raise CapacityError(
             f"Hamiltonian has {n} terms, more than the {MAX_GRAPH_VERTICES}-vertex cap"
         )
-    # Terms carrying each factor, then the terms that act on the same
-    # qubit along another axis: the factor's clashes.
-    carrying: dict[tuple[int, PauliAxis], int] = {}
-    for i, term in enumerate(h.terms):
-        bit = 1 << i
-        for factor in term.word:
-            carrying[factor] = carrying.get(factor, 0) | bit
-    touching: dict[int, int] = {}
-    for (qubit, _), terms in carrying.items():
-        touching[qubit] = touching.get(qubit, 0) | terms
-    clashes = {factor: touching[factor[0]] ^ terms for factor, terms in carrying.items()}
+    words = [term.word for term in h.terms]
+    # Bit i of x_terms[q] is bit q of term i's x mask, and so for z.
+    width = max([word.support_mask for word in words], default=0).bit_length()
+    x_terms = _planes([word.x_mask for word in words], width)
+    z_terms = _planes([word.z_mask for word in words], width)
+    y_clashes = [x ^ z for x, z in zip(x_terms, z_terms)]
     full = (1 << n) - 1
     rows = []
-    for i, term in enumerate(h.terms):
+    for i, word in enumerate(words):
+        x, z = word.x_mask, word.z_mask
         blocked = 1 << i
-        for factor in term.word:
-            blocked |= clashes[factor]
+        for clashes, factors in ((z_terms, x & ~z), (x_terms, z & ~x), (y_clashes, x & z)):
+            while factors:
+                low = factors & -factors
+                blocked |= clashes[low.bit_length() - 1]
+                factors ^= low
         rows.append(full ^ blocked)
     return TermGraph(rows)

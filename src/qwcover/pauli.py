@@ -18,13 +18,13 @@ with common electronic-structure dumps::
 
 Qubit indices are zero-based everywhere in this package.
 
-Each distinct factor token is checked once per parse.  One call of
+A word is its x and z bitmasks, and one table maps each axis to its two
+bits and back.  Each distinct factor token is checked once per parse:
 :func:`parse_hamiltonian` keeps a dict from each factor token it has read,
-such as ``Z3``, to its checked qubit, axis and mask bits; only the
+such as ``Z3``, to its qubit's bit and its x and z bits, and only the
 repeated-qubit test runs on every occurrence, against the word's masks.
-The parser lays each word out from those masks without a second pass, and
-its terms and Hamiltonian without re-checking them; the classes check only
-what library callers pass them.  A word hashes its two masks.
+The parser builds its Hamiltonian without re-checking the merged words;
+the classes check only what library callers pass them.
 """
 
 from __future__ import annotations
@@ -92,19 +92,30 @@ class PauliAxis(enum.Enum):
         return self.value
 
 
+# Each axis at index x bit + 2 * z bit: the one table between axes and bits.
+_AXES = (PauliAxis.I, PauliAxis.X, PauliAxis.Z, PauliAxis.Y)
+_BITS = {axis: (code & 1, code >> 1) for code, axis in enumerate(_AXES)}
+_NAMES = "".join(axis.value for axis in _AXES)
+
+
 def _as_axis(value: PauliAxis | str) -> PauliAxis:
     if isinstance(value, PauliAxis):
         return value
     return PauliAxis(str(value).upper())
 
 
-class PauliWord:
-    """A product of single-qubit Pauli factors, stored sparsely.
+def _axis_at(x_mask: int, z_mask: int, qubit: int) -> PauliAxis:
+    """The axis that bit ``qubit`` of the two masks encodes."""
+    return _AXES[(x_mask >> qubit & 1) | (z_mask >> qubit & 1) << 1]
 
-    Only non-identity factors are stored; the empty word is the identity
-    operator.  Words are immutable and ordered internally by qubit index,
-    so two words built from the same factors compare equal.  A word's hash
-    is that of its ``(x_mask, z_mask)`` pair, which equal words share.
+
+class PauliWord:
+    """A product of single-qubit Pauli factors, stored as two bitmasks.
+
+    Bit q of the x mask is set when the factor on qubit q is X or Y, and of
+    the z mask when it is Z or Y; both masks 0 is the identity operator.
+    Words are immutable, iterating one decodes its masks into ``(qubit,
+    axis)`` pairs in qubit order, and a word hashes its two masks.
 
     The constructor checks every factor it is given; :meth:`from_string`
     and :func:`parse_hamiltonian` check each factor while parsing it and
@@ -114,7 +125,7 @@ class PauliWord:
         factors: mapping from qubit index to axis, or an iterable of
             ``(qubit, axis)`` pairs.  Qubits are integers; axes may be
             :class:`PauliAxis` members or single letters; identity entries
-            are dropped.
+            are dropped, but still count as listing their qubit.
 
     Raises:
         TypeError: on a qubit index that is not an integer.
@@ -122,35 +133,27 @@ class PauliWord:
             qubit listed twice.
     """
 
-    __slots__ = ("_items", "_x_mask", "_z_mask", "_hash")
+    __slots__ = ("_x_mask", "_z_mask", "_hash")
 
     def __init__(self, factors: Mapping[int, PauliAxis | str] | Iterable[tuple[int, PauliAxis | str]] = ()):
         pairs = factors.items() if isinstance(factors, Mapping) else factors
-        collected: dict[int, PauliAxis] = {}
+        listed = x_mask = z_mask = 0
         for qubit, axis in pairs:
             qubit = operator.index(qubit)
-            axis = _as_axis(axis)
+            x, z = _BITS[_as_axis(axis)]
             if qubit < 0:
                 raise ValueError(f"negative qubit index {qubit}")
             if qubit > MAX_QUBIT_INDEX:
                 raise ValueError(f"qubit index {qubit} above the limit {MAX_QUBIT_INDEX}")
-            if qubit in collected:
+            if listed >> qubit & 1:
                 raise ValueError(f"qubit {qubit} listed more than once")
-            collected[qubit] = axis
-        items = tuple(sorted(item for item in collected.items() if item[1] is not PauliAxis.I))
-        x_mask = 0
-        z_mask = 0
-        for qubit, axis in items:
-            bit = 1 << qubit
-            if axis is not PauliAxis.Z:
-                x_mask |= bit
-            if axis is not PauliAxis.X:
-                z_mask |= bit
-        self._lay_out(items, x_mask, z_mask)
+            listed |= 1 << qubit
+            x_mask |= x << qubit
+            z_mask |= z << qubit
+        self._lay_out(x_mask, z_mask)
 
-    def _lay_out(self, items: tuple[tuple[int, PauliAxis], ...], x_mask: int, z_mask: int) -> PauliWord:
-        """Set the fields from checked ``items`` sorted by qubit and their masks."""
-        self._items = items
+    def _lay_out(self, x_mask: int, z_mask: int) -> PauliWord:
+        """Set the fields from checked masks."""
         self._x_mask = x_mask
         self._z_mask = z_mask
         self._hash = hash((x_mask, z_mask))
@@ -178,35 +181,48 @@ class PauliWord:
         return self._x_mask | self._z_mask
 
     def axis_on(self, qubit: int) -> PauliAxis:
-        for q, axis in self._items:
-            if q == qubit:
-                return axis
-        return PauliAxis.I
+        return _axis_at(self._x_mask, self._z_mask, qubit) if qubit >= 0 else PauliAxis.I
 
     @property
     def is_identity(self) -> bool:
-        return not self._items
+        return not (self._x_mask | self._z_mask)
 
     @property
     def max_qubit(self) -> int | None:
-        return self._items[-1][0] if self._items else None
+        support = self._x_mask | self._z_mask
+        return support.bit_length() - 1 if support else None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return (self._x_mask | self._z_mask).bit_count()
 
     def __iter__(self) -> Iterator[tuple[int, PauliAxis]]:
-        return iter(self._items)
+        x, z = self._x_mask, self._z_mask
+        rest = x | z
+        while rest:
+            low = rest & -rest
+            qubit = low.bit_length() - 1
+            yield qubit, _axis_at(x, z, qubit)
+            rest ^= low
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliWord):
             return NotImplemented
-        return self._items == other._items
+        return self._x_mask == other._x_mask and self._z_mask == other._z_mask
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return " ".join(f"{axis}{qubit}" for qubit, axis in self._items)
+        # Walks the support itself: a generator per word slows format_hamiltonian.
+        x, z = self._x_mask, self._z_mask
+        rest = x | z
+        factors = []
+        while rest:
+            low = rest & -rest
+            qubit = low.bit_length() - 1
+            factors.append(f"{_NAMES[(x >> qubit & 1) | (z >> qubit & 1) << 1]}{qubit}")
+            rest ^= low
+        return " ".join(factors)
 
     def __repr__(self) -> str:
         return f"PauliWord({str(self)!r})"
@@ -275,28 +291,16 @@ class Hamiltonian:
         return tuple(term.word for term in self.terms)
 
 
-def _parsed_term(coefficient: float, word: PauliWord) -> HamiltonianTerm:
-    """A term whose coefficient the parser has found finite, without ``__post_init__``."""
-    term = object.__new__(HamiltonianTerm)
-    object.__setattr__(term, "coefficient", coefficient)
-    object.__setattr__(term, "word", word)
-    return term
-
-
 # --- text format -----------------------------------------------------------
 
 _HEADER_RE = re.compile(r"#\s*qubits\s*:\s*([0-9]+)\s*$")
 _TERM_RE = re.compile(r"(?P<coef>\([^()\[\]]*\)|[^\s\[]+)\s*\[(?P<body>[^\]]*)\]\s*(?P<tail>\S?.*)$")
 _FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)")
 _NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
-# Each factor letter's axis and whether it sets the word's x and z bits.
-_LETTERS = {
-    letter: (PauliAxis(letter.upper()), letter in "XYxy", letter in "YZyz") for letter in "XYZxyz"
-}
 
-# A checked factor: its ``(qubit, axis)`` item, its qubit's bit, and that bit
-# or 0 for each of the word's x and z masks.
-_Factor = tuple[tuple[int, PauliAxis], int, int, int]
+# A checked factor: its qubit's bit, and that bit or 0 for each of the
+# word's x and z masks.
+_Factor = tuple[int, int, int]
 
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
@@ -349,9 +353,8 @@ def _check_factor(token: str) -> _Factor | str:
     qubit = _bounded_int(digits, MAX_QUBIT_INDEX)
     if qubit is None:
         return f"qubit index above the limit {MAX_QUBIT_INDEX}"
-    axis, x, z = _LETTERS[letter]
-    bit = 1 << qubit
-    return (qubit, axis), bit, bit if x else 0, bit if z else 0
+    x, z = _BITS[PauliAxis(letter.upper())]
+    return 1 << qubit, x << qubit, z << qubit
 
 
 def _token_column(body: str, body_offset: int, index: int) -> int:
@@ -365,27 +368,24 @@ def _parse_word(body: str, body_offset: int, line_no: int, factors: dict[str, _F
     """The word whose factors ``body`` lists.  ``factors`` maps each token
     already checked in this parse to its factor, and gains each new one; a
     bad token ends the parse, so it is never stored."""
-    items: list[tuple[int, PauliAxis]] = []
     x_mask = z_mask = 0
-    for token in body.split():
+    for index, token in enumerate(body.split()):
         factor = factors.get(token)
         if factor is None:
             factor = _check_factor(token)
             if isinstance(factor, str):
-                raise ParseError(factor, line_no, _token_column(body, body_offset, len(items)))
+                raise ParseError(factor, line_no, _token_column(body, body_offset, index))
             factors[token] = factor
-        item, bit, x_bit, z_bit = factor
+        bit, x_bit, z_bit = factor
         if (x_mask | z_mask) & bit:
             raise ParseError(
-                f"qubit {item[0]} assigned more than one factor in one word",
+                f"qubit {bit.bit_length() - 1} assigned more than one factor in one word",
                 line_no,
-                _token_column(body, body_offset, len(items)),
+                _token_column(body, body_offset, index),
             )
-        items.append(item)
         x_mask |= x_bit
         z_mask |= z_bit
-    items.sort()
-    return object.__new__(PauliWord)._lay_out(tuple(items), x_mask, z_mask)
+    return object.__new__(PauliWord)._lay_out(x_mask, z_mask)
 
 
 def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
@@ -466,7 +466,7 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
         )
     h = object.__new__(Hamiltonian)  # the merged words are unique and within n_qubits
     object.__setattr__(h, "terms", tuple([
-        _parsed_term(coefficient, word)
+        HamiltonianTerm(coefficient, word)
         for word, coefficient in merged.items()
         if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
     ]))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .cover import Heuristic
 from .graph import TermGraph, iter_bits
@@ -54,7 +54,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def _check_budget(node_budget: int) -> None:
-    if node_budget < 0:
+    if index(node_budget) < 0:
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
 
 
@@ -220,10 +220,10 @@ class _DegreeOrder:
 
 
 class _Cover:
-    """What consecutive extractions from one graph share: the complement's
-    rows, its degree order, built on first need, and the last clique size.
-    Each alive set lies inside the last one, so that size bounds the next
-    clique."""
+    """What consecutive BKT extractions from one graph share: the
+    complement's rows, its degree order, built on first need, and the last
+    clique size.  Each alive set lies inside the last one, so that size
+    bounds the next clique."""
 
     def __init__(self, g: TermGraph):
         self.graph = g
@@ -235,8 +235,8 @@ class _Cover:
         return _DegreeOrder(self.graph)
 
 
-# The cover clique_removal_cover is building, so that each of its finder
-# calls reuses what the previous ones computed.
+# The BKT cover clique_removal_cover is building, so that each of its
+# max_clique_bkt calls reuses what the previous ones computed.
 _cover: ContextVar[_Cover | None] = ContextVar("qwcover_removal_cover", default=None)
 
 
@@ -278,6 +278,7 @@ def max_clique_bkt(
     interpreter's recursion limit.
 
     Raises:
+        TypeError: ``node_budget`` is not an integer.
         ValueError: ``node_budget`` is negative, or no vertex is alive.
         BudgetExceededError: more than ``node_budget`` search nodes.
     """
@@ -348,7 +349,7 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
     """
     alive = _alive_mask(g, alive)
     rows = g.rows
-    clique = _ramsey_clique_mask(rows, _cover_of(g).other, alive)
+    clique = _ramsey_clique_mask(rows, g.complement().rows, alive)
     common = alive
     for v in iter_bits(clique):
         common &= rows[v]
@@ -371,6 +372,7 @@ def clique_removal_cover(
     no vertex is alive.  Groups are reported in extraction order.
 
     Raises:
+        TypeError: ``finder`` is ``BKT`` and ``node_budget`` is no integer.
         ValueError: ``finder`` is not a clique-removal method, or it is
             ``BKT`` and ``node_budget`` is negative.
         BudgetExceededError: propagated from the exact finder.
@@ -381,7 +383,7 @@ def clique_removal_cover(
         _check_budget(node_budget)
     groups: list[int] = []
     alive = (1 << g.n) - 1
-    token = _cover.set(_Cover(g))
+    token = _cover.set(_Cover(g) if finder is Heuristic.BKT else None)
     try:
         while alive:
             if finder is Heuristic.BKT:

@@ -46,9 +46,8 @@ def solve_mcc(
     bitmasks.
 
     Coloring heuristics run on the complement graph, which ``g`` builds
-    once and shares across calls.  ``node_budget`` only affects BKT, which
-    raises ``ValueError`` on a negative one and ``BudgetExceededError`` on
-    an extraction that needs more nodes than it allows.
+    once and shares across calls.  ``node_budget`` only affects BKT, where
+    :func:`clique_removal_cover` checks and spends it.
     """
     color = _COLORINGS.get(heuristic)
     if color is None:

@@ -23,7 +23,9 @@ is the package's earlier copy, so no reference shares a solver's internals.
 checked each factor as it read it and again in the earlier
 :class:`ReferencePauliWord` constructor: the reference for the one-pass
 parser, with its earlier index bound.  It shares the parser's unchanged
-helpers (coefficients, line and header patterns).
+helpers (coefficients, line and header patterns).  Its words keep their
+factors as sorted ``(qubit, axis)`` items and read them back from those:
+the reference for the mask decode of :class:`PauliWord`.
 :func:`scan_basis_of_group` is the package's earlier per-factor basis
 derivation, the reference for the one built from the words' masks.
 """
@@ -766,10 +768,13 @@ def random_hamiltonian(
 
 
 class ReferencePauliWord(PauliWord):
-    """A word laid out by the package's earlier constructor, which hashed
-    its factor tuple."""
+    """A word laid out by the package's earlier constructor, which kept its
+    factors as sorted ``(qubit, axis)`` items beside the masks.  Its
+    iteration, string, length, highest qubit and per-qubit axis read those
+    items, so comparing it with a package word checks the package's mask
+    decode; it hashes its masks, as equal package words do."""
 
-    __slots__ = ()
+    __slots__ = ("_items",)
 
     def __init__(self, factors: Mapping[int, PauliAxis | str] | Iterable[tuple[int, PauliAxis | str]] = ()):
         pairs = factors.items() if isinstance(factors, Mapping) else factors
@@ -797,7 +802,27 @@ class ReferencePauliWord(PauliWord):
                 z_mask |= bit
         self._x_mask = x_mask
         self._z_mask = z_mask
-        self._hash = hash(self._items)
+        self._hash = hash((x_mask, z_mask))
+
+    def axis_on(self, qubit: int) -> PauliAxis:
+        return dict(self._items).get(qubit, PauliAxis.I)
+
+    @property
+    def is_identity(self) -> bool:
+        return not self._items
+
+    @property
+    def max_qubit(self) -> int | None:
+        return self._items[-1][0] if self._items else None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __str__(self) -> str:
+        return " ".join(f"{axis.value}{qubit}" for qubit, axis in self._items)
 
 
 _FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)$")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import io
 import math
 import random
@@ -6,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,11 +32,12 @@ def axes():
     return st.sampled_from([PauliAxis.X, PauliAxis.Y, PauliAxis.Z])
 
 
+def factor_maps(max_qubit=5):
+    return st.dictionaries(st.integers(0, max_qubit), axes(), max_size=max_qubit + 1)
+
+
 def words(max_qubit=5):
-    return st.builds(
-        PauliWord,
-        st.dictionaries(st.integers(0, max_qubit), axes(), max_size=max_qubit + 1),
-    )
+    return st.builds(PauliWord, factor_maps(max_qubit))
 
 
 class TestPauliWord:
@@ -99,14 +101,33 @@ class TestPauliWord:
         assert word.z_mask == 0b110
         assert word.support_mask == 0b111
 
-    @given(words())
-    def test_parsed_and_constructed_words_are_one_key(self, word):
+    @given(factor_maps(), st.sets(st.integers(0, 7)))
+    @example({0: PauliAxis.Y, 2: PauliAxis.X}, {1})
+    def test_parsed_and_constructed_words_are_one_key(self, factors, identities):
+        # Identity entries on the drawn qubits that carry no axis; the
+        # reference word reads its factors back from sorted items, not masks.
+        factors = {**dict.fromkeys(identities, PauliAxis.I), **factors}
+        word = PauliWord(factors)
         parsed = PauliWord.from_string(str(word))
-        assert parsed == word
-        assert hash(parsed) == hash(word)
+        reference = oracles.ReferencePauliWord(factors)
+
+        def view(w):
+            top = -1 if w.max_qubit is None else w.max_qubit
+            return (
+                tuple(w), str(w), len(w), w.max_qubit, w.is_identity,
+                [w.axis_on(q) for q in range(-1, top + 2)], hash(w),
+            )
+
+        assert view(word) == view(parsed) == view(reference)
+        assert tuple(reference) == tuple(sorted(
+            (q, axis) for q, axis in factors.items() if axis is not PauliAxis.I
+        ))
+        for a, b in itertools.permutations((word, parsed, reference), 2):
+            assert a == b
         keys = {word: "constructed"}
         keys[parsed] = "parsed"
-        assert keys == {word: "parsed"}
+        keys[reference] = "reference"
+        assert keys == {word: "reference"}
 
 
 class TestCommutation:

@@ -77,6 +77,17 @@ class TestMaxCliqueBkt:
             with pytest.raises(ValueError, match="node budget must be at least 0, got -1"):
                 max_clique_bkt(complete_graph(5), node_budget=-1, alive=alive)
 
+    def test_non_integer_budget_rejected(self):
+        # The search stops when its node count equals the budget, which a
+        # fractional budget never does: it would mean no limit.
+        g = build_qwc_graph(oracles.random_hamiltonian(random.Random(3), 40, 6, max_weight=3))
+        with pytest.raises(BudgetExceededError):
+            max_clique_bkt(g, 1)
+        for budget in (1.5, 1.0):
+            for alive in (None, 0):
+                with pytest.raises(TypeError):
+                    max_clique_bkt(g, budget, alive=alive)
+
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
         assert max_clique_bkt(g) == max_clique_bkt(g)
@@ -222,6 +233,15 @@ class TestCliqueRemovalCover:
                 solve_mcc(g, Heuristic.BKT, node_budget=-2)
         # Only the exact finder has a budget.
         assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=-1) == (0b11111,)
+
+    def test_non_integer_budget_rejected(self):
+        h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
+        for g in (build_qwc_graph(h), complete_graph(5), TermGraph([])):
+            with pytest.raises(TypeError):
+                clique_removal_cover(g, Heuristic.BKT, node_budget=2359.5)
+            with pytest.raises(TypeError):
+                solve_mcc(g, Heuristic.BKT, node_budget=2359.5)
+        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=0.5) == (0b11111,)
 
     def test_budget_spares_the_proof(self):
         # the search run to the end needs a budget of 21,434 nodes here, the
