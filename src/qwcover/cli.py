@@ -17,6 +17,7 @@ emitted only with ``run --timings``, keeping reruns byte-identical.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import sys
@@ -110,12 +111,6 @@ def _parser() -> _Parser:
     return parser
 
 
-def _selected_heuristics(name: str) -> list[Heuristic]:
-    if name == "all":
-        return list(Heuristic)
-    return [Heuristic(name)]
-
-
 def _load(path: str) -> Hamiltonian:
     try:
         data = Path(path).read_bytes()
@@ -166,11 +161,11 @@ def _solve_one(
     return result
 
 
-def _solve_file(path: str, args: argparse.Namespace) -> tuple[Hamiltonian, _Bases, list[_HeuristicResult]]:
+def _solve_file(
+    path: str, args: argparse.Namespace, heuristics: list[Heuristic], explicit: bool
+) -> tuple[Hamiltonian, _Bases, list[_HeuristicResult]]:
     h = _load(path)
     g = build_qwc_graph(h)
-    heuristics = _selected_heuristics(args.algorithm)
-    explicit = args.algorithm != "all"
     bases: _Bases = {}
     return h, bases, [_solve_one(h, g, hx, args, explicit, bases) for hx in heuristics]
 
@@ -253,9 +248,9 @@ def _render_run_text(path: str, h: Hamiltonian, bases: _Bases,
     return "\n".join(lines) + "\n"
 
 
-def _render_compare_text(rows: list[tuple[str, int, list[_HeuristicResult]]], args) -> str:
-    names = [h.value for h in _selected_heuristics(args.algorithm)]
-    lines = ["input total | " + " ".join(names)]
+def _render_compare_text(rows: list[tuple[str, int, list[_HeuristicResult]]],
+                         heuristics: list[Heuristic]) -> str:
+    lines = ["input total | " + " ".join([h.value for h in heuristics])]
     for path, total, results in rows:
         cells = []
         for r in results:
@@ -269,7 +264,8 @@ def _render_compare_text(rows: list[tuple[str, int, list[_HeuristicResult]]], ar
     return "\n".join(lines) + "\n"
 
 
-def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]], args) -> str:
+def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]],
+                         heuristics: list[Heuristic]) -> str:
     report = []
     for path, total, results in rows:
         entry: dict = {"input": path, "total_terms": total, "groups": {}}
@@ -281,11 +277,17 @@ def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]], ar
 
 
 def _emit(text: str, output: str | None) -> None:
+    # UTF-8 like the input; surrogateescape restores a path's undecodable
+    # bytes, also on a UTF-8 stdout whose errors handler is strict.
     if output is None:
-        sys.stdout.write(text)
+        stdout = sys.stdout
+        if hasattr(stdout, "buffer") and codecs.lookup(stdout.encoding).name == "utf-8":
+            stdout.flush()
+            stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+        else:
+            stdout.write(text)
         return
     try:
-        # UTF-8 like the input; surrogateescape restores a path's undecodable bytes.
         Path(output).write_text(text, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise _UsageError(f"cannot write report to {output}: {exc.strerror}") from None
@@ -302,24 +304,26 @@ def _exit_code(results: list[_HeuristicResult], explicit: bool) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    explicit = args.algorithm != "all"
+    heuristics = [Heuristic(args.algorithm)] if explicit else list(Heuristic)
     try:
         if args.command == "run":
             if len(args.input) != 1:
                 parser.error("'run' takes exactly one --input; use 'compare' for several")
             path = args.input[0]
-            h, bases, results = _solve_file(path, args)
+            h, bases, results = _solve_file(path, args, heuristics, explicit)
             render = _render_run_json if args.format == "json" else _render_run_text
             _emit(render(path, h, bases, results, args), args.output)
-            return _exit_code(results, args.algorithm != "all")
+            return _exit_code(results, explicit)
         rows = []
         all_results: list[_HeuristicResult] = []
         for path in args.input:
-            h, _, results = _solve_file(path, args)
+            h, _, results = _solve_file(path, args, heuristics, explicit)
             rows.append((path, h.n_terms, results))
             all_results.extend(results)
         render = _render_compare_json if args.format == "json" else _render_compare_text
-        _emit(render(rows, args), args.output)
-        return _exit_code(all_results, args.algorithm != "all")
+        _emit(render(rows, heuristics), args.output)
+        return _exit_code(all_results, explicit)
     except _UsageError as exc:
         print(f"qwcover: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -269,6 +269,8 @@ class Hamiltonian:
     n_qubits: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):
+            raise TypeError(f"n_qubits must be an int, got {self.n_qubits!r}")
         if self.n_qubits < 0:
             raise ValueError("n_qubits must be non-negative")
         seen: set[PauliWord] = set()

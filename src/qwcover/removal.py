@@ -11,7 +11,8 @@ Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
 over the original rows, and both finders search the subgraph it induces,
 reading each residual neighborhood as ``rows[v] & alive`` and each residual
 non-neighborhood as ``alive & other[v]``, where ``other`` holds the rows of
-the graph's cached complement (every vertex but ``v`` and its neighbors).
+the graph's cached :meth:`~TermGraph.complement` (every vertex but ``v`` and
+its neighbors).
 So no search loop complements a mask.  Vertices keep their labels, so every
 pivot, color order and tie-break is the one a relabelled induced subgraph
 would give.  Each finder returns its clique as a bitmask, which the cover
@@ -27,6 +28,7 @@ steps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextvars import ContextVar
 from functools import cached_property
 from operator import index, itemgetter
@@ -48,8 +50,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 class BudgetExceededError(RuntimeError):
     """Exact search expanded more nodes than allowed.
 
-    The instance is too hard for exact search under the configured budget;
-    callers should fall back to the polynomial finder.
+    Nothing falls back to another finder: under ``--algorithm all`` the
+    CLI reports the error in place of the ``bkt`` cover, and otherwise it
+    exits with status 3.
     """
 
 
@@ -92,16 +95,10 @@ class _Search:
         self.nodes = 0
 
     def run(
-        self,
-        rows: tuple[int, ...],
-        other: tuple[int, ...],
-        candidates: int,
-        best_size: int,
-        bound: int,
-        cap: int | None = None,
+        self, g: TermGraph, candidates: int, best_size: int, bound: int, cap: int | None = None
     ) -> tuple[int, int, bool]:
-        """Search the nonempty ``candidates`` for a clique larger than
-        ``best_size``; ``other`` holds the complement's rows.
+        """Search the nonempty ``candidates`` of ``g`` for a clique larger
+        than ``best_size``; ``other`` holds the rows of ``g``'s complement.
 
         Candidates are greedily colored into class masks at every node
         (:func:`_color_classes`), and the lowest vertex of the last class is
@@ -119,6 +116,7 @@ class _Search:
         (else ``best_size``), and False if the search stopped after ``cap``
         nodes of this run without finishing.
         """
+        rows, other = g.rows, g.complement().rows
         nodes = self.nodes
         limit = self.node_budget if cap is None else min(self.node_budget, nodes + cap)
         if nodes == limit:
@@ -174,7 +172,8 @@ class _Search:
         clique, and the walk never backs up.  Each step down counts one
         node.
         """
-        rows, other, degree = cover.graph.rows, cover.other, cover.degree_order
+        rows, other = cover.graph.rows, cover.graph.complement().rows
+        degree, relabel = cover.degree_order
         clique = 0
         for need in range(size - 1, -1, -1):
             if self.nodes == self.node_budget:
@@ -188,9 +187,7 @@ class _Search:
                 if not need:
                     break
                 if candidates.bit_count() >= need:
-                    _, found, _ = self.run(
-                        degree.rows, degree.other, degree.relabel(candidates), need - 1, need
-                    )
+                    _, found, _ = self.run(degree, relabel(candidates), need - 1, need)
                     if found == need:
                         break
             clique |= 1 << v
@@ -200,49 +197,37 @@ class _Search:
         return BudgetExceededError(f"maximum-clique search exceeded {self.node_budget} nodes")
 
 
-class _DegreeOrder:
-    """A graph and its complement relabelled by ascending degree, ties by
-    label: vertex ``order[j]`` becomes ``j``, so the highest degree gets
-    the highest label and is colored and branched on first."""
-
-    def __init__(self, g: TermGraph):
-        order = sorted(range(g.n), key=g.degrees.__getitem__)
-        # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
-        # reads old label order[j], so pick those characters from the top.
-        self._width = f"0{g.n}b"
-        self._pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
-        self.rows = tuple([self.relabel(g.rows[v]) for v in order])
-        full = (1 << g.n) - 1
-        self.other = tuple([full ^ (row | 1 << j) for j, row in enumerate(self.rows)])
-
-    def relabel(self, mask: int) -> int:
-        return int("".join(self._pick(format(mask, self._width))), 2)
-
-
 class _Cover:
-    """What consecutive BKT extractions from one graph share: the
-    complement's rows, its degree order, built on first need, and the last
-    clique size.  Each alive set lies inside the last one, so that size
-    bounds the next clique."""
+    """What consecutive BKT extractions from one graph share: its degree
+    order, built on first need, and the last clique size.  Each alive set
+    lies inside the last one, so that size bounds the next clique."""
 
     def __init__(self, g: TermGraph):
         self.graph = g
-        self.other = g.complement().rows
         self.size = g.n
 
     @cached_property
-    def degree_order(self) -> _DegreeOrder:
-        return _DegreeOrder(self.graph)
+    def degree_order(self) -> tuple[TermGraph, Callable[[int], int]]:
+        """The graph relabelled by ascending degree, ties by label, and the
+        relabelling of a mask: vertex ``order[j]`` becomes ``j``, so the
+        highest degree gets the highest label and is colored and branched
+        on first."""
+        g = self.graph
+        order = sorted(range(g.n), key=g.degrees.__getitem__)
+        # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
+        # reads old label order[j], so pick those characters from the top.
+        width = f"0{g.n}b"
+        pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
+
+        def relabel(mask: int) -> int:
+            return int("".join(pick(format(mask, width))), 2)
+
+        return TermGraph([relabel(g.rows[v]) for v in order]), relabel
 
 
 # The BKT cover clique_removal_cover is building, so that each of its
 # max_clique_bkt calls reuses what the previous ones computed.
 _cover: ContextVar[_Cover | None] = ContextVar("qwcover_removal_cover", default=None)
-
-
-def _cover_of(g: TermGraph) -> _Cover:
-    cover = _cover.get()
-    return cover if cover is not None and cover.graph is g else _Cover(g)
 
 
 def max_clique_bkt(
@@ -286,16 +271,14 @@ def max_clique_bkt(
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
-    cover = _cover_of(g)
+    cover = _cover.get()
+    if cover is None or cover.graph is not g:
+        cover = _Cover(g)
     search = _Search(node_budget)
-    clique, size, finished = search.run(
-        g.rows, cover.other, alive, 0, cover.size, cap=alive.bit_count()
-    )
+    clique, size, finished = search.run(g, alive, 0, cover.size, cap=alive.bit_count())
     if not finished:
-        degree_order = cover.degree_order
-        _, omega, _ = search.run(
-            degree_order.rows, degree_order.other, degree_order.relabel(alive), size, cover.size
-        )
+        degree, relabel = cover.degree_order
+        _, omega, _ = search.run(degree, relabel(alive), size, cover.size)
         if omega > size:
             clique = search.first_clique(cover, alive, omega)
             size = omega
@@ -303,7 +286,7 @@ def max_clique_bkt(
     return clique
 
 
-def _ramsey_clique_mask(rows: tuple[int, ...], other: tuple[int, ...], alive: int) -> int:
+def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
     """Recursive pivot construction, evaluated with an explicit stack.
 
     R(m) pivots on the lowest-index candidate v of m and returns the larger
@@ -314,6 +297,7 @@ def _ramsey_clique_mask(rows: tuple[int, ...], other: tuple[int, ...], alive: in
     that chain as a loop, holding [candidates left, best clique so far,
     pending pivot bit], so the stack grows only along pivot branches.
     """
+    rows, other = g.rows, g.complement().rows
     stack: list[list[int]] = [[alive, 0, 0]]
     clique = 0
     while stack:
@@ -349,7 +333,7 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
     """
     alive = _alive_mask(g, alive)
     rows = g.rows
-    clique = _ramsey_clique_mask(rows, g.complement().rows, alive)
+    clique = _ramsey_clique_mask(g, alive)
     common = alive
     for v in iter_bits(clique):
         common &= rows[v]

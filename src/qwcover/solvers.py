@@ -48,7 +48,12 @@ def solve_mcc(
     Coloring heuristics run on the complement graph, which ``g`` builds
     once and shares across calls.  ``node_budget`` only affects BKT, where
     :func:`clique_removal_cover` checks and spends it.
+
+    Raises:
+        TypeError: ``heuristic`` is not a :class:`Heuristic`.
     """
+    if not isinstance(heuristic, Heuristic):
+        raise TypeError(f"heuristic must be a Heuristic, got {heuristic!r}")
     color = _COLORINGS.get(heuristic)
     if color is None:
         return clique_removal_cover(g, heuristic, node_budget)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -102,6 +103,33 @@ class TestRun:
         )
         assert code == 0
         assert target.read_bytes().startswith(b"input: " + raw + b"\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_strict_utf8_stdout_gets_the_output_file_bytes(
+        self, tmp_path, monkeypatch, command, fmt
+    ):
+        raw = os.fsencode(tmp_path / "bad") + b"\xff.ham"
+        with open(raw, "wb") as handle:
+            handle.write(DEMO_TEXT.encode())
+        argv = [command, "--input", os.fsdecode(raw), "--algorithm", "gc", "--format", fmt]
+        target = tmp_path / "report"
+        assert main(argv + ["--output", str(target)]) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("before\n")  # still in the text layer when the report comes
+        assert main(argv) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b"before\n" + target.read_bytes()
+
+    def test_stdout_without_buffer_gets_the_text(self, demo_file, tmp_path, monkeypatch):
+        argv = ["run", "--input", str(demo_file), "--algorithm", "all"]
+        target = tmp_path / "report.txt"
+        assert main(argv + ["--output", str(target)]) == 0
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.getvalue() == target.read_text(encoding="utf-8")
 
     def test_deterministic_json_reports(self, demo_file, capsys):
         _, first, _ = run_cli(

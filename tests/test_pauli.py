@@ -195,6 +195,13 @@ class TestHamiltonianConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             Hamiltonian((term, term), 1)
 
+    @pytest.mark.parametrize("n_qubits", [2.5, 3.0, math.nan, True, False, "3", None])
+    def test_non_integer_qubit_count_rejected(self, n_qubits):
+        # format_hamiltonian would write "# qubits: 3.0", which the parser
+        # reads as a comment
+        with pytest.raises(TypeError, match="n_qubits must be an int"):
+            Hamiltonian((HamiltonianTerm(1.0, W("X0")),), n_qubits)
+
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(ValueError, match="n_qubits"):
             Hamiltonian((HamiltonianTerm(1.0, W("X5")),), 2)

@@ -20,6 +20,7 @@ from qwcover import (
     solve_mcc,
     validate_cover,
 )
+from qwcover.removal import _Cover
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
@@ -139,6 +140,28 @@ class TestMaxCliqueBkt:
                 finder(g, alive=1 << 3)
 
 
+class TestDegreeOrder:
+    def test_is_the_graph_relabelled_by_ascending_degree_ties_by_label(self):
+        rng = random.Random(8)
+        graphs = [TermGraph.from_edges(5, []), complete_graph(4), TermGraph.from_edges(4, [(0, 3)])]
+        for trial in range(40):
+            n = rng.randint(1, 30)
+            graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1700 + trial))
+        for number, g in enumerate(graphs):
+            degree, relabel = _Cover(g).degree_order
+            # new label j is old label order[j]
+            order = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
+
+            def moved(mask):
+                return sum(1 << j for j, v in enumerate(order) if mask >> v & 1)
+
+            assert degree.rows == tuple(moved(g.rows[v]) for v in order), number
+            complement = g.complement()
+            assert degree.complement().rows == tuple(moved(complement.rows[v]) for v in order), number
+            for mask in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(5)]:
+                assert relabel(mask) == moved(mask), (number, mask)
+
+
 class TestRamseyClique:
     def test_complete_graph(self):
         assert ramsey_clique(complete_graph(6)) == 0b111111
@@ -219,6 +242,11 @@ class TestCliqueRemovalCover:
     def test_rejects_coloring_heuristics(self, demo_graph):
         with pytest.raises(ValueError, match="clique-removal"):
             clique_removal_cover(demo_graph, Heuristic.LF)
+
+    @pytest.mark.parametrize("name", ["lf", "bkt"])
+    def test_solve_mcc_rejects_a_heuristic_name(self, demo_graph, name):
+        with pytest.raises(TypeError, match=f"must be a Heuristic, got '{name}'"):
+            solve_mcc(demo_graph, name)
 
     def test_budget_propagates(self):
         g = oracles.random_gnp(30, 0.7, 9)
