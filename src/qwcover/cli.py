@@ -5,9 +5,12 @@ heuristic(s) and emits the full grouping report; ``compare`` solves one or
 more files and emits a grid of group counts (one row per input, one column
 per heuristic).
 
-Every cover is checked once against the graph, and each distinct group of a
-file has its basis derived from its Pauli words (which fails on any non-QWC
-pair) and its report text rendered once per ``main`` call.
+Every cover's groups are checked to partition the terms, with mask
+operations only, and each distinct group of a file has its basis derived
+from its Pauli words (which fails on any non-QWC pair, so this is the one
+clique check) and its report text rendered once per ``main`` call.  Either
+check fails with an :class:`~qwcover.cover.InvalidCoverError` before any
+report is written.
 
 Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
@@ -25,7 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cover import CoverStats, Heuristic, basis_of_group, compute_stats, validate_cover
+from .cover import CoverStats, Heuristic, _check_partition, basis_of_group, compute_stats
 from .graph import CapacityError, TermGraph, build_qwc_graph, iter_bits
 from .pauli import Hamiltonian, ParseError, PauliAxis, parse_hamiltonian
 from .removal import DEFAULT_NODE_BUDGET, BudgetExceededError
@@ -138,7 +141,8 @@ def _solve_one(
     explicit: bool,
     bases: _Bases,
 ) -> _HeuristicResult:
-    """Solve and check one heuristic's cover; ``bases`` gains its new groups."""
+    """Solve one heuristic and check its cover: the partition by masks, and
+    each group new to ``bases`` from its words, as ``bases`` gains it."""
     result = _HeuristicResult(heuristic)
     if heuristic is Heuristic.BKT and not explicit and g.n > args.bkt_skip_above:
         result.skipped = (
@@ -152,7 +156,7 @@ def _solve_one(
         result.error = str(exc)
         return result
     result.wall_ms = (time.perf_counter() - started) * 1000.0
-    validate_cover(g, cover)
+    _check_partition(g.n, cover)
     result.cover = cover
     result.stats = compute_stats(cover)
     for group in cover:
@@ -179,8 +183,8 @@ def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
 
     ``json.dumps`` renders only the free-text strings (the input path,
     skip and error messages) and the floats; heuristic names, axis letters
-    and integers need no escaping.  Every group is non-empty, since
-    :func:`validate_cover` has accepted its cover.
+    and integers need no escaping.  Every group is non-empty, since its
+    cover has passed the partition check.
     """
     rendered: dict[int, str] = {}
     out = ['{\n  "input": ', json.dumps(path), ',\n  "n_qubits": ', str(h.n_qubits),

@@ -10,7 +10,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graph import TermGraph, iter_bits
+from .graph import TermGraph
 from .pauli import Hamiltonian, PauliAxis, _axis_at
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
     "compute_stats",
     "validate_cover",
 ]
+
+_X, _Y, _Z = PauliAxis.X, PauliAxis.Y, PauliAxis.Z
 
 
 class Heuristic(enum.Enum):
@@ -48,36 +50,57 @@ class InvalidCoverError(ValueError):
     """A purported cover is not a partition into cliques."""
 
 
-class BasisConflictError(ValueError):
+class BasisConflictError(InvalidCoverError):
     """A group needs two different axes on one qubit, so it is not QWC."""
 
 
-def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
-    """Check that the group bitmasks partition the graph's vertices into
-    cliques.
+def _check_partition(n: int, cover: tuple[int, ...]) -> None:
+    """Check that the group bitmasks partition vertices ``0..n-1``: the
+    checks of :func:`validate_cover` that need no edges.
 
     Raises:
-        InvalidCoverError: a group is not an int, is empty, references a
-            vertex outside the graph (or is negative), overlaps an earlier
-            group, or holds a non-adjacent pair; or a vertex is uncovered.
+        InvalidCoverError: a group is not an int (or is a bool), is empty,
+            references a vertex ``n`` or above (or is negative), or overlaps
+            an earlier group; or a vertex is uncovered.
     """
     covered = 0
     for index, group in enumerate(cover):
-        if not isinstance(group, int):
+        if not isinstance(group, int) or isinstance(group, bool):
             raise InvalidCoverError(f"group {index} is not a vertex bitmask: {group!r}")
         if not group:
             raise InvalidCoverError(f"group {index} is empty")
         # A negative mask holds every vertex from some point up.
-        unknown = group >> g.n << g.n
+        unknown = group >> n << n
         if unknown:
             v = (unknown & -unknown).bit_length() - 1
             raise InvalidCoverError(f"group {index} references unknown vertex {v}")
         overlap = covered & group
         if overlap:
-            raise InvalidCoverError(
-                f"vertex {next(iter_bits(overlap))} appears in more than one group"
-            )
+            v = (overlap & -overlap).bit_length() - 1
+            raise InvalidCoverError(f"vertex {v} appears in more than one group")
         covered |= group
+    uncovered = ~covered & ((1 << n) - 1)
+    if uncovered:
+        v = (uncovered & -uncovered).bit_length() - 1
+        raise InvalidCoverError(f"vertex {v} is not covered")
+
+
+def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
+    """Check that the group bitmasks partition the graph's vertices into
+    cliques: first the partition, then each group against the graph's rows.
+
+    ``qwcover run`` checks only the partition here and proves each distinct
+    group a clique from its Pauli words, with :func:`basis_of_group`; on a
+    QWC graph the two checks accept the same covers.
+
+    Raises:
+        InvalidCoverError: a group is not an int (or is a bool), is empty,
+            references a vertex outside the graph (or is negative), or
+            overlaps an earlier group; a vertex is uncovered; or a group
+            holds a non-adjacent pair.
+    """
+    _check_partition(g.n, cover)
+    for index, group in enumerate(cover):
         rest = group
         while rest:
             low = rest & -rest
@@ -89,9 +112,6 @@ def validate_cover(g: TermGraph, cover: tuple[int, ...]) -> None:
                     f"group {index} is not a clique: ({v}, {other}) is not an edge"
                 )
             rest ^= low
-    uncovered = ~covered & ((1 << g.n) - 1)
-    if uncovered:
-        raise InvalidCoverError(f"vertex {next(iter_bits(uncovered))} is not covered")
 
 
 def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
@@ -99,21 +119,32 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     indices), as ``{qubit: axis}`` ordered by qubit, from its words' x and z
     masks ORed in term order; qubits no word in the group touches are absent.
 
+    This is the word-level clique check: ``qwcover run`` calls it once per
+    distinct group of a file, and it walks the group's bits and the words'
+    masks inline.
+
     Raises:
         ValueError: the group is negative, or references a term ``h``
             does not have; the message names the lowest such term.
         BasisConflictError: two group members disagree on a qubit's axis,
             i.e. the group was not actually a clique of the QWC graph; the
             message names the first clashing term's lowest such qubit.
+            It is an :class:`InvalidCoverError`.
     """
-    n = len(h.terms)
+    terms = h.terms
+    n = len(terms)
+    if group < 0:
+        raise ValueError(f"negative mask {group} has no finite set of bits")
     unknown = group >> n << n
-    if unknown > 0:
+    if unknown:
         raise ValueError(f"group references unknown term {(unknown & -unknown).bit_length() - 1}")
     x = z = 0
-    for index in iter_bits(group):
-        word = h.terms[index].word
-        wx, wz = word.x_mask, word.z_mask
+    rest = group
+    while rest:
+        low = rest & -rest
+        word = terms[low.bit_length() - 1].word
+        wx = word._x_mask
+        wz = word._z_mask
         clash = (wx | wz) & (x | z) & ((wx ^ x) | (wz ^ z))
         if clash:
             q = (clash & -clash).bit_length() - 1
@@ -122,7 +153,14 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
             )
         x |= wx
         z |= wz
-    return {q: _axis_at(x, z, q) for q in iter_bits(x | z)}
+        rest ^= low
+    basis = {}
+    rest = x | z
+    while rest:
+        low = rest & -rest
+        basis[low.bit_length() - 1] = (_Y if z & low else _X) if x & low else _Z
+        rest ^= low
+    return basis
 
 
 @dataclass(frozen=True, slots=True)

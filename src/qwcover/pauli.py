@@ -477,5 +477,12 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
 
 
 def format_hamiltonian(h: Hamiltonian) -> str:
-    """Serialize to the text format; parsing the result reproduces ``h``."""
+    """Serialize to the text format, each coefficient as its ``repr``.
+
+    Parsing the result reproduces ``h`` when every coefficient is a float
+    (or int) of magnitude at least :data:`COEFFICIENT_PRUNE_THRESHOLD`, as
+    in every Hamiltonian :func:`parse_hamiltonian` returns.  A term built
+    directly with a smaller coefficient, ``0.0`` and ``-0.0`` included, is
+    written but pruned on reading.
+    """
     return "\n".join([f"# qubits: {h.n_qubits}", *map(str, h.terms)]) + "\n"

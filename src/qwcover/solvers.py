@@ -1,7 +1,9 @@
 """One front door, :func:`solve_mcc`, for all nine cover solvers.
 
 Seven color the complement graph, two extract cliques one at a time.  No
-solver checks its own cover; callers that need that run ``validate_cover``.
+solver checks its own cover.  Callers that need that run ``validate_cover``
+against the graph, or, as ``qwcover run`` does, check the partition and
+derive each distinct group's basis from its words with ``basis_of_group``.
 """
 
 from __future__ import annotations

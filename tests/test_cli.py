@@ -21,6 +21,7 @@ from qwcover import (
     PauliAxis,
     TermGraph,
     compute_stats,
+    validate_cover,
 )
 from qwcover.cli import _HeuristicResult, _render_run_json, main
 
@@ -529,8 +530,30 @@ class TestErrors:
             qwcover.cli, "solve_mcc",
             lambda g, heuristic, **_: ((1 << g.n) - 1,),
         )
-        with pytest.raises(InvalidCoverError, match="not a clique"):
+        # The run path's only clique check is the word check.
+        with pytest.raises(InvalidCoverError, match="qubit 2 would need both Z and X"):
             main(["run", "--input", str(demo_file), "--algorithm", algorithm])
+
+    # The demo has terms 0..6; its minimum cover is 0b0001111, 0b1110000.
+    @pytest.mark.parametrize("cover", [
+        (frozenset({0, 1, 2, 3}), 0b1110000),
+        (True, 0b0001110, 0b1110000),
+        (0b0001111, 0, 0b1110000),
+        (0b0001111, -0b10000),
+        (0b0001111, 0b1110000 | 1 << 9),
+        (0b0001111, 0b1111000),
+        (0b0001111, 0b0110000),
+    ], ids=["not-an-int", "bool", "empty", "negative", "out-of-range", "overlap", "uncovered"])
+    def test_malformed_cover_rejected_as_validate_cover_rejects_it(
+        self, demo_file, demo_graph, monkeypatch, capsys, cover
+    ):
+        with pytest.raises(InvalidCoverError) as expected:
+            validate_cover(demo_graph, cover)
+        monkeypatch.setattr(qwcover.cli, "solve_mcc", lambda g, heuristic, **_: cover)
+        with pytest.raises(InvalidCoverError) as raised:
+            main(["run", "--input", str(demo_file), "--algorithm", "all"])
+        assert str(raised.value) == str(expected.value)
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_import_leaves_out_numpy():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from qwcover import (
     solve_mcc,
     validate_cover,
 )
-from qwcover.cover import _population_std
+from qwcover.cover import _check_partition, _population_std
 from qwcover.exact import EXACT_MCC_MAX_VERTICES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -73,6 +74,10 @@ class TestValidateCover:
         ((0b1111, 0b1110000 | 1 << 9), "group 1 references unknown vertex 9"),
         # vertex sets are not masks
         ((frozenset({0, 1, 2, 3}), frozenset({4, 5, 6})), "group 0 is not a vertex bitmask"),
+        # True == 1, the mask of vertex 0, but a bool is not a bitmask
+        ((True, 0b1111110), "group 0 is not a vertex bitmask: True"),
+        ((0b1111110, True), "group 1 is not a vertex bitmask: True"),
+        ((0b1111111, False), "group 1 is not a vertex bitmask: False"),
     ])
     def test_malformed_group_rejected(self, demo_graph, cover, message):
         with pytest.raises(InvalidCoverError, match=message):
@@ -86,6 +91,68 @@ class TestValidateCover:
                 basis_of_group(demo_hamiltonian, group)
         with pytest.raises(AssertionError, match="do not qubit-wise commute"):
             oracles.assert_qwc_partition(demo_hamiltonian, cover)
+
+
+def _random_cover(rng, n):
+    """A random partition of ``0..n-1`` into group masks, in random group
+    order, possibly with a fault: an empty, overlapping, out-of-range or
+    negative group, or an uncovered vertex."""
+    labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    groups = [sum(1 << v for v in range(n) if labels[v] == label) for label in set(labels)]
+    rng.shuffle(groups)
+    fault = rng.choice(["none"] * 6 + ["empty", "overlap", "out-of-range", "negative", "uncovered"])
+    at = rng.randrange(len(groups))
+    if fault == "empty":
+        groups.insert(at, 0)
+    elif fault == "overlap":
+        groups[at] |= 1 << rng.randrange(n)
+    elif fault == "out-of-range":
+        groups[at] |= 1 << rng.randint(n, n + 3)
+    elif fault == "negative":
+        groups[at] = -groups[at]
+    elif fault == "uncovered" and groups[at].bit_count() > 1:
+        groups[at] &= groups[at] - 1
+    return tuple(groups)
+
+
+class TestPartitionAndWordCheck:
+    """``qwcover run`` checks a cover's partition with masks and each group
+    from its words, and not against the graph: on a QWC graph that accepts
+    exactly the covers :func:`validate_cover` accepts, and rejects the
+    others at the same group."""
+
+    def test_accepts_what_validate_cover_accepts(self):
+        rng = random.Random(20)
+        outcomes = Counter()
+        for trial in range(600):
+            n_qubits = rng.randint(1, 4)
+            h = oracles.random_hamiltonian(rng, rng.randint(1, min(10, 4 ** n_qubits)), n_qubits)
+            g = build_qwc_graph(h)
+            cover = _random_cover(rng, h.n_terms)
+            try:
+                validate_cover(g, cover)
+                graph_error = None
+            except InvalidCoverError as exc:
+                graph_error = str(exc)
+            try:
+                _check_partition(h.n_terms, cover)
+            except InvalidCoverError as exc:
+                assert str(exc) == graph_error, (trial, cover)
+                outcomes["partition"] += 1
+                continue
+            for index, group in enumerate(cover):
+                try:
+                    basis_of_group(h, group)
+                except BasisConflictError:
+                    assert graph_error is not None, (trial, cover)
+                    assert graph_error.startswith(f"group {index} is not a clique"), (trial, cover)
+                    outcomes["words"] += 1
+                    break
+            else:
+                assert graph_error is None, (trial, cover)
+                outcomes["valid"] += 1
+        # Every side of the equivalence is exercised.
+        assert min(outcomes["partition"], outcomes["words"], outcomes["valid"]) >= 50, outcomes
 
 
 def _basis_outcome(derive, h, group):

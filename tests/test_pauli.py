@@ -390,6 +390,23 @@ class TestRoundTrip:
     def test_demo_round_trip(self, demo_hamiltonian):
         assert parse_hamiltonian(format_hamiltonian(demo_hamiltonian)) == demo_hamiltonian
 
+    @pytest.mark.parametrize("small", [1e-13, -1e-13, 0.0, -0.0])
+    def test_round_trip_drops_a_term_below_the_prune_threshold(self, small):
+        kept = HamiltonianTerm(0.5, PauliWord({1: "X"}))
+        h = Hamiltonian((HamiltonianTerm(small, PauliWord({0: "Z"})), kept), 2)
+        assert format_hamiltonian(h) == f"# qubits: 2\n{small!r} [Z0]\n0.5 [X1]\n"
+        assert parse_hamiltonian(format_hamiltonian(h)) == Hamiltonian((kept,), 2)
+
+    @pytest.mark.parametrize("coefficient", [
+        COEFFICIENT_PRUNE_THRESHOLD, -COEFFICIENT_PRUNE_THRESHOLD, 2.5e-12, 3,
+    ])
+    def test_round_trip_keeps_a_term_at_the_prune_threshold(self, coefficient):
+        h = Hamiltonian((
+            HamiltonianTerm(coefficient, PauliWord({0: "Z"})),
+            HamiltonianTerm(0.5, PauliWord({1: "X"})),
+        ), 2)
+        assert parse_hamiltonian(format_hamiltonian(h)) == h
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
