@@ -12,6 +12,18 @@ clique check) and its report text rendered once per ``main`` call.  Either
 check fails with an :class:`~qwcover.cover.InvalidCoverError` before any
 report is written.
 
+Under ``--algorithm all``, a graph of at least :data:`FORK_DB_MIN_TERMS`
+terms has its ``db`` cover solved in a forked child while this process
+solves the other eight, when ``os.fork`` exists, this process may run on
+two or more CPUs and it runs one thread.  The child sends back the cover
+and its wall milliseconds (``--timings`` thus measures ``db`` in the
+child), and the cover passes the same checks as every other, so the
+report bytes are the same on either path.  A child that delivers no cover
+has ``db`` solved in this process instead.  An exception here, including
+``KeyboardInterrupt``, kills and reaps the child; a parent killed by
+SIGKILL or SIGTERM leaves the child to finish its solve and die at its
+pipe write.
+
 Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
 emitted only with ``run --timings``, keeping reruns byte-identical.
@@ -23,6 +35,8 @@ import argparse
 import codecs
 import functools
 import json
+import marshal
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -44,6 +58,14 @@ EXIT_RESOURCE = 3
 # `--algorithm all` skips the only super-polynomial solver on graphs
 # larger than this unless overridden.
 DEFAULT_BKT_SKIP_ABOVE = 5000
+
+# `--algorithm all` solves db in a forked child on graphs of at least this
+# many terms.  A fork, pipe and reap round trip takes about 1.3 ms on a
+# 2-vCPU host with Python 3.11.  With the second CPU free, a run on random
+# words gains from the child from about 64 terms and is 29 % faster at 128;
+# with it busy, the child makes the run 22 % slower at 128 and 6-18 % at
+# 192-360 (CHANGES.md has the tables).
+FORK_DB_MIN_TERMS = 128
 
 
 class _UsageError(Exception):
@@ -133,16 +155,11 @@ def _load(path: str) -> Hamiltonian:
     return parse_hamiltonian(text)
 
 
-def _solve_one(
-    h: Hamiltonian,
-    g: TermGraph,
-    heuristic: Heuristic,
-    args: argparse.Namespace,
-    explicit: bool,
-    bases: _Bases,
+def _solve(
+    g: TermGraph, heuristic: Heuristic, args: argparse.Namespace, explicit: bool
 ) -> _HeuristicResult:
-    """Solve one heuristic and check its cover: the partition by masks, and
-    each group new to ``bases`` from its words, as ``bases`` gains it."""
+    """Solve one heuristic: a skip, a budget error, or an unchecked cover
+    and its wall milliseconds."""
     result = _HeuristicResult(heuristic)
     if heuristic is Heuristic.BKT and not explicit and g.n > args.bkt_skip_above:
         result.skipped = (
@@ -151,18 +168,109 @@ def _solve_one(
         return result
     started = time.perf_counter()
     try:
-        cover = solve_mcc(g, heuristic, node_budget=args.bkt_budget)
+        result.cover = solve_mcc(g, heuristic, node_budget=args.bkt_budget)
     except BudgetExceededError as exc:
         result.error = str(exc)
         return result
     result.wall_ms = (time.perf_counter() - started) * 1000.0
-    _check_partition(g.n, cover)
-    result.cover = cover
-    result.stats = compute_stats(cover)
-    for group in cover:
-        if group not in bases:
-            bases[group] = basis_of_group(h, group)
     return result
+
+
+def _check(h: Hamiltonian, n: int, result: _HeuristicResult, bases: _Bases) -> _HeuristicResult:
+    """Check a solved cover of ``n`` terms: the partition by masks, and
+    each group new to ``bases`` from its words, as ``bases`` gains it."""
+    cover = result.cover
+    if cover is not None:
+        _check_partition(n, cover)
+        result.stats = compute_stats(cover)
+        for group in cover:
+            if group not in bases:
+                bases[group] = basis_of_group(h, group)
+    return result
+
+
+def _fork_db(g: TermGraph) -> tuple[int, int] | None:
+    """Fork a child that solves ``db`` on ``g``, and return its pid and the
+    read end of its pipe; or ``None``, where ``db`` on ``g`` would not pay
+    for a child, forking is unsafe or it fails.  Forking needs two or more
+    usable CPUs and one thread in this process: CPython 3.12+ warns on
+    forking with more, counting OS threads as here."""
+    if g.n < FORK_DB_MIN_TERMS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threading = sys.modules.get("threading")
+        threads = 1 if threading is None else threading.active_count()
+    if threads > 1:
+        return None
+    g.complement().degree_planes  # built once, before the child copies the graph
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        _db_child(g, read, write)
+    os.close(write)
+    return pid, read
+
+
+def _db_child(g: TermGraph, read: int, write: int) -> None:
+    """The forked child: solve ``db`` on ``g``, write the marshalled
+    ``(cover, wall_ms)`` to ``write`` and exit, never returning into the
+    caller's frames nor flushing the stdio it inherited.  With ``read``
+    closed, a write after the parent has died fails, and the child exits."""
+    status = 1
+    try:
+        os.close(read)
+        started = time.perf_counter()
+        cover = solve_mcc(g, Heuristic.DB)
+        data = memoryview(marshal.dumps((cover, (time.perf_counter() - started) * 1000.0)))
+        while data:
+            data = data[os.write(write, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _solve_beside_child(h: Hamiltonian, g: TermGraph, args: argparse.Namespace,
+                        bases: _Bases, pid: int, read: int) -> list[_HeuristicResult]:
+    """Every heuristic under ``--algorithm all``: the other eight solved and
+    checked here while the child ``pid`` solves ``db``, then ``db``'s cover,
+    read from ``read``, checked like theirs.  A child that exits without
+    writing its whole cover has ``db`` solved here instead."""
+    chunks = []
+    try:
+        results = [_check(h, g.n, _solve(g, heuristic, args, False), bases)
+                   for heuristic in Heuristic if heuristic is not Heuristic.DB]
+        while chunk := os.read(read, 1 << 16):
+            chunks.append(chunk)
+    except BaseException:
+        import signal  # only on this path: its import would cost every run
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        cover, wall_ms = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        status = 1
+    if status:
+        db = _solve(g, Heuristic.DB, args, False)
+    else:
+        db = _HeuristicResult(Heuristic.DB, cover, wall_ms=wall_ms)
+    results.insert(list(Heuristic).index(Heuristic.DB), _check(h, g.n, db, bases))
+    return results
 
 
 def _solve_file(
@@ -171,7 +279,10 @@ def _solve_file(
     h = _load(path)
     g = build_qwc_graph(h)
     bases: _Bases = {}
-    return h, bases, [_solve_one(h, g, hx, args, explicit, bases) for hx in heuristics]
+    child = None if explicit else _fork_db(g)
+    if child is not None:
+        return h, bases, _solve_beside_child(h, g, args, bases, *child)
+    return h, bases, [_check(h, g.n, _solve(g, hx, args, explicit), bases) for hx in heuristics]
 
 
 def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,

@@ -34,6 +34,7 @@ import io
 import math
 import operator
 import re
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import islice
@@ -240,16 +241,44 @@ def qubit_wise_commute(a: PauliWord, b: PauliWord) -> bool:
     return not (((a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)) & common)
 
 
+def _as_float(value: object) -> float:
+    """A real coefficient of another type than ``float`` or ``int`` as a
+    ``float``; a ``bool`` or a non-real value is a ``TypeError``."""
+    import numbers  # loaded only for such a coefficient
+
+    decimal = sys.modules.get("decimal")  # no Decimal exists before its module loads
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real)
+        or decimal is not None and isinstance(value, decimal.Decimal)
+    ):
+        raise TypeError(f"coefficient must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class HamiltonianTerm:
-    """One weighted Pauli word of a Hamiltonian."""
+    """One weighted Pauli word of a Hamiltonian.
+
+    A coefficient that is a real number of another type than ``float`` or
+    ``int`` (a numpy scalar, a ``Fraction``, a ``Decimal``) is stored as a
+    ``float``, so that :func:`format_hamiltonian` writes text the parser
+    reads back.
+
+    Raises:
+        TypeError: the coefficient is a ``bool`` or not a real number.
+        ValueError: the coefficient is not finite.
+    """
 
     coefficient: float
     word: PauliWord
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coefficient):
-            raise ValueError(f"non-finite coefficient {self.coefficient!r}")
+        coefficient = self.coefficient
+        if type(coefficient) is not float and type(coefficient) is not int:
+            coefficient = _as_float(coefficient)
+            object.__setattr__(self, "coefficient", coefficient)
+        if not math.isfinite(coefficient):
+            raise ValueError(f"non-finite coefficient {coefficient!r}")
 
     def __str__(self) -> str:
         return f"{self.coefficient!r} [{self.word}]"
@@ -479,10 +508,10 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
 def format_hamiltonian(h: Hamiltonian) -> str:
     """Serialize to the text format, each coefficient as its ``repr``.
 
-    Parsing the result reproduces ``h`` when every coefficient is a float
-    (or int) of magnitude at least :data:`COEFFICIENT_PRUNE_THRESHOLD`, as
-    in every Hamiltonian :func:`parse_hamiltonian` returns.  A term built
-    directly with a smaller coefficient, ``0.0`` and ``-0.0`` included, is
-    written but pruned on reading.
+    Parsing the result reproduces ``h`` when every coefficient has a
+    magnitude of at least :data:`COEFFICIENT_PRUNE_THRESHOLD`, as in every
+    Hamiltonian :func:`parse_hamiltonian` returns.  A term built directly
+    with a smaller coefficient, ``0.0`` and ``-0.0`` included, is written
+    but pruned on reading.
     """
     return "\n".join([f"# qubits: {h.n_qubits}", *map(str, h.terms)]) + "\n"

@@ -5,6 +5,11 @@ from pathlib import Path
 
 import pytest
 
+# numpy's OpenBLAS would otherwise start a worker thread on import, and
+# `run --algorithm all` forks only from a single-threaded process; one BLAS
+# thread keeps its forked path under test.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from qwcover import Hamiltonian, TermGraph, build_qwc_graph, parse_hamiltonian
 
 # The 7-term, 4-qubit demonstration Hamiltonian used throughout: four

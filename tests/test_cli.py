@@ -556,14 +556,157 @@ class TestErrors:
         assert capsys.readouterr().out == ""
 
 
-def test_cli_import_leaves_out_numpy():
+class TestForkedDb:
+    """``run``/``compare --algorithm all`` on a graph of at least
+    ``FORK_DB_MIN_TERMS`` terms solve ``db`` in a forked child."""
+
+    LARGE = ["bk-8.ham", "jw-8.ham", "random-150.ham", "random-300.ham"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that called ``os.fork``, with two usable CPUs, which
+        forking needs, whatever the host has."""
+        calls = []
+        fork = os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.chdir(GOLDEN)  # the reports embed the bare file name
+        return calls
+
+    def run_golden(self, capsys, name, fmt="json", *extra):
+        code, out, _ = run_cli(
+            capsys, "run", "--input", name, "--algorithm", "all", "--format", fmt, *extra,
+        )
+        assert code == 0
+        return out
+
+    def test_large_golden_inputs_reach_the_size_limit(self):
+        sizes = {name: len((GOLDEN / name).read_text().splitlines()) - 1 for name in GOLDEN_INPUTS}
+        large = sorted(name for name, n in sizes.items() if n >= qwcover.cli.FORK_DB_MIN_TERMS)
+        assert large == self.LARGE
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_golden_reports_either_way(self, forks, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for name in self.LARGE:
+            for fmt, suffix in (("json", ".json"), ("text", ".txt")):
+                assert self.run_golden(capsys, name, fmt) == (GOLDEN / name).with_suffix(suffix).read_text()
+        inputs = [arg for name in GOLDEN_INPUTS for arg in ("--input", name)]
+        for fmt, suffix in (("json", ".json"), ("text", ".txt")):
+            code, out, _ = run_cli(capsys, "compare", "--algorithm", "all", *inputs, "--format", fmt)
+            assert code == 0
+            assert out == (GOLDEN / "compare").with_suffix(suffix).read_text()
+        # One child per large input and report, none for the smaller inputs.
+        assert len(forks) == (4 * len(self.LARGE) if len(cpus) > 1 else 0)
+
+    def test_no_child_below_the_limit_or_for_one_heuristic(self, forks, capsys):
+        self.run_golden(capsys, "random-60.ham")
+        for heuristic in ALL_NAMES:
+            run_cli(capsys, "run", "--input", "jw-8.ham", "--algorithm", heuristic)
+        assert forks == []
+
+    def test_no_child_from_a_multi_threaded_process(self, forks, capsys):
+        # Python 3.12+ warns on forking with threads, an error here.
+        import threading
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            out = self.run_golden(capsys, "jw-8.ham")
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert out == (GOLDEN / "jw-8.json").read_text()
+        assert forks == []
+
+    def test_failed_fork_solves_db_in_process(self, forks, monkeypatch, capsys):
+        def refuse():
+            forks.append(os.getpid())
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self.run_golden(capsys, "bk-8.ham") == (GOLDEN / "bk-8.json").read_text()
+        assert forks == [os.getpid()]
+
+    @pytest.mark.parametrize("failure", ["raises", "garbage"])
+    def test_child_without_a_cover_leaves_db_to_the_parent(
+        self, forks, monkeypatch, capsys, failure
+    ):
+        parent = os.getpid()
+        solved_here = []
+        solve = qwcover.cli.solve_mcc
+
+        def parent_only(g, heuristic, **kwargs):
+            if os.getpid() == parent:
+                solved_here.append(heuristic)
+            elif failure == "raises":
+                raise RuntimeError("the child fails")
+            return solve(g, heuristic, **kwargs)
+
+        monkeypatch.setattr(qwcover.cli, "solve_mcc", parent_only)
+        if failure == "garbage":
+            # The child writes bytes that do not unmarshal.
+            monkeypatch.setattr(qwcover.cli, "marshal", SimpleNamespace(
+                dumps=lambda payload: b"\xff not marshal data",
+                loads=qwcover.cli.marshal.loads,
+            ))
+        for fmt, suffix in (("json", ".json"), ("text", ".txt")):
+            solved_here.clear()
+            assert self.run_golden(capsys, "jw-8.ham", fmt) == (GOLDEN / "jw-8").with_suffix(suffix).read_text()
+            assert solved_here == list(Heuristic)[:5] + list(Heuristic)[6:] + [Heuristic.DB]
+        assert forks == [parent, parent]
+
+    @pytest.mark.parametrize("error", [InvalidCoverError, KeyboardInterrupt])
+    def test_error_while_the_child_runs_propagates_and_reaps_it(
+        self, forks, monkeypatch, capsys, error
+    ):
+        solve = qwcover.cli.solve_mcc
+
+        def failing_cosine(g, heuristic, **kwargs):
+            if heuristic is Heuristic.COSINE:
+                if error is KeyboardInterrupt:
+                    raise KeyboardInterrupt
+                return ((1 << g.n) - 1,)  # one group of every term: not QWC
+            return solve(g, heuristic, **kwargs)
+
+        monkeypatch.setattr(qwcover.cli, "solve_mcc", failing_cosine)
+        argv = ["run", "--input", "jw-8.ham", "--algorithm", "all"]
+        with pytest.raises(error) as forked:
+            main(argv)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with pytest.raises(error) as in_process:
+            main(argv)
+        assert len(forks) == 1
+        assert str(forked.value) == str(in_process.value)
+        assert capsys.readouterr().out == ""
+
+    def test_timings_report_the_child_db_time(self, forks, capsys):
+        report = json.loads(self.run_golden(capsys, "jw-8.ham", "json", "--timings"))
+        (db,) = [r for r in report["results"] if r["heuristic"] == "db"]
+        assert db["wall_ms"] > 0
+        assert len(forks) == 1
+
+
+def test_cli_import_leaves_out_numpy_and_process_modules():
+    # A heavier import would show in every command's start-up time.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    heavy = ["multiprocessing", "concurrent.futures", "subprocess", "numpy"]
     completed = subprocess.run(
-        [sys.executable, "-c", "import sys, qwcover.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, qwcover.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert completed.stdout == "False\n"
+    assert completed.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("qwcover") is None, reason="entry point not installed")

@@ -4,6 +4,8 @@ import io
 import math
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -210,6 +212,20 @@ class TestHamiltonianConstruction:
         with pytest.raises(ValueError, match="finite"):
             HamiltonianTerm(math.inf, W("X0"))
 
+    @pytest.mark.parametrize("coefficient", [True, False, 1j, "0.5"])
+    def test_bool_and_non_real_coefficients_rejected(self, coefficient):
+        # format_hamiltonian would write text the parser rejects
+        with pytest.raises(TypeError, match="coefficient must be a real number"):
+            HamiltonianTerm(coefficient, W("X0"))
+
+    @pytest.mark.parametrize("coefficient, stored", [
+        (Fraction(1, 4), 0.25), (Decimal("-0.5"), -0.5), (3, 3), (0.5, 0.5),
+    ])
+    def test_real_coefficients_stored_as_float_or_int(self, coefficient, stored):
+        term = HamiltonianTerm(coefficient, W("X0"))
+        assert type(term.coefficient) is type(stored)
+        assert term.coefficient == stored
+
 
 class TestParsing:
     def test_two_term_example(self):
@@ -405,6 +421,18 @@ class TestRoundTrip:
             HamiltonianTerm(coefficient, PauliWord({0: "Z"})),
             HamiltonianTerm(0.5, PauliWord({1: "X"})),
         ), 2)
+        assert parse_hamiltonian(format_hamiltonian(h)) == h
+
+    @pytest.mark.parametrize("scalar, values", [
+        ("float64", (-3.25, 0.1)), ("float32", (-3.25, 0.1)), ("int64", (-3, 7)),
+    ])
+    def test_round_trip_numpy_coefficients(self, scalar, values):
+        np = pytest.importorskip("numpy")
+        h = Hamiltonian(tuple(
+            HamiltonianTerm(getattr(np, scalar)(value), PauliWord({qubit: "Z"}))
+            for qubit, value in enumerate(values)
+        ), 2)
+        assert all(type(term.coefficient) is float for term in h.terms)
         assert parse_hamiltonian(format_hamiltonian(h)) == h
 
     @settings(max_examples=50, deadline=None)
