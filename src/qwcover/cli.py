@@ -124,7 +124,7 @@ def _parser() -> _Parser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--bkt-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET,
-                       help="node budget for each exact clique search, all its steps counted")
+                       help="node budget for each exact clique search, one per extracted clique")
         p.add_argument("--bkt-skip-above", type=_int_at_least(0), default=DEFAULT_BKT_SKIP_ABOVE,
                        help="with --algorithm all, skip bkt on graphs larger than this")
 

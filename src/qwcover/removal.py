@@ -8,29 +8,28 @@ approximate minimum clique cover; even with the exact finder the result
 can exceed the true minimum.
 
 Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
-over the original rows, and both finders search the subgraph it induces,
-reading each residual neighborhood as ``rows[v] & alive`` and each residual
+over its rows, and each finder searches the subgraph it induces, reading
+each residual neighborhood as ``rows[v] & alive`` and each residual
 non-neighborhood as ``alive & other[v]``, where ``other`` holds the rows of
 the graph's cached :meth:`~TermGraph.complement` (every vertex but ``v`` and
 its neighbors).
-So no search loop complements a mask.  Vertices keep their labels, so every
-pivot, color order and tie-break is the one a relabelled induced subgraph
-would give.  Each finder returns its clique as a bitmask, which the cover
-records as a group and clears from ``alive``.
+So no search loop complements a mask.  Each finder returns its clique as a
+bitmask, which the cover records as a group and clears from ``alive``.
 
-The exact finder colors the candidates of every search node greedily into
-class bitmasks (as in the bitset algorithm BBMC of San Segundo et al.),
-and it returns the first maximum clique in its search's depth-first order
-without running that search to the end, where most of its nodes would go
-to proving the clique maximum; :func:`max_clique_bkt` lists its three
-steps.
+The exact finder searches the graph relabelled once per cover by ascending
+degree, so that the highest degree is colored and branched on first.  It
+colors the candidates of every search node greedily into class bitmasks
+(as in the bitset algorithm BBMC of San Segundo et al.) and returns the
+first maximum clique in its search's depth-first order, one search per
+extraction.  That search stops at the first clique that reaches an upper
+bound on the clique size, the root coloring's class count or the previous
+extraction's size, so where the clique size holds it skips the nodes that
+would only prove the clique maximum.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextvars import ContextVar
-from functools import cached_property
 from operator import index, itemgetter
 
 from .cover import Heuristic
@@ -87,147 +86,90 @@ def _color_classes(other: tuple[int, ...], candidates: int) -> list[int]:
     return classes
 
 
-class _Search:
-    """Branch and bound over bitset rows; its runs share one node budget."""
+def _search(g: TermGraph, candidates: int, bound: int, node_budget: int) -> int:
+    """The first maximum clique among the nonempty ``candidates`` of
+    ``g`` in depth-first order, as a bitmask, where ``bound`` is an upper
+    bound on its size.
 
-    def __init__(self, node_budget: int):
-        self.node_budget = node_budget
-        self.nodes = 0
+    Candidates are greedily colored into class masks at every node
+    (:func:`_color_classes`), and the lowest vertex of the last class is
+    visited next, so the class count bounds what a node can still add.
+    A node whose class count cannot beat the incumbent is pruned.  So
+    the labels fix the whole search, and a clique never replaces one of
+    equal size.  Each node's candidates play the part of ``alive`` in
+    the pair ``rows[v] & alive`` (a child's candidates) and
+    ``alive & other[v]`` (what may still join ``v``'s class), where
+    ``other`` holds the rows of ``g``'s complement, so no mask is
+    complemented inside the loop.  The search stops at the first clique
+    that reaches ``bound`` or the root coloring's class count: that
+    clique is maximum, and it is the one the search run to the end would
+    return.
 
-    def run(
-        self, g: TermGraph, candidates: int, best_size: int, bound: int, cap: int | None = None
-    ) -> tuple[int, int, bool]:
-        """Search the nonempty ``candidates`` of ``g`` for a clique larger
-        than ``best_size``; ``other`` holds the rows of ``g``'s complement.
-
-        Candidates are greedily colored into class masks at every node
-        (:func:`_color_classes`), and the lowest vertex of the last class is
-        visited next, so the class count bounds what a node can still add.
-        A node whose class count cannot beat the incumbent is pruned.  So
-        the labels fix the whole search, and a clique never replaces one of
-        equal size.  Each node's candidates play the part of ``alive`` in
-        the pair ``rows[v] & alive`` (a child's candidates) and
-        ``alive & other[v]`` (what may still join ``v``'s class), so no mask
-        is complemented inside the loop.  The search stops at the first clique
-        that reaches ``bound`` or the root coloring's class count, both
-        upper bounds on the clique size.
-
-        Returns the clique mask (0 if none beats ``best_size``), its size
-        (else ``best_size``), and False if the search stopped after ``cap``
-        nodes of this run without finishing.
-        """
-        rows, other = g.rows, g.complement().rows
-        nodes = self.nodes
-        limit = self.node_budget if cap is None else min(self.node_budget, nodes + cap)
-        if nodes == limit:
-            raise self._exceeded()
-        classes = _color_classes(other, candidates)
-        bound = min(bound, len(classes))
-        # Frame: [run_mask, run_size, color classes still to visit,
-        # remaining candidates].  Every frame starts with a class.
-        stack: list[list] = [[0, 0, classes, candidates]]
-        nodes += 1
-        best_mask = 0
-        while stack:
-            frame = stack[-1]
-            run_mask, run_size, classes, remaining = frame
-            if run_size + len(classes) <= best_size:
-                stack.pop()
-                continue
-            members = classes[-1]
-            bit = members & -members
-            if members == bit:
-                classes.pop()
-            else:
-                classes[-1] = members ^ bit
-            frame[3] = remaining ^ bit
-            extended = remaining & rows[bit.bit_length() - 1]
-            if extended:
-                if nodes == limit:
-                    self.nodes = nodes
-                    if nodes == self.node_budget:
-                        raise self._exceeded()
-                    return best_mask, best_size, False
-                nodes += 1
-                classes = _color_classes(other, extended)
-                stack.append([run_mask | bit, run_size + 1, classes, extended])
-            elif run_size + 1 > best_size:
-                best_mask = run_mask | bit
-                best_size = run_size + 1
-                if best_size >= bound:
-                    break
-        self.nodes = nodes
-        return best_mask, best_size, True
-
-    def first_clique(self, cover: _Cover, candidates: int, size: int) -> int:
-        """The first clique of ``size`` vertices in the depth-first order of
-        :meth:`run` on the cover's graph, where ``size`` is the clique
-        number of ``candidates``.
-
-        Walks down that order one vertex at a time, entering a child only
-        if its candidates hold a clique of the size still needed, which
-        :meth:`run` on the degree order decides.  Children are tried in the
-        search's order (the classes from the last, each from its lowest
-        vertex), so the first one entered holds the search's first such
-        clique, and the walk never backs up.  Each step down counts one
-        node.
-        """
-        rows, other = cover.graph.rows, cover.graph.complement().rows
-        degree, relabel = cover.degree_order
-        clique = 0
-        for need in range(size - 1, -1, -1):
-            if self.nodes == self.node_budget:
-                raise self._exceeded()
-            self.nodes += 1
-            remaining = candidates
-            classes = reversed(_color_classes(other, candidates))
-            for v in [u for members in classes for u in iter_bits(members)]:
-                candidates = remaining & rows[v]
-                remaining ^= 1 << v
-                if not need:
-                    break
-                if candidates.bit_count() >= need:
-                    _, found, _ = self.run(degree, relabel(candidates), need - 1, need)
-                    if found == need:
-                        break
-            clique |= 1 << v
-        return clique
-
-    def _exceeded(self) -> BudgetExceededError:
-        return BudgetExceededError(f"maximum-clique search exceeded {self.node_budget} nodes")
+    Raises:
+        BudgetExceededError: more than ``node_budget`` search nodes.
+    """
+    rows, other = g.rows, g.complement().rows
+    if not node_budget:
+        raise _exceeded(node_budget)
+    classes = _color_classes(other, candidates)
+    bound = min(bound, len(classes))
+    # Frame: [run_mask, run_size, color classes still to visit,
+    # remaining candidates].  Every frame starts with a class.
+    stack: list[list] = [[0, 0, classes, candidates]]
+    nodes = 1
+    best_mask = 0
+    best_size = 0
+    while stack:
+        frame = stack[-1]
+        run_mask, run_size, classes, remaining = frame
+        if run_size + len(classes) <= best_size:
+            stack.pop()
+            continue
+        members = classes[-1]
+        bit = members & -members
+        if members == bit:
+            classes.pop()
+        else:
+            classes[-1] = members ^ bit
+        frame[3] = remaining ^ bit
+        extended = remaining & rows[bit.bit_length() - 1]
+        if extended:
+            if nodes == node_budget:
+                raise _exceeded(node_budget)
+            nodes += 1
+            classes = _color_classes(other, extended)
+            stack.append([run_mask | bit, run_size + 1, classes, extended])
+        elif run_size + 1 > best_size:
+            best_mask = run_mask | bit
+            best_size = run_size + 1
+            if best_size >= bound:
+                break
+    return best_mask
 
 
-class _Cover:
-    """What consecutive BKT extractions from one graph share: its degree
-    order, built on first need, and the last clique size.  Each alive set
-    lies inside the last one, so that size bounds the next clique."""
-
-    def __init__(self, g: TermGraph):
-        self.graph = g
-        self.size = g.n
-
-    @cached_property
-    def degree_order(self) -> tuple[TermGraph, Callable[[int], int]]:
-        """The graph relabelled by ascending degree, ties by label, and the
-        relabelling of a mask: vertex ``order[j]`` becomes ``j``, so the
-        highest degree gets the highest label and is colored and branched
-        on first."""
-        g = self.graph
-        order = sorted(range(g.n), key=g.degrees.__getitem__)
-        # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
-        # reads old label order[j], so pick those characters from the top.
-        width = f"0{g.n}b"
-        pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
-
-        def relabel(mask: int) -> int:
-            return int("".join(pick(format(mask, width))), 2)
-
-        return TermGraph([relabel(g.rows[v]) for v in order]), relabel
+def _exceeded(node_budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"maximum-clique search exceeded {node_budget} nodes")
 
 
-# The BKT cover clique_removal_cover is building, so that each of its
-# max_clique_bkt calls reuses what the previous ones computed.
-_cover: ContextVar[_Cover | None] = ContextVar("qwcover_removal_cover", default=None)
+def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callable[[int], int]]:
+    """``g`` relabelled by ascending degree, ties by label, with the
+    relabelling of a mask and its inverse: vertex ``order[j]`` becomes
+    ``j``, so the highest degree gets the highest label and is colored and
+    branched on first.  ``g`` must have a vertex.
+    """
+    order = sorted(range(g.n), key=g.degrees.__getitem__)
+    # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
+    # reads old label order[j], so pick those characters from the top.
+    width = f"0{g.n}b"
+    pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
+
+    def relabel(mask: int) -> int:
+        return int("".join(pick(format(mask, width))), 2)
+
+    def unlabel(mask: int) -> int:
+        return sum(1 << order[j] for j in iter_bits(mask))
+
+    return TermGraph([relabel(g.rows[v]) for v in order]), relabel, unlabel
 
 
 def max_clique_bkt(
@@ -236,31 +178,12 @@ def max_clique_bkt(
     """Exact maximum clique via coloring branch and bound, as a bitmask.
 
     Searches the subgraph induced by the ``alive`` bitmask (default: every
-    vertex) and returns the first maximum clique in the depth-first order
-    of the search described in :meth:`_Search.run`, so ties between maximum
-    cliques always resolve the same way.  That search, run to the end,
-    spends most of its nodes proving that the clique it holds is maximum,
-    so the clique is found in up to three steps:
-
-    1. The search, stopped at the first clique that reaches an upper bound
-       on the clique number: the root coloring's color count, or inside
-       :func:`clique_removal_cover` the previous extraction's size.  That
-       clique is maximum, and a clique never replaces one of equal size, so
-       it is the one the full search returns.  This step may expand one
-       node per alive vertex.
-    2. Otherwise the same search on the graph relabelled by ascending
-       degree (built once per cover), so that the highest degree is colored
-       and branched on first, finds the clique number ω.  It starts from
-       the size step 1 reached and also stops at the upper bound.
-    3. If step 1 stopped below ω, :meth:`_Search.first_clique` walks down
-       the search's own order and enters only children that hold a clique
-       of the size still needed, which the degree-ordered search decides.
-       A child is passed over only when it holds none, and children come in
-       the same order, so the walk ends at the full search's first ω-clique.
-
-    The node budget counts every node of all three steps.  The search runs
-    on an explicit stack, so clique size is not limited by the
-    interpreter's recursion limit.
+    vertex) on the graph relabelled by ascending degree, ties by label, and
+    returns the first maximum clique in that search's depth-first order
+    (:func:`_search`), so ties between maximum cliques always resolve the
+    same way.  The degree order depends on the whole graph, not on
+    ``alive``.  The search runs on an explicit stack, so clique size is not
+    limited by the interpreter's recursion limit.
 
     Raises:
         TypeError: ``node_budget`` is not an integer.
@@ -271,19 +194,8 @@ def max_clique_bkt(
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
-    cover = _cover.get()
-    if cover is None or cover.graph is not g:
-        cover = _Cover(g)
-    search = _Search(node_budget)
-    clique, size, finished = search.run(g, alive, 0, cover.size, cap=alive.bit_count())
-    if not finished:
-        degree, relabel = cover.degree_order
-        _, omega, _ = search.run(degree, relabel(alive), size, cover.size)
-        if omega > size:
-            clique = search.first_clique(cover, alive, omega)
-            size = omega
-    cover.size = size
-    return clique
+    degree, relabel, unlabel = _degree_order(g)
+    return unlabel(_search(degree, relabel(alive), g.n, node_budget))
 
 
 def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
@@ -353,7 +265,9 @@ def clique_removal_cover(
 
     Finds a clique among the alive vertices with the selected finder,
     records it, clears its vertices from the alive mask, and repeats until
-    no vertex is alive.  Groups are reported in extraction order.
+    no vertex is alive.  Groups are reported in extraction order.  Each
+    ``BKT`` group is the one :func:`max_clique_bkt` returns for the alive
+    vertices, and the node budget applies to each extraction.
 
     Raises:
         TypeError: ``finder`` is ``BKT`` and ``node_budget`` is no integer.
@@ -363,19 +277,23 @@ def clique_removal_cover(
     """
     if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
         raise ValueError(f"not a clique-removal method: {finder}")
-    if finder is Heuristic.BKT:
-        _check_budget(node_budget)
     groups: list[int] = []
     alive = (1 << g.n) - 1
-    token = _cover.set(_Cover(g) if finder is Heuristic.BKT else None)
-    try:
+    if finder is Heuristic.RAMSEY:
         while alive:
-            if finder is Heuristic.BKT:
-                clique = max_clique_bkt(g, node_budget, alive=alive)
-            else:
-                clique = ramsey_clique(g, alive=alive)
-            groups.append(clique)
-            alive ^= clique
-    finally:
-        _cover.reset(token)
+            groups.append(ramsey_clique(g, alive=alive))
+            alive ^= groups[-1]
+        return tuple(groups)
+    _check_budget(node_budget)
+    if not alive:
+        return ()
+    # Each alive set lies inside the last one, so the last clique's size
+    # bounds the next clique.
+    degree, _, unlabel = _degree_order(g)
+    size = g.n
+    while alive:
+        clique = _search(degree, alive, size, node_budget)
+        groups.append(unlabel(clique))
+        alive ^= clique
+        size = clique.bit_count()
     return tuple(groups)

@@ -7,10 +7,11 @@ algorithmic machinery with the package under test.  The exceptions:
 and :func:`full_search_max_clique_bkt` on rebuilt subgraphs, so that it
 checks only the removal loop around them;
 :func:`full_search_max_clique_bkt` is the package's earlier exact search,
-run to the end, the reference for its bounded steps and walk;
-:func:`counted_max_clique_bkt` is its earlier three-step search, which
-colored into ``(vertex, color)`` pairs, with its node count: the reference
-for the class-mask search's nodes; and
+run to the end, the reference for the bounded search that ``bkt`` runs on
+the degree-ordered graph (:func:`degree_order`);
+:func:`counted_max_clique_bkt` is that bounded search coloring into
+``(vertex, color)`` pairs, as the earlier search did, with its node count:
+the reference for the class-mask search's nodes; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -38,8 +39,7 @@ import math
 import random
 import re
 from collections.abc import Iterable, Mapping
-from functools import reduce
-from operator import itemgetter
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -304,128 +304,94 @@ def _color_order(rows: tuple[int, ...], candidates: int) -> list[tuple[int, int]
     return order
 
 
-class _Search:
-    """Branch and bound over bitset rows; its runs share one node budget."""
-
-    def __init__(self, node_budget: int):
-        self.node_budget = node_budget
-        self.nodes = 0
-
-    def run(
-        self,
-        rows: tuple[int, ...],
-        candidates: int,
-        best_size: int,
-        bound: int,
-        cap: int | None = None,
-    ) -> tuple[int, int, bool]:
-        nodes = self.nodes
-        limit = self.node_budget if cap is None else min(self.node_budget, nodes + cap)
-        if nodes == limit:
-            raise self._exceeded()
-        order = _color_order(rows, candidates)
-        bound = min(bound, order[-1][1])
-        # Frame: [run_mask, run_size, color order still to visit, remaining
-        # candidates].
-        stack: list[list] = [[0, 0, order, candidates]]
-        nodes += 1
-        best_mask = 0
-        while stack:
-            frame = stack[-1]
-            run_mask, run_size, order, remaining = frame
-            if not order or run_size + order[-1][1] <= best_size:
-                stack.pop()
-                continue
-            v, _ = order.pop()
-            bit = 1 << v
-            frame[3] = remaining ^ bit
-            extended = remaining & rows[v]
-            if extended:
-                if nodes == limit:
-                    self.nodes = nodes
-                    if nodes == self.node_budget:
-                        raise self._exceeded()
-                    return best_mask, best_size, False
-                nodes += 1
-                stack.append([run_mask | bit, run_size + 1, _color_order(rows, extended), extended])
-            elif run_size + 1 > best_size:
-                best_mask = run_mask | bit
-                best_size = run_size + 1
-                if best_size >= bound:
-                    break
-        self.nodes = nodes
-        return best_mask, best_size, True
-
-    def first_clique(
-        self, rows: tuple[int, ...], degree_order: _DegreeOrder, candidates: int, size: int
-    ) -> int:
-        clique = 0
-        for need in range(size - 1, -1, -1):
-            if self.nodes == self.node_budget:
-                raise self._exceeded()
-            self.nodes += 1
-            remaining = candidates
-            for v, _ in reversed(_color_order(rows, candidates)):
-                candidates = remaining & rows[v]
-                remaining ^= 1 << v
-                if not need:
-                    break
-                if candidates.bit_count() >= need:
-                    _, found, _ = self.run(
-                        degree_order.rows, degree_order.relabel(candidates), need - 1, need
-                    )
-                    if found == need:
-                        break
-            clique |= 1 << v
-        return clique
-
-    def _exceeded(self) -> BudgetExceededError:
-        return BudgetExceededError(f"maximum-clique search exceeded {self.node_budget} nodes")
+def degree_order(g: TermGraph) -> list[int]:
+    """Vertices by ascending degree, ties by label.  The package's ``bkt``
+    searches ``induced_subgraph(g, order)`` for this ``order``, in which
+    vertex ``order[j]`` is ``j``."""
+    return sorted(range(g.n), key=lambda v: (len(list(g.neighbors(v))), v))
 
 
-class _DegreeOrder:
-    def __init__(self, g: TermGraph):
-        order = sorted(range(g.n), key=g.degrees.__getitem__)
-        self._width = f"0{g.n}b"
-        self._pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
-        self.rows = tuple([self.relabel(g.rows[v]) for v in order])
+@lru_cache(maxsize=4)
+def _degree_ordered(g: TermGraph) -> tuple[tuple[int, ...], TermGraph]:
+    """:func:`degree_order` and the graph it relabels, built once per graph
+    for the extractions of a cover."""
+    order = degree_order(g)
+    return tuple(order), induced_subgraph(g, order)
 
-    def relabel(self, mask: int) -> int:
-        return int("".join(self._pick(format(mask, self._width))), 2)
+
+def _to_degree_order(order: tuple[int, ...], alive: int) -> int:
+    return mask_of(j for j, v in enumerate(order) if alive >> v & 1)
+
+
+def degree_order_max_clique_bkt(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:
+    """:func:`full_search_max_clique_bkt` on the degree-ordered graph, in
+    ``g``'s labels: the reference for the clique ``max_clique_bkt``
+    returns."""
+    alive = _alive_mask(g, alive)
+    order, ordered = _degree_ordered(g)
+    found = full_search_max_clique_bkt(ordered, alive=_to_degree_order(order, alive))
+    return frozenset(order[j] for j in found)
+
+
+def degree_order_clique_removal(g: TermGraph) -> tuple[frozenset[int], ...]:
+    """:func:`relabelling_clique_removal` with ``BKT`` on the degree-ordered
+    graph, in ``g``'s labels: the reference for the ``bkt`` cover."""
+    order, ordered = _degree_ordered(g)
+    groups = relabelling_clique_removal(ordered, Heuristic.BKT)
+    return tuple(frozenset(order[j] for j in group) for group in groups)
 
 
 def counted_max_clique_bkt(
-    g: TermGraph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    alive: int | None = None,
-    bound: int | None = None,
+    g: TermGraph, *, alive: int | None = None, bound: int | None = None
 ) -> tuple[int, int]:
-    """The package's earlier three-step ``max_clique_bkt``, which colored
-    into a list of ``(vertex, color)`` pairs, as ``(clique mask, nodes)``.
+    """The search of ``max_clique_bkt``, coloring into a list of
+    ``(vertex, color)`` pairs as the package's earlier search did, as
+    ``(clique mask, nodes)``.
 
-    ``bound`` is the previous extraction's clique size inside a cover
-    (default: the vertex count, as in a standalone call).  The reference
-    for the class-mask search, which must return the same clique after
-    the same number of nodes.
+    One search on the degree-ordered graph, stopped at the first clique
+    that reaches ``bound`` (the previous extraction's clique size inside a
+    cover; default: the vertex count, as in a standalone call) or the root
+    coloring's color count.  The reference for the class-mask search,
+    which must return the same clique after the same number of nodes.
     """
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
-    bound = g.n if bound is None else bound
-    search = _Search(node_budget)
-    clique, size, finished = search.run(g.rows, alive, 0, bound, cap=alive.bit_count())
-    if not finished:
-        degree_order = _DegreeOrder(g)
-        _, omega, _ = search.run(degree_order.rows, degree_order.relabel(alive), size, bound)
-        if omega > size:
-            clique = search.first_clique(g.rows, degree_order, alive, omega)
-    return clique, search.nodes
+    order, ordered = _degree_ordered(g)
+    rows = ordered.rows
+    candidates = _to_degree_order(order, alive)
+    order_of_root = _color_order(rows, candidates)
+    bound = min(g.n if bound is None else bound, order_of_root[-1][1])
+    # Frame: [run_mask, run_size, color order still to visit, remaining
+    # candidates].
+    stack: list[list] = [[0, 0, order_of_root, candidates]]
+    nodes = 1
+    best_mask = 0
+    best_size = 0
+    while stack:
+        frame = stack[-1]
+        run_mask, run_size, colors, remaining = frame
+        if not colors or run_size + colors[-1][1] <= best_size:
+            stack.pop()
+            continue
+        v, _ = colors.pop()
+        bit = 1 << v
+        frame[3] = remaining ^ bit
+        extended = remaining & rows[v]
+        if extended:
+            nodes += 1
+            stack.append([run_mask | bit, run_size + 1, _color_order(rows, extended), extended])
+        elif run_size + 1 > best_size:
+            best_mask = run_mask | bit
+            best_size = run_size + 1
+            if best_size >= bound:
+                break
+    return mask_of(order[j] for j in iter_bits(best_mask)), nodes
 
 
 def counted_bkt_cover(g: TermGraph) -> list[tuple[int, int]]:
-    """``(clique, nodes)`` of every extraction of the package's earlier
-    ``bkt`` cover, each search bounded by the previous clique's size."""
+    """``(clique, nodes)`` of every extraction of the ``bkt`` cover, each
+    search bounded by the previous clique's size."""
     extractions = []
     alive = (1 << g.n) - 1
     bound = g.n

@@ -20,7 +20,7 @@ from qwcover import (
     solve_mcc,
     validate_cover,
 )
-from qwcover.removal import _Cover
+from qwcover.removal import _degree_order
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
@@ -94,14 +94,14 @@ class TestMaxCliqueBkt:
         assert max_clique_bkt(g) == max_clique_bkt(g)
 
     def test_matches_full_search(self):
-        # the bounded first step, the degree-order proof and the walk
-        # return the clique of the search run to the end
+        # the search stopped at an upper bound returns the clique of the
+        # search run to the end on the degree-ordered graph
         rng = random.Random(7)
         for trial in range(300):
             n = rng.randint(1, 60)
             g = oracles.random_gnp(n, rng.choice([0.3, 0.5, 0.7, 0.8, 0.9]), 2000 + trial)
             alive = (1 << n) - 1 if trial % 2 == 0 else rng.getrandbits(n) or 1
-            expected = oracles.mask_of(oracles.full_search_max_clique_bkt(g, alive=alive))
+            expected = oracles.mask_of(oracles.degree_order_max_clique_bkt(g, alive=alive))
             assert max_clique_bkt(g, alive=alive) == expected, trial
             assert_nodes_of_earlier_search(g, alive, expected)
 
@@ -111,7 +111,7 @@ class TestMaxCliqueBkt:
         expected = []
         alive = (1 << g.n) - 1
         while alive:
-            clique = oracles.mask_of(oracles.full_search_max_clique_bkt(g, alive=alive))
+            clique = oracles.mask_of(oracles.degree_order_max_clique_bkt(g, alive=alive))
             assert_nodes_of_earlier_search(g, alive, clique)
             expected.append(clique)
             alive &= ~clique
@@ -148,7 +148,7 @@ class TestDegreeOrder:
             n = rng.randint(1, 30)
             graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1700 + trial))
         for number, g in enumerate(graphs):
-            degree, relabel = _Cover(g).degree_order
+            degree, relabel, unlabel = _degree_order(g)
             # new label j is old label order[j]
             order = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
 
@@ -160,6 +160,7 @@ class TestDegreeOrder:
             assert degree.complement().rows == tuple(moved(complement.rows[v]) for v in order), number
             for mask in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(5)]:
                 assert relabel(mask) == moved(mask), (number, mask)
+                assert unlabel(moved(mask)) == mask, (number, mask)
 
 
 class TestRamseyClique:
@@ -266,25 +267,26 @@ class TestCliqueRemovalCover:
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         for g in (build_qwc_graph(h), complete_graph(5), TermGraph([])):
             with pytest.raises(TypeError):
-                clique_removal_cover(g, Heuristic.BKT, node_budget=2359.5)
+                clique_removal_cover(g, Heuristic.BKT, node_budget=705.5)
             with pytest.raises(TypeError):
-                solve_mcc(g, Heuristic.BKT, node_budget=2359.5)
+                solve_mcc(g, Heuristic.BKT, node_budget=705.5)
         assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=0.5) == (0b11111,)
 
     def test_budget_spares_the_proof(self):
-        # the search run to the end needs a budget of 21,434 nodes here, the
-        # three steps 2,360 and not one fewer
+        # the hardest extraction here needs 706 nodes and not one fewer; its
+        # clique number fell, so the search runs to the end there.  The
+        # search run to the end in label order needed 21,434.
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         g = build_qwc_graph(h)
-        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=2360)
+        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=706)
         validate_cover(g, cover)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, node_budget=2359)
+            clique_removal_cover(g, Heuristic.BKT, node_budget=705)
 
     def test_matches_relabelling_reference(self, demo_graph):
         rng = random.Random(6)
-        # in the last two, an extraction's degree-ordered proof of the clique
-        # number stops at the previous extraction's size
+        # in the last two, an extraction's search stops at the previous
+        # extraction's size, below its root coloring's class count
         graphs = [
             demo_graph,
             removal_trap_graph(),
@@ -295,8 +297,12 @@ class TestCliqueRemovalCover:
             n = rng.randint(1, 40)
             graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1500 + trial))
         for number, g in enumerate(graphs):
-            for finder in (Heuristic.BKT, Heuristic.RAMSEY):
-                expected = tuple(map(oracles.mask_of, oracles.relabelling_clique_removal(g, finder)))
+            references = {
+                Heuristic.BKT: oracles.degree_order_clique_removal(g),
+                Heuristic.RAMSEY: oracles.relabelling_clique_removal(g, Heuristic.RAMSEY),
+            }
+            for finder, reference in references.items():
+                expected = tuple(map(oracles.mask_of, reference))
                 assert clique_removal_cover(g, finder) == expected, (number, finder)
 
     def test_covers_partition_random_graphs(self):
@@ -307,6 +313,22 @@ class TestCliqueRemovalCover:
             for finder in (Heuristic.BKT, Heuristic.RAMSEY):
                 cover = clique_removal_cover(g, finder)
                 validate_cover(g, cover)
+
+    def test_bkt_groups_are_maximum_cliques_of_their_alive_sets(self):
+        # the previous clique's size, which bounds each search of a cover,
+        # only prunes: every group is the clique a standalone search finds
+        rng = random.Random(9)
+        for trial in range(40):
+            n = rng.randint(1, 14)
+            g = oracles.random_gnp(n, rng.uniform(0.2, 0.9), 2600 + trial)
+            alive = (1 << n) - 1
+            for group in clique_removal_cover(g, Heuristic.BKT):
+                residual = oracles.induced_subgraph(g, oracles.members(alive))
+                assert oracles.is_clique(g, group), trial
+                assert group.bit_count() == len(oracles.brute_force_max_clique(residual)), trial
+                assert max_clique_bkt(g, alive=alive) == group, trial
+                alive ^= group
+            assert not alive, trial
 
 
 class TestRemovalCanExceedMinimum:
