@@ -431,6 +431,9 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     and the qubit count taken from the ``# qubits: N`` header when present,
     otherwise from the largest index seen.  A header with no term lines is
     the zero Hamiltonian on N qubits, as :func:`format_hamiltonian` writes it.
+    One byte-order mark (U+FEFF) at the very start of the input is dropped,
+    so a header on the first line still counts and columns on that line
+    count from the character after it; any other U+FEFF is text.
 
     Raises:
         ParseError: malformed line, duplicate qubit within a word,
@@ -449,6 +452,8 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     support = 0  # every qubit a word has used
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
+        if line_no == 1 and raw.startswith("\ufeff"):
+            raw = raw[1:]
         line = raw.rstrip("\n")
         stripped = line.strip()
         if not stripped:

@@ -25,6 +25,17 @@ extraction.  That search stops at the first clique that reaches an upper
 bound on the clique size, the root coloring's class count or the previous
 extraction's size, so where the clique size holds it skips the nodes that
 would only prove the clique maximum.
+
+The polynomial finder evaluates the recursive pivot construction R of
+Boppana and Halldórsson as a branch and bound that returns exactly R's
+clique.  R(m) is the first largest of the chain cliques
+A_i = {v_i} + R(m_i & N(v_i)), and |A_i| is at most one more than its
+branch ``m_i & N(v_i)``.  Each frame of the construction carries ``need``,
+the size its result must reach to matter to its parent (0 at the root),
+and keeps ``floor = max(best size so far, need - 1)``; a pivot whose branch
+has fewer than ``floor`` vertices cannot win and is skipped, and a child
+frame's ``need`` is its parent's ``floor``.  A frame returns R(m) exactly
+whenever |R(m)| reaches its ``need``, so the root returns R exactly.
 """
 
 from __future__ import annotations
@@ -56,12 +67,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def _check_budget(node_budget: int) -> None:
+    if isinstance(node_budget, bool):
+        raise TypeError(f"node budget must be an integer, not a bool: {node_budget}")
     if index(node_budget) < 0:
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
 
 
 def _alive_mask(g: TermGraph, alive: int | None) -> int:
     full = (1 << g.n) - 1
+    if isinstance(alive, bool):
+        raise TypeError(f"alive must be a vertex bitmask, not a bool: {alive}")
     if alive is not None and alive & ~full:
         raise ValueError("alive mask references vertices outside the graph")
     return full if alive is None else alive
@@ -186,8 +201,10 @@ def max_clique_bkt(
     limited by the interpreter's recursion limit.
 
     Raises:
-        TypeError: ``node_budget`` is not an integer.
-        ValueError: ``node_budget`` is negative, or no vertex is alive.
+        TypeError: ``node_budget`` is not an integer or is a ``bool``, or
+            ``alive`` is a ``bool``.
+        ValueError: ``node_budget`` is negative, no vertex is alive, or
+            ``alive`` has a bit outside the graph.
         BudgetExceededError: more than ``node_budget`` search nodes.
     """
     _check_budget(node_budget)
@@ -199,36 +216,59 @@ def max_clique_bkt(
 
 
 def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
-    """Recursive pivot construction, evaluated with an explicit stack.
+    """Recursive pivot construction as a branch and bound on an explicit
+    stack.
 
     R(m) pivots on the lowest-index candidate v of m and returns the larger
     of {v} + R(m & N(v)) and R(m minus v and N(v)), preferring the pivot
     branch on ties.  Unrolling the second branch, R(m) is the first largest
-    of the cliques {v_i} + R(m_i & N(v_i)) along the chain m_0 = m,
-    m_(i+1) = m_i & other[v_i], the complement's row.  Each frame walks
-    that chain as a loop, holding [candidates left, best clique so far,
-    pending pivot bit], so the stack grows only along pivot branches.
+    of the chain cliques A_i = {v_i} + R(m_i & N(v_i)) along the chain
+    m_0 = m, m_(i+1) = m_i & other[v_i], the complement's row.  Each frame
+    walks that chain as a loop, so the stack grows only along pivot
+    branches.
+
+    A frame also carries ``need``, the size its result must reach to
+    matter to its parent, and keeps ``floor = max(best size, need - 1)``:
+    a later A_i matters only if it is larger than ``floor``.  Since
+    |A_i| <= 1 + |m_i & N(v_i)|, a pivot whose branch has fewer than
+    ``floor`` vertices is skipped (its chain step still runs).  A branch
+    of at most one vertex is its own R and is settled without a frame;
+    any other gets a child frame whose ``need`` is ``floor``.  Invariant:
+    a frame returns R(m) exactly whenever |R(m)| >= ``need``, and
+    otherwise some clique smaller than ``need``.  The root's ``need`` is
+    0, so it returns R(alive) exactly.
     """
     rows, other = g.rows, g.complement().rows
-    stack: list[list[int]] = [[alive, 0, 0]]
+    # Frame: [candidates left, best clique, its size, need, pending pivot].
+    stack: list[list[int]] = [[alive, 0, 0, 0, 0]]
     clique = 0
     while stack:
         frame = stack[-1]
-        if frame[2]:
-            # ``clique`` is R of the pending pivot's neighborhood.
-            clique |= frame[2]
-            if clique.bit_count() > frame[1].bit_count():
-                frame[1] = clique
-        left = frame[0]
-        if not left:
-            clique = frame[1]
+        left, best, size, need, pivot = frame
+        if pivot:
+            # ``clique`` is what the pending pivot's branch returned.
+            clique |= pivot
+            if clique.bit_count() > size:
+                best, size = clique, clique.bit_count()
+        floor = max(size, need - 1)
+        while left:
+            pivot = left & -left
+            v = pivot.bit_length() - 1
+            inner = left & rows[v]
+            left &= other[v]
+            k = inner.bit_count()
+            if k < floor:
+                continue
+            if k <= 1:
+                best = pivot | inner
+                size = floor = k + 1
+                continue
+            frame[:] = left, best, size, need, pivot
+            stack.append([inner, 0, 0, floor, 0])
+            break
+        else:
+            clique = best
             stack.pop()
-            continue
-        pivot = left & -left
-        v = pivot.bit_length() - 1
-        frame[0] = left & other[v]
-        frame[2] = pivot
-        stack.append([left & rows[v], 0, 0])
     return clique
 
 
@@ -242,6 +282,10 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
     the alive vertices) until no alive vertex is adjacent to all members:
     the members' common neighbors among the alive vertices, narrowed by
     each vertex added, give the next one as their lowest bit.
+
+    Raises:
+        TypeError: ``alive`` is a ``bool``.
+        ValueError: ``alive`` has a bit outside the graph.
     """
     alive = _alive_mask(g, alive)
     rows = g.rows
@@ -270,7 +314,8 @@ def clique_removal_cover(
     vertices, and the node budget applies to each extraction.
 
     Raises:
-        TypeError: ``finder`` is ``BKT`` and ``node_budget`` is no integer.
+        TypeError: ``finder`` is ``BKT`` and ``node_budget`` is no integer
+            or is a ``bool``.
         ValueError: ``finder`` is not a clique-removal method, or it is
             ``BKT`` and ``node_budget`` is negative.
         BudgetExceededError: propagated from the exact finder.

@@ -507,6 +507,21 @@ class TestErrors:
         assert code == 2
         assert f"{where}: invalid UTF-8 byte 0xff" in err
 
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_byte_order_mark_input_reports_as_without(self, tmp_path, monkeypatch, capsys, format):
+        # The same relative path in two directories, so the reports' input
+        # lines agree.
+        text = b"# qubits: 2\n0.5 [Z0]\n0.25 [X1]\n"
+        reports = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "h.ham").write_bytes(data)
+            monkeypatch.chdir(tmp_path / name)
+            code, out, _ = run_cli(capsys, "run", "--input", "h.ham", "--format", format)
+            assert code == 0
+            reports.append(out)
+        assert reports[1] == reports[0]
+
     def test_output_in_missing_directory(self, demo_file, tmp_path, capsys):
         target = tmp_path / "nodir" / "r.json"
         code, _, err = run_cli(

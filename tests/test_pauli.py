@@ -298,6 +298,36 @@ class TestParsing:
         assert excinfo.value.line == 1
         assert excinfo.value.column == 9
 
+    def test_byte_order_mark_at_start_dropped(self, tmp_path):
+        text = "# qubits: 4\n0.5 [Z0]\n0.25 [X1]\n"
+        expected = parse_hamiltonian(text)
+        assert expected.n_qubits == 4
+        assert parse_hamiltonian("\ufeff" + text) == expected
+        path = tmp_path / "bom.ham"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with path.open(encoding="utf-8") as lines:  # text mode keeps the mark
+            assert parse_hamiltonian(lines) == expected
+
+    def test_byte_order_mark_at_start_not_counted_in_columns(self):
+        with pytest.raises(ParseError, match="factor") as excinfo:
+            parse_hamiltonian("\ufeff1.0 [Z0 Q1]")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1.0 [Z0]\n\ufeff2.0 [X1]\n", 2, 1),
+        ("\n\ufeff1.0 [Z0]\n", 2, 1),
+        (" \ufeff1.0 [Z0]\n", 1, 2),
+        ("1.0 [Z0\ufeff]\n", 1, 6),
+        ("1.0 [Z0] \ufeff\n", 1, 10),
+        ("# qubits: 1\n\ufeff# qubits: 2\n1.0 [Z0]\n", 2, 1),
+        # only one mark is dropped; the second is text at column 1
+        ("\ufeff\ufeff1.0 [Z0]\n", 1, 1),
+    ])
+    def test_byte_order_mark_elsewhere_is_text(self, text, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_hamiltonian(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
     def test_negative_qubit_index(self):
         with pytest.raises(ParseError, match="negative"):
             parse_hamiltonian("1.0 [Z-1]")

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import DEMO_MINIMUM_GROUPS, removal_trap_graph
@@ -20,7 +22,7 @@ from qwcover import (
     solve_mcc,
     validate_cover,
 )
-from qwcover.removal import _degree_order
+from qwcover.removal import _degree_order, _ramsey_clique_mask
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
@@ -89,6 +91,13 @@ class TestMaxCliqueBkt:
                 with pytest.raises(TypeError):
                     max_clique_bkt(g, budget, alive=alive)
 
+    def test_bool_budget_rejected(self):
+        # True == 1, but a bool is not a node count
+        for budget in (True, False):
+            for alive in (None, 0):
+                with pytest.raises(TypeError, match="not a bool"):
+                    max_clique_bkt(complete_graph(2), budget, alive=alive)
+
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
         assert max_clique_bkt(g) == max_clique_bkt(g)
@@ -138,6 +147,14 @@ class TestMaxCliqueBkt:
         for finder in (max_clique_bkt, ramsey_clique):
             with pytest.raises(ValueError, match="outside"):
                 finder(g, alive=1 << 3)
+
+    def test_bool_alive_mask_rejected(self):
+        # True == 1, the mask of vertex 0, but a bool is not a bitmask
+        g = complete_graph(3)
+        for finder in (max_clique_bkt, ramsey_clique):
+            for alive in (True, False):
+                with pytest.raises(TypeError, match="not a bool"):
+                    finder(g, alive=alive)
 
 
 class TestDegreeOrder:
@@ -217,6 +234,72 @@ class TestRamseyClique:
         # complete graph drives the pivot chain through every vertex
         assert ramsey_clique(complete_graph(1100)).bit_count() == 1100
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_recursive_definition_on_any_alive_mask(self, data):
+        n = data.draw(st.integers(0, 24))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        g = TermGraph.from_edges(n, edges)
+        alive = data.draw(st.integers(0, (1 << n) - 1))
+        expected = oracles.mask_of(oracles.recursive_ramsey_clique(g, alive))
+        assert ramsey_clique(g, alive=alive) == expected
+        # before the greedy extension, which can hide a wrong pivot clique
+        pivot = oracles.mask_of(oracles.recursive_ramsey_pivot_clique(g, alive))
+        assert _ramsey_clique_mask(g, alive) == pivot
+
+
+def recursive_ramsey_cover(g):
+    """Repeated extraction of the recursive definition's clique."""
+    groups = []
+    alive = (1 << g.n) - 1
+    while alive:
+        groups.append(oracles.mask_of(oracles.recursive_ramsey_clique(g, alive)))
+        alive ^= groups[-1]
+    return tuple(groups)
+
+
+def disjoint_cliques(k, size, rng):
+    """``k`` disjoint cliques of ``size`` vertices each, labels shuffled."""
+    labels = list(range(k * size))
+    rng.shuffle(labels)
+    edges = [
+        (labels[c * size + i], labels[c * size + j])
+        for c in range(k)
+        for i, j in itertools.combinations(range(size), 2)
+    ]
+    return TermGraph.from_edges(k * size, edges)
+
+
+class TestRamseyCoverMatchesRecursiveDefinition:
+    # The pivot construction skips branches too small to win; every
+    # extraction must still return the recursive definition's clique.
+    def test_qwc_graphs_of_random_words(self):
+        rng = random.Random(25)
+        for trial in range(30):
+            h = oracles.random_hamiltonian(
+                random.Random(3000 + trial), rng.randint(1, 150), rng.randint(8, 12),
+                max_weight=rng.randint(2, 4),
+            )
+            g = build_qwc_graph(h)
+            assert clique_removal_cover(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
+
+    def test_sparse_random_graphs(self):
+        # few neighbors, so most pivot branches are too small to win
+        rng = random.Random(26)
+        for trial in range(30):
+            g = oracles.random_gnp(rng.randint(1, 150), rng.uniform(0.05, 0.2), 3100 + trial)
+            assert clique_removal_cover(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
+
+    def test_disjoint_equal_cliques(self):
+        # every chain clique ties with the first, which must win
+        rng = random.Random(27)
+        for k, size in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (8, 5), (3, 9), (12, 6)]:
+            g = disjoint_cliques(k, size, rng)
+            cover = clique_removal_cover(g, Heuristic.RAMSEY)
+            assert cover == recursive_ramsey_cover(g), (k, size)
+            assert sorted(group.bit_count() for group in cover) == [size] * k
+
 
 class TestCliqueRemovalCover:
     def test_demo_graph_bkt(self, demo_graph):
@@ -271,6 +354,15 @@ class TestCliqueRemovalCover:
             with pytest.raises(TypeError):
                 solve_mcc(g, Heuristic.BKT, node_budget=705.5)
         assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=0.5) == (0b11111,)
+
+    def test_bool_budget_rejected(self):
+        # True == 1 would allow one search node and fail as "exceeded True nodes"
+        for g in (TermGraph([0b10, 0b01]), TermGraph([])):
+            for budget in (True, False):
+                with pytest.raises(TypeError, match="not a bool"):
+                    clique_removal_cover(g, Heuristic.BKT, node_budget=budget)
+                with pytest.raises(TypeError, match="not a bool"):
+                    solve_mcc(g, Heuristic.BKT, node_budget=budget)
 
     def test_budget_spares_the_proof(self):
         # the hardest extraction here needs 706 nodes and not one fewer; its
