@@ -17,11 +17,14 @@ So no search loop complements a mask.  Each finder returns its clique as a
 bitmask, which the cover records as a group and clears from ``alive``.
 
 The exact finder searches the graph relabelled once per cover by ascending
-degree, so that the highest degree is colored and branched on first.  It
-colors the candidates of every search node greedily into class bitmasks
-(as in the bitset algorithm BBMC of San Segundo et al.) and returns the
-first maximum clique in its search's depth-first order, one search per
-extraction.  That search stops at the first clique that reaches an upper
+degree, so that the highest degree is colored and branched on first.  The
+relabelled rows come from one bit-matrix transpose
+(:func:`~qwcover.graph._planes`) of the rows taken in degree order: since
+adjacency is symmetric, column ``k`` of that matrix is row ``k`` in the new
+labels.  The finder colors the candidates of every search node greedily
+into class bitmasks (as in the bitset algorithm BBMC of San Segundo et
+al.) and returns the first maximum clique in its search's depth-first
+order, one search per extraction.  That search stops at the first clique that reaches an upper
 bound on the clique size, the root coloring's class count or the previous
 extraction's size, so where the clique size holds it skips the nodes that
 would only prove the clique maximum.
@@ -41,10 +44,10 @@ whenever |R(m)| reaches its ``need``, so the root returns R exactly.
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import index, itemgetter
+from operator import index
 
 from .cover import Heuristic
-from .graph import TermGraph, iter_bits
+from .graph import TermGraph, _planes, iter_bits
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -170,21 +173,24 @@ def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callab
     """``g`` relabelled by ascending degree, ties by label, with the
     relabelling of a mask and its inverse: vertex ``order[j]`` becomes
     ``j``, so the highest degree gets the highest label and is colored and
-    branched on first.  ``g`` must have a vertex.
+    branched on first.
+
+    Bit ``u`` of column ``k`` of the rows taken in degree order is the
+    edge ``(order[u], k)``, so, adjacency being symmetric, column ``k`` is
+    row ``k`` relabelled, and one transpose (:func:`~qwcover.graph._planes`)
+    relabels every row.
     """
     order = sorted(range(g.n), key=g.degrees.__getitem__)
-    # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
-    # reads old label order[j], so pick those characters from the top.
-    width = f"0{g.n}b"
-    pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
+    columns = _planes([g.rows[v] for v in order], g.n)
 
     def relabel(mask: int) -> int:
-        return int("".join(pick(format(mask, width))), 2)
+        label = dict(zip(order, range(g.n)))
+        return sum(1 << label[v] for v in iter_bits(mask))
 
     def unlabel(mask: int) -> int:
         return sum(1 << order[j] for j in iter_bits(mask))
 
-    return TermGraph([relabel(g.rows[v]) for v in order]), relabel, unlabel
+    return TermGraph([columns[v] for v in order]), relabel, unlabel
 
 
 def max_clique_bkt(

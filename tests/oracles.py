@@ -8,7 +8,10 @@ and :func:`full_search_max_clique_bkt` on rebuilt subgraphs, so that it
 checks only the removal loop around them;
 :func:`full_search_max_clique_bkt` is the package's earlier exact search,
 run to the end, the reference for the bounded search that ``bkt`` runs on
-the degree-ordered graph (:func:`degree_order`);
+the degree-ordered graph (:func:`degree_order`), whose rows the package
+relabels with a bit-matrix transpose, checked against the per-bit
+definition (:func:`per_bit_planes`) and the package's earlier string
+gather (:func:`string_gather_degree_order`);
 :func:`counted_max_clique_bkt` is that bounded search coloring into
 ``(vertex, color)`` pairs, as the earlier search did, with its node count:
 the reference for the class-mask search's nodes; and
@@ -40,6 +43,7 @@ import random
 import re
 from collections.abc import Iterable, Mapping
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -302,6 +306,30 @@ def _color_order(rows: tuple[int, ...], candidates: int) -> list[tuple[int, int]
             uncolored ^= bit
             available &= ~(bit | rows[v])
     return order
+
+
+def per_bit_planes(values: list[int], width: int) -> list[int]:
+    """Bit ``u`` of plane ``j`` is bit ``j`` of ``values[u]``, one bit at a
+    time: the definition the package's bit-matrix transpose must meet."""
+    planes = [0] * width
+    for u, value in enumerate(values):
+        for j, bit in enumerate(reversed(format(value, "b"))):
+            if bit == "1":
+                planes[j] |= 1 << u
+    return planes
+
+
+def string_gather_degree_order(g: TermGraph) -> tuple[int, ...]:
+    """The rows of ``g`` relabelled by :func:`degree_order`, gathered as
+    the package did before its transpose: each row is formatted as a
+    binary string, its characters are picked in the new order and the
+    string is parsed back."""
+    order = degree_order(g)
+    width = f"0{g.n}b"
+    # ``format(mask, "0nb")`` lists labels n-1 down to 0; new label j
+    # reads old label order[j], so pick those characters from the top.
+    pick = itemgetter(*[g.n - 1 - order[j] for j in range(g.n - 1, -1, -1)])
+    return tuple(int("".join(pick(format(g.rows[v], width))), 2) for v in order)
 
 
 def degree_order(g: TermGraph) -> list[int]:
@@ -724,6 +752,21 @@ def random_word(rng: random.Random, n_qubits: int, max_weight: int | None = None
 def random_hamiltonian(
     rng: random.Random, n_terms: int, n_qubits: int, max_weight: int | None = None
 ) -> Hamiltonian:
+    """``n_terms`` distinct :func:`random_word` words with random
+    coefficients.
+
+    Raises:
+        ValueError: fewer than ``n_terms`` distinct words have weight at
+            most ``max_weight`` on ``n_qubits`` qubits; checked before any
+            draw, so the words of every valid call are unchanged.
+    """
+    top = n_qubits if max_weight is None else min(max_weight, n_qubits)
+    distinct = sum(math.comb(n_qubits, weight) * 3**weight for weight in range(top + 1))
+    if n_terms > distinct:
+        raise ValueError(
+            f"{n_terms} terms requested, but only {distinct} distinct words have "
+            f"weight at most {top} on {n_qubits} qubits"
+        )
     words: dict[PauliWord, float] = {}
     while len(words) < n_terms:
         word = random_word(rng, n_qubits, max_weight)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qwcover import (
@@ -17,6 +19,8 @@ from qwcover import (
     qubit_wise_commute,
 )
 import qwcover.graph
+from qwcover.graph import _CHUNK_BYTES, _planes
+from qwcover.pauli import MAX_QUBIT_INDEX, PauliAxis
 
 W = PauliWord.from_string
 
@@ -105,6 +109,60 @@ class TestBuild:
         for i, j in itertools.combinations(range(len(words)), 2):
             assert g.has_edge(i, j) == qubit_wise_commute(words[i], words[j]), (i, j)
         assert 0 < g.edge_count < len(words) * (len(words) - 1) // 2
+
+    def test_words_on_the_first_and_last_qubit_match_pairwise_oracle(self):
+        # Every word touches qubit 0 or MAX_QUBIT_INDEX, so the planes span
+        # the whole qubit range while almost every byte column is empty.
+        rng = random.Random(65535)
+        axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+        words = {PauliWord(), PauliWord({0: "X", MAX_QUBIT_INDEX: "Z"})}
+        while len(words) < 80:
+            qubits = rng.sample([0, MAX_QUBIT_INDEX], rng.randint(1, 2))
+            qubits += rng.sample(range(MAX_QUBIT_INDEX + 1), rng.randint(0, 2))
+            words.add(PauliWord({q: rng.choice(axes) for q in qubits}))
+        terms = [HamiltonianTerm(1.0, word) for word in sorted(words, key=str)]
+        h = Hamiltonian(tuple(terms), MAX_QUBIT_INDEX + 1)
+        g = build_qwc_graph(h)
+        assert oracles.is_symmetric(g)
+        for i, j in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(i, j) == qubit_wise_commute(terms[i].word, terms[j].word), (i, j)
+        assert 0 < g.edge_count < g.n * (g.n - 1) // 2
+
+
+@st.composite
+def plane_inputs(draw):
+    """Values below ``2**width`` for up to 70 rows and 150 bits."""
+    width = draw(st.integers(0, 150))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=70))
+    return values, width
+
+
+class TestPlanes:
+    @settings(max_examples=300, deadline=None)
+    @given(plane_inputs())
+    @example(([], 0))
+    @example(([], 5))  # no rows: every plane empty
+    @example(([0, 0, 0], 0))  # width 0
+    @example(([0b1011], 4))  # one row
+    @example(([1, 0, 0, 0, 0, 0, 0, 0, 1], 9))  # rows and width past a multiple of 8
+    @example(([(1 << 13) - 1] * 13, 13))
+    def test_matches_per_bit_definition(self, case):
+        values, width = case
+        assert _planes(values, width) == oracles.per_bit_planes(values, width)
+
+    @pytest.mark.parametrize("n", [1, 13, 300])
+    def test_width_spanning_several_column_chunks(self, n):
+        # A chunk holds about _CHUNK_BYTES of the n-row matrix, rows padded
+        # to a multiple of 8: this width takes two chunks and part of a third.
+        height = -(-n // 8) * 8
+        width = 2 * 8 * max(1, _CHUNK_BYTES // height) + 21
+        rng = random.Random(n)
+        values = [rng.getrandbits(width) | 1 << (width - 1) for _ in range(n)]
+        assert _planes(values, width) == oracles.per_bit_planes(values, width)
+        # Empty byte columns between occupied ones.
+        keep = int.from_bytes(b"\xff\0\0" * width, "little") & ((1 << width) - 1)
+        sparse = [value & keep for value in values]
+        assert _planes(sparse, width) == oracles.per_bit_planes(sparse, width)
 
 
 class TestTermGraph:

@@ -191,6 +191,16 @@ class TestCommutation:
             assert oracles.qwc_implies_commute(a, b)
 
 
+class TestRandomHamiltonian:
+    @pytest.mark.parametrize("n_qubits, max_weight, distinct", [(3, 2, 37), (2, None, 16), (2, 5, 16)])
+    def test_refuses_more_terms_than_distinct_words(self, n_qubits, max_weight, distinct):
+        # Drawing until distinct + 1 words are found would never end.
+        with pytest.raises(ValueError, match=f"only {distinct} distinct words"):
+            oracles.random_hamiltonian(random.Random(1), distinct + 1, n_qubits, max_weight)
+        h = oracles.random_hamiltonian(random.Random(1), distinct, n_qubits, max_weight)
+        assert len(set(h.words())) == len(h.terms) == distinct
+
+
 class TestHamiltonianConstruction:
     def test_duplicate_words_rejected_by_strict_constructor(self):
         term = HamiltonianTerm(1.0, W("X0"))

@@ -22,6 +22,7 @@ from qwcover import (
     solve_mcc,
     validate_cover,
 )
+from qwcover.graph import _CHUNK_BYTES
 from qwcover.removal import _degree_order, _ramsey_clique_mask
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -178,6 +179,20 @@ class TestDegreeOrder:
             for mask in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(5)]:
                 assert relabel(mask) == moved(mask), (number, mask)
                 assert unlabel(moved(mask)) == mask, (number, mask)
+
+    def test_rows_are_the_induced_subgraph_in_degree_order(self):
+        rng = random.Random(70)
+        for n in [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70] + [rng.randint(0, 70) for _ in range(20)]:
+            g = oracles.random_gnp(n, rng.uniform(0.05, 0.95), 7000 + n)
+            degree, _, _ = _degree_order(g)
+            assert degree.rows == oracles.induced_subgraph(g, oracles.degree_order(g)).rows, n
+
+    def test_matrix_past_one_column_chunk_matches_string_gather(self):
+        h = oracles.random_hamiltonian(random.Random(800), 800, 12, max_weight=4)
+        g = build_qwc_graph(h)
+        assert g.n * -(-g.n // 8) > _CHUNK_BYTES  # more than one column chunk
+        degree, _, _ = _degree_order(g)
+        assert degree.rows == oracles.string_gather_degree_order(g)
 
 
 class TestRamseyClique:
