@@ -124,6 +124,7 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     masks inline.
 
     Raises:
+        TypeError: the group is a ``bool``, not a term bitmask.
         ValueError: the group is negative, or references a term ``h``
             does not have; the message names the lowest such term.
         BasisConflictError: two group members disagree on a qubit's axis,
@@ -133,6 +134,8 @@ def basis_of_group(h: Hamiltonian, group: int) -> dict[int, PauliAxis]:
     """
     terms = h.terms
     n = len(terms)
+    if isinstance(group, bool):
+        raise TypeError(f"group must be a term bitmask, not {group!r}")
     if group < 0:
         raise ValueError(f"negative mask {group} has no finite set of bits")
     unknown = group >> n << n

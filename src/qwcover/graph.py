@@ -26,7 +26,7 @@ C-level work and no Python loop over bits.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import reduce
 from operator import or_
 
@@ -150,7 +150,8 @@ class TermGraph:
 
     Row ``i`` holds the neighbor set of vertex ``i`` as an integer bitset.
     Adjacency is symmetric and irreflexive: the constructor rejects
-    self-loops, and the factories keep rows symmetric.
+    self-loops, and :func:`build_qwc_graph` and :meth:`complement` keep
+    rows symmetric.
     """
 
     __slots__ = ("n", "_rows", "_degrees", "_degree_planes", "_complement")
@@ -172,18 +173,6 @@ class TermGraph:
         self._degrees: tuple[int, ...] | None = None
         self._degree_planes: tuple[int, ...] | None = None
         self._complement: TermGraph | None = None
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TermGraph":
-        rows = [0] * n
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(rows)
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -208,17 +197,6 @@ class TermGraph:
     @property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self._rows[v])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._rows[i] >> j & 1)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self._rows):
-            for j in iter_bits(row >> (i + 1) << (i + 1)):
-                yield (i, j)
 
     def complement(self) -> "TermGraph":
         """Graph on the same vertices with exactly the missing edges;

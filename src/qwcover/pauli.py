@@ -129,7 +129,8 @@ class PauliWord:
             are dropped, but still count as listing their qubit.
 
     Raises:
-        TypeError: on a qubit index that is not an integer.
+        TypeError: on a qubit index that is not an integer, or is a
+            ``bool``.
         ValueError: on a qubit index outside ``0..MAX_QUBIT_INDEX`` or a
             qubit listed twice.
     """
@@ -140,6 +141,8 @@ class PauliWord:
         pairs = factors.items() if isinstance(factors, Mapping) else factors
         listed = x_mask = z_mask = 0
         for qubit, axis in pairs:
+            if isinstance(qubit, bool):
+                raise TypeError(f"qubit index must be an int, not {qubit!r}")
             qubit = operator.index(qubit)
             x, z = _BITS[_as_axis(axis)]
             if qubit < 0:
@@ -181,20 +184,10 @@ class PauliWord:
         """Bit q set when the factor on qubit q is non-identity."""
         return self._x_mask | self._z_mask
 
-    def axis_on(self, qubit: int) -> PauliAxis:
-        return _axis_at(self._x_mask, self._z_mask, qubit) if qubit >= 0 else PauliAxis.I
-
-    @property
-    def is_identity(self) -> bool:
-        return not (self._x_mask | self._z_mask)
-
     @property
     def max_qubit(self) -> int | None:
         support = self._x_mask | self._z_mask
         return support.bit_length() - 1 if support else None
-
-    def __len__(self) -> int:
-        return (self._x_mask | self._z_mask).bit_count()
 
     def __iter__(self) -> Iterator[tuple[int, PauliAxis]]:
         x, z = self._x_mask, self._z_mask

@@ -10,6 +10,7 @@ import pytest
 # thread keeps its forked path under test.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import oracles  # imports numpy, so only after the thread default
 from qwcover import Hamiltonian, TermGraph, build_qwc_graph, parse_hamiltonian
 
 # The 7-term, 4-qubit demonstration Hamiltonian used throughout: four
@@ -63,7 +64,7 @@ def removal_trap_graph() -> TermGraph:
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     edges += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
     edges += [(a, b) for a in (0, 1, 2) for b in (4, 5)]
-    return TermGraph.from_edges(8, edges)
+    return oracles.graph_from_edges(8, edges)
 
 
 def external_data_dir() -> Path:

@@ -32,6 +32,11 @@ factors as sorted ``(qubit, axis)`` items and read them back from those:
 the reference for the mask decode of :class:`PauliWord`.
 :func:`scan_basis_of_group` is the package's earlier per-factor basis
 derivation, the reference for the one built from the words' masks.
+:func:`exact_mcc` and :func:`minimum_coloring`, the exact optimum that
+every heuristic's cover is measured against, color by exhaustive
+backtracking and run no heuristic; they share only the package's
+``cover_from_coloring``, and :func:`chromatic_number_dp` cross-checks
+them.  :func:`axis_on` decodes a word's masks with its own table.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from qwcover import (
     MAX_QUBIT_INDEX,
     BasisConflictError,
     BudgetExceededError,
+    CapacityError,
     Hamiltonian,
     HamiltonianTerm,
     Heuristic,
@@ -60,6 +66,7 @@ from qwcover import (
     PauliAxis,
     PauliWord,
     TermGraph,
+    cover_from_coloring,
     iter_bits,
     qubit_wise_commute,
     ramsey_clique,
@@ -81,9 +88,20 @@ PAULI_MATRICES = {
 }
 
 
+# A qubit's axis by its (x bit, z bit): X sets x, Z sets z, Y sets both.
+_AXIS_OF_BITS = {
+    (0, 0): PauliAxis.I, (1, 0): PauliAxis.X, (0, 1): PauliAxis.Z, (1, 1): PauliAxis.Y,
+}
+
+
+def axis_on(word: PauliWord, qubit: int) -> PauliAxis:
+    """The axis of ``word`` on ``qubit``, read off its two mask bits."""
+    return _AXIS_OF_BITS[word.x_mask >> qubit & 1, word.z_mask >> qubit & 1]
+
+
 def word_matrix(word: PauliWord, n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli word (qubit 0 is the first factor)."""
-    factors = [PAULI_MATRICES[word.axis_on(q)] for q in range(n_qubits)]
+    factors = [PAULI_MATRICES[axis_on(word, q)] for q in range(n_qubits)]
     if not factors:
         return np.eye(1, dtype=complex)
     return reduce(np.kron, factors)
@@ -103,8 +121,8 @@ def dense_fully_commute(a: PauliWord, b: PauliWord, n_qubits: int) -> bool:
 def dense_qubit_wise_commute(a: PauliWord, b: PauliWord, n_qubits: int) -> bool:
     """Per-qubit 2x2 commutator test on explicit matrices."""
     for q in range(n_qubits):
-        ma = PAULI_MATRICES[a.axis_on(q)]
-        mb = PAULI_MATRICES[b.axis_on(q)]
+        ma = PAULI_MATRICES[axis_on(a, q)]
+        mb = PAULI_MATRICES[axis_on(b, q)]
         if not matrices_commute(ma, mb):
             return False
     return True
@@ -126,6 +144,29 @@ def members(mask: int) -> list[int]:
 def mask_of(vertices: Iterable[int]) -> int:
     """The bitmask of a vertex collection."""
     return sum(1 << v for v in set(vertices))
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> TermGraph:
+    """The graph on ``n`` vertices with exactly the given edges, either
+    orientation.
+
+    Raises:
+        ValueError: an endpoint outside ``0..n-1``, or a self-loop.
+    """
+    rows = [0] * n
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
+        if i == j:
+            raise ValueError(f"self-loop on vertex {i}")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return TermGraph(rows)
+
+
+def edge_set(g: TermGraph) -> set[tuple[int, int]]:
+    """Every edge ``(i, j)`` of ``g`` with ``i < j``, read off its rows."""
+    return {(i, j) for i in range(g.n) for j in members(g.rows[i]) if i < j}
 
 
 def assert_qwc_partition(h: Hamiltonian, cover: tuple[int, ...]) -> None:
@@ -169,7 +210,7 @@ def is_symmetric(g: TermGraph) -> bool:
     """Whether every edge ``(i, j)`` also appears as ``(j, i)``, with no
     self-loops."""
     return all(
-        g.has_edge(j, i) == g.has_edge(i, j) and not g.has_edge(i, i)
+        g.rows[j] >> i & 1 == g.rows[i] >> j & 1 and not g.rows[i] >> i & 1
         for i in range(g.n)
         for j in range(g.n)
     )
@@ -183,12 +224,12 @@ def qwc_implies_commute(a: PauliWord, b: PauliWord) -> bool:
 
 def induced_subgraph(g: TermGraph, kept: list[int]) -> TermGraph:
     """Subgraph on ``kept``, relabelled ``0..len(kept)-1`` in that order."""
-    return TermGraph.from_edges(
+    return graph_from_edges(
         len(kept),
         [
             (a, b)
             for a, b in itertools.combinations(range(len(kept)), 2)
-            if g.has_edge(kept[a], kept[b])
+            if g.rows[kept[a]] >> kept[b] & 1
         ],
     )
 
@@ -336,7 +377,7 @@ def degree_order(g: TermGraph) -> list[int]:
     """Vertices by ascending degree, ties by label.  The package's ``bkt``
     searches ``induced_subgraph(g, order)`` for this ``order``, in which
     vertex ``order[j]`` is ``j``."""
-    return sorted(range(g.n), key=lambda v: (len(list(g.neighbors(v))), v))
+    return sorted(range(g.n), key=lambda v: (len(members(g.rows[v])), v))
 
 
 @lru_cache(maxsize=4)
@@ -442,7 +483,7 @@ def recursive_ramsey_pivot_clique(g: TermGraph, alive: int) -> frozenset[int]:
         if not candidates:
             return frozenset()
         v = min(candidates)
-        neighbors = frozenset(g.neighbors(v))
+        neighbors = frozenset(members(g.rows[v]))
         with_pivot = {v} | ramsey(candidates & neighbors)
         without_pivot = ramsey(candidates - neighbors - {v})
         return with_pivot if len(with_pivot) >= len(without_pivot) else without_pivot
@@ -456,7 +497,7 @@ def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
     order."""
     clique = set(recursive_ramsey_pivot_clique(g, alive))
     for v in range(g.n):
-        if alive >> v & 1 and v not in clique and all(g.has_edge(v, u) for u in clique):
+        if alive >> v & 1 and v not in clique and all(g.rows[v] >> u & 1 for u in clique):
             clique.add(v)
     return frozenset(clique)
 
@@ -672,7 +713,7 @@ def brute_force_max_clique(g: TermGraph) -> set[int]:
     """Largest clique by enumerating all vertex subsets (small graphs only)."""
     for size in range(g.n, 0, -1):
         for combo in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(i, j) for i, j in itertools.combinations(combo, 2)):
+            if all(g.rows[i] >> j & 1 for i, j in itertools.combinations(combo, 2)):
                 return set(combo)
     return set()
 
@@ -714,8 +755,94 @@ def min_clique_cover_size(g: TermGraph) -> int:
     return chromatic_number_dp(g.complement())
 
 
+# Exact clique cover is NP-hard beyond desk scale; reject instead of hanging.
+EXACT_MCC_MAX_VERTICES = 16
+
+
+def _check_capacity(g: TermGraph) -> None:
+    if g.n > EXACT_MCC_MAX_VERTICES:
+        raise CapacityError(
+            f"exact solver capped at {EXACT_MCC_MAX_VERTICES} vertices, got {g.n}"
+        )
+
+
+def _greedy_clique_size(g: TermGraph) -> int:
+    """Any clique bounds the chromatic number from below; take a greedy one
+    grown by degree (ties by index)."""
+    if g.n == 0:
+        return 0
+    best = 0
+    for seed in range(g.n):
+        clique = 1 << seed
+        candidates = g.rows[seed]
+        while candidates:
+            v = max(
+                iter_bits(candidates),
+                key=lambda u: ((g.rows[u] & candidates).bit_count(), -u),
+            )
+            clique |= 1 << v
+            candidates &= g.rows[v]
+        best = max(best, clique.bit_count())
+    return best
+
+
+def _color_with(g: TermGraph, k: int, order: tuple[int, ...]) -> list[int] | None:
+    """Complete backtracking search for a proper coloring with at most k
+    colors; new colors are opened in index order (symmetry breaking)."""
+    n = g.n
+    rows = g.rows
+    class_masks = [0] * k
+
+    def assign(position: int, n_used: int) -> bool:
+        if position == n:
+            return True
+        v = order[position]
+        row = rows[v]
+        for c in range(min(k, n_used + 1)):
+            if class_masks[c] & row:
+                continue
+            class_masks[c] |= 1 << v
+            if assign(position + 1, max(n_used, c + 1)):
+                return True
+            class_masks[c] ^= 1 << v
+        return False
+
+    if not assign(0, 0):
+        return None
+    return [mask for mask in class_masks if mask]
+
+
+def minimum_coloring(g: TermGraph) -> list[int]:
+    """A provably optimal proper coloring, as class bitmasks in color order:
+    the fewest colors k for which an exhaustive backtracking search
+    succeeds, trying k upward from the size of a greedy clique (no smaller
+    k can succeed).
+
+    Raises:
+        CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
+    """
+    _check_capacity(g)
+    order = tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
+    k = _greedy_clique_size(g)
+    while (found := _color_with(g, k, order)) is None:
+        k += 1
+    return found
+
+
+def exact_mcc(g: TermGraph) -> tuple[int, ...]:
+    """A provably minimum clique cover, as group bitmasks, via exact
+    coloring of the complement graph: the optimum every heuristic's cover
+    is measured against.
+
+    Raises:
+        CapacityError: more than :data:`EXACT_MCC_MAX_VERTICES` vertices.
+    """
+    _check_capacity(g)
+    return cover_from_coloring(minimum_coloring(g.complement()))
+
+
 def is_clique(g: TermGraph, mask: int) -> bool:
-    return all(g.has_edge(i, j) for i, j in itertools.combinations(members(mask), 2))
+    return all(g.rows[i] >> j & 1 for i, j in itertools.combinations(members(mask), 2))
 
 
 def is_proper_coloring(g: TermGraph, classes) -> bool:
@@ -729,7 +856,7 @@ def is_proper_coloring(g: TermGraph, classes) -> bool:
         if any(v >= g.n or v in color_of for v in vertices):
             return False
         color_of.update(dict.fromkeys(vertices, c))
-    return len(color_of) == g.n and all(color_of[i] != color_of[j] for i, j in g.edges())
+    return len(color_of) == g.n and all(color_of[i] != color_of[j] for i, j in edge_set(g))
 
 
 def random_gnp(n: int, p: float, seed: int) -> TermGraph:
@@ -739,7 +866,7 @@ def random_gnp(n: int, p: float, seed: int) -> TermGraph:
         for i, j in itertools.combinations(range(n), 2)
         if rng.random() < p
     ]
-    return TermGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def random_word(rng: random.Random, n_qubits: int, max_weight: int | None = None) -> PauliWord:
@@ -779,9 +906,9 @@ def random_hamiltonian(
 class ReferencePauliWord(PauliWord):
     """A word laid out by the package's earlier constructor, which kept its
     factors as sorted ``(qubit, axis)`` items beside the masks.  Its
-    iteration, string, length, highest qubit and per-qubit axis read those
-    items, so comparing it with a package word checks the package's mask
-    decode; it hashes its masks, as equal package words do."""
+    iteration, string and highest qubit read those items, so comparing it
+    with a package word checks the package's mask decode; it hashes its
+    masks, as equal package words do."""
 
     __slots__ = ("_items",)
 
@@ -813,19 +940,9 @@ class ReferencePauliWord(PauliWord):
         self._z_mask = z_mask
         self._hash = hash((x_mask, z_mask))
 
-    def axis_on(self, qubit: int) -> PauliAxis:
-        return dict(self._items).get(qubit, PauliAxis.I)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self._items
-
     @property
     def max_qubit(self) -> int | None:
         return self._items[-1][0] if self._items else None
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def __iter__(self):
         return iter(self._items)

@@ -32,7 +32,6 @@ from qwcover import (
     build_qwc_graph,
     clique_removal_cover,
     compute_stats,
-    exact_mcc,
     parse_hamiltonian,
     qubit_wise_commute,
     sequential_coloring,
@@ -58,7 +57,7 @@ def test_criterion_1_worked_example_exactness(demo_hamiltonian, demo_graph):
         validate_cover(demo_graph, cover)
         oracles.assert_qwc_partition(demo_hamiltonian, cover)
         outcomes[heuristic.value] = set(cover)
-    oracle = exact_mcc(demo_graph)
+    oracle = oracles.exact_mcc(demo_graph)
     elapsed = time.perf_counter() - started
     ok = (
         all(groups == DEMO_MINIMUM_GROUPS for groups in outcomes.values())
@@ -76,7 +75,7 @@ def test_criterion_2_non_minimal_cover_is_legal(demo_hamiltonian, demo_graph):
     cover = DEMO_THREE_GROUP_COVER
     validate_cover(demo_graph, cover)
     oracles.assert_qwc_partition(demo_hamiltonian, cover)
-    optimum = len(exact_mcc(demo_graph))
+    optimum = len(oracles.exact_mcc(demo_graph))
     _verdict(
         "criterion-2 non-minimal cover exists",
         len(cover) == 3 and len(cover) > optimum,
@@ -89,7 +88,7 @@ def test_criterion_3_exact_removal_can_exceed_minimum():
     g = removal_trap_graph()
     removal = clique_removal_cover(g, Heuristic.BKT)
     validate_cover(g, removal)
-    optimum = exact_mcc(g)
+    optimum = oracles.exact_mcc(g)
     validate_cover(g, optimum)
     _verdict(
         "criterion-3 removal strictly beats-able",
@@ -108,7 +107,7 @@ def test_criterion_4_oracle_soundness_sweep():
         for density in densities:
             n = rng.randint(2, 10)
             g = oracles.random_gnp(n, density, trial * 100 + int(density * 10))
-            optimum = len(exact_mcc(g))
+            optimum = len(oracles.exact_mcc(g))
             for heuristic in Heuristic:
                 cover = solve_mcc(g, heuristic)
                 validate_cover(g, cover)
@@ -118,7 +117,7 @@ def test_criterion_4_oracle_soundness_sweep():
     for trial in range(40):
         h = oracles.random_hamiltonian(rng, rng.randint(2, 10), rng.randint(2, 6))
         g = build_qwc_graph(h)
-        optimum = len(exact_mcc(g))
+        optimum = len(oracles.exact_mcc(g))
         for heuristic in Heuristic:
             cover = solve_mcc(g, heuristic)
             validate_cover(g, cover)

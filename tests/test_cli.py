@@ -36,6 +36,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture()
+def dense_file(tmp_path) -> Path:
+    """25 nested all-Z words and 25 one-qubit X words: a bkt cover needs
+    more than 2 search nodes."""
+    lines = [f"1.0 [{' '.join(f'Z{q}' for q in range(i))}]" for i in range(1, 26)]
+    lines += [f"1.0 [X{q}]" for q in range(25)]
+    path = tmp_path / "dense.ham"
+    path.write_text("\n".join(lines))
+    return path
+
+
 class TestRun:
     def test_single_heuristic_json(self, demo_file, capsys):
         code, out, _ = run_cli(
@@ -369,6 +380,40 @@ class TestCompare:
             )
             assert json.loads(run_out)["results"][0]["n_groups"] == groups[name]
 
+    def test_skipped_bkt_is_a_skip_cell_and_null(self, demo_file, capsys):
+        argv = ["compare", "--input", str(demo_file), "--bkt-skip-above", "0"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1] == f"{demo_file} 7 | 2 2 2 2 2 2 2 2 skip"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        groups = json.loads(out)["inputs"][0]["groups"]
+        assert groups == {**dict.fromkeys(ALL_NAMES, 2), "bkt": None}
+
+    def test_failed_bkt_under_all_is_an_err_cell_and_null(self, dense_file, capsys):
+        argv = ["compare", "--input", str(dense_file), "--bkt-budget", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        row = out.splitlines()[1]
+        assert row.startswith(f"{dense_file} 50 | ") and row.endswith(" err")
+        assert all(cell.isdigit() for cell in row.split(" | ")[1].split()[:-1])
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        groups = json.loads(out)["inputs"][0]["groups"]
+        assert list(groups) == ALL_NAMES and groups["bkt"] is None
+        assert all(isinstance(groups[name], int) for name in ALL_NAMES[:-1])
+
+    def test_failed_explicit_bkt_is_an_err_cell_and_exit_3(self, dense_file, capsys):
+        argv = ["compare", "--input", str(dense_file), "--algorithm", "bkt", "--bkt-budget", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert out.splitlines() == ["input total | bkt", f"{dense_file} 50 | err"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 3
+        assert json.loads(out) == {
+            "inputs": [{"input": str(dense_file), "total_terms": 50, "groups": {"bkt": None}}]
+        }
+
 
 class TestErrors:
     def test_unknown_heuristic_usage_error(self, demo_file, capsys):
@@ -426,24 +471,16 @@ class TestErrors:
         assert code == 2
         assert "line 1: empty input" in err
 
-    def test_budget_error_single_algorithm(self, tmp_path, capsys):
-        lines = [f"1.0 [{' '.join(f'Z{q}' for q in range(i))}]" for i in range(1, 26)]
-        lines += [f"1.0 [X{q}]" for q in range(25)]
-        dense = tmp_path / "dense.ham"
-        dense.write_text("\n".join(lines))
+    def test_budget_error_single_algorithm(self, dense_file, capsys):
         code, _, err = run_cli(
-            capsys, "run", "--input", str(dense), "--algorithm", "bkt",
+            capsys, "run", "--input", str(dense_file), "--algorithm", "bkt",
             "--bkt-budget", "2",
         )
         assert code == 3
 
-    def test_budget_error_under_all_still_reports_others(self, tmp_path, capsys):
-        lines = [f"1.0 [{' '.join(f'Z{q}' for q in range(i))}]" for i in range(1, 26)]
-        lines += [f"1.0 [X{q}]" for q in range(25)]
-        dense = tmp_path / "dense.ham"
-        dense.write_text("\n".join(lines))
+    def test_budget_error_under_all_still_reports_others(self, dense_file, capsys):
         code, out, _ = run_cli(
-            capsys, "run", "--input", str(dense), "--algorithm", "all",
+            capsys, "run", "--input", str(dense_file), "--algorithm", "all",
             "--format", "json", "--bkt-budget", "2",
         )
         assert code == 0

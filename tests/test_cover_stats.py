@@ -16,24 +16,20 @@ from qwcover import (
     Heuristic,
     InvalidCoverError,
     PauliAxis,
-    TermGraph,
     basis_of_group,
     build_qwc_graph,
     compute_stats,
-    exact_mcc,
-    minimum_coloring,
     parse_hamiltonian,
     solve_mcc,
     validate_cover,
 )
 from qwcover.cover import _check_partition, _population_std
-from qwcover.exact import EXACT_MCC_MAX_VERTICES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def complete_graph(n):
-    return TermGraph.from_edges(n, itertools.combinations(range(n), 2))
+    return oracles.graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
 class TestValidateCover:
@@ -223,6 +219,12 @@ class TestBasisOfGroup:
         with pytest.raises(ValueError, match="negative mask"):
             basis_of_group(demo_hamiltonian, -1)
 
+    @pytest.mark.parametrize("group", [True, False])
+    def test_bool_group_rejected(self, demo_hamiltonian, group):
+        # As in validate_cover: True is not the group of term 0.
+        with pytest.raises(TypeError, match=str(group)):
+            basis_of_group(demo_hamiltonian, group)
+
     def test_unknown_term_named(self):
         h = parse_hamiltonian("1.0 [Z0]\n1.0 [X1]\n")
         with pytest.raises(ValueError, match="unknown term 5$"):
@@ -307,27 +309,27 @@ class TestStats:
 
 class TestExactMcc:
     def test_demo_graph_minimum_two(self, demo_graph):
-        cover = exact_mcc(demo_graph)
+        cover = oracles.exact_mcc(demo_graph)
         assert len(cover) == 2
         validate_cover(demo_graph, cover)
 
     def test_complete_graph_one_group(self):
-        assert exact_mcc(complete_graph(6)) == (0b111111,)
+        assert oracles.exact_mcc(complete_graph(6)) == (0b111111,)
 
     def test_edgeless_graph_n_groups(self):
-        assert len(exact_mcc(TermGraph.from_edges(5, []))) == 5
+        assert len(oracles.exact_mcc(oracles.graph_from_edges(5, []))) == 5
 
     def test_vertex_cap(self):
-        g = TermGraph.from_edges(EXACT_MCC_MAX_VERTICES + 1, [])
+        g = oracles.graph_from_edges(oracles.EXACT_MCC_MAX_VERTICES + 1, [])
         with pytest.raises(CapacityError, match="capped"):
-            exact_mcc(g)
+            oracles.exact_mcc(g)
 
     def test_matches_subset_dp_oracle(self):
         rng = random.Random(6)
         for trial in range(40):
             n = rng.randint(1, 8)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 2000 + trial)
-            cover = exact_mcc(g)
+            cover = oracles.exact_mcc(g)
             validate_cover(g, cover)
             assert len(cover) == oracles.min_clique_cover_size(g), trial
 
@@ -336,14 +338,14 @@ class TestExactMcc:
         for trial in range(25):
             n = rng.randint(1, 8)
             g = oracles.random_gnp(n, rng.uniform(0.2, 0.8), 2500 + trial)
-            assert len(exact_mcc(g)) == oracles.chromatic_number_dp(g.complement())
+            assert len(oracles.exact_mcc(g)) == oracles.chromatic_number_dp(g.complement())
 
     def test_minimum_coloring_proper_and_optimal(self):
         rng = random.Random(8)
         for trial in range(30):
             n = rng.randint(1, 9)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 3000 + trial)
-            coloring = minimum_coloring(g)
+            coloring = oracles.minimum_coloring(g)
             assert oracles.is_proper_coloring(g, coloring)
             assert len(coloring) == oracles.chromatic_number_dp(g), trial
 
@@ -355,8 +357,8 @@ class TestExactMcc:
         crown = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
         cycle = [(8 + i, 8 + (i + 1) % 5) for i in range(5)]
         for n, edges, chromatic in ((8, crown, 2), (13, crown + cycle, 3)):
-            g = TermGraph.from_edges(n, edges)
-            coloring = minimum_coloring(g)
+            g = oracles.graph_from_edges(n, edges)
+            coloring = oracles.minimum_coloring(g)
             assert oracles.is_proper_coloring(g, coloring)
             assert len(coloring) == chromatic, n
 
