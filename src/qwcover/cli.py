@@ -61,10 +61,15 @@ DEFAULT_BKT_SKIP_ABOVE = 5000
 
 # `--algorithm all` solves db in a forked child on graphs of at least this
 # many terms.  A fork, pipe and reap round trip takes about 1.3 ms on a
-# 2-vCPU host with Python 3.11.  With the second CPU free, a run on random
-# words gains from the child from about 64 terms and is 29 % faster at 128;
-# with it busy, the child makes the run 22 % slower at 128 and 6-18 % at
-# 192-360 (CHANGES.md has the tables).
+# 2-vCPU host with Python 3.11.  On such a host, shared and with its second
+# CPU free only at times, a forked run on random words against an
+# in-process one read -24 to +20 % at 128 terms, -35 to +6 % at 192, -4 to
+# -38 % at 240 and -17 to -42 % at 360 (medians of 21-41 alternated pairs
+# in each of six sessions, with db's bucket queue).  Below about 200 terms
+# the host's load decides the sign: the code before the bucket queue read
+# +10 and +20 % at 128 in two of those sessions, and -29 % when first
+# measured.  These runs cannot tell a moved break-even from the host's
+# load, so the limit stays at 128; all-mid's 240 and 360 terms fork.
 FORK_DB_MIN_TERMS = 128
 
 
@@ -147,8 +152,10 @@ def _load(path: str) -> Hamiltonian:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Located as the parser locates errors: lines end at \n, \r\n or
-        # \r, and columns count characters.
-        prefix = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        # \r, columns count characters, and a leading byte-order mark is
+        # not one.
+        prefix = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
+        prefix = prefix.replace("\r\n", "\n").replace("\r", "\n")
         line = prefix.count("\n") + 1
         column = len(prefix) - prefix.rfind("\n")
         raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", line, column) from None

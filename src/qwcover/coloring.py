@@ -28,16 +28,18 @@ COSINE only grows its current one, which is RLF's class.
 DB picks its pair by lazy greedy evaluation (Minoux's accelerated greedy):
 each row keeps an upper bound on the common-neighbor counts of its pairs,
 and only rows whose bound could still beat the best exact count are
-rescanned.  A merge raises a pair's count by at most 1, and only for pairs
-split across the two merged neighborhoods, so the bounds stay valid at
-O(degree) upkeep per merge and the chosen pair is the one a full scan
+rescanned.  The rows sit in a bucket queue of bitmasks, one level per bound
+value, and one more bitmask holds the rows rescanned since the last merge,
+whose bounds are exact; the next row is the lowest bit of the highest
+non-empty level.  A merge raises a pair's count by at most 1, and only for
+pairs split across the two merged neighborhoods, so the bounds stay valid
+at O(degree) upkeep per merge and the chosen pair is the one a full scan
 would choose.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from heapq import heapify, heappop, heappush, heapreplace
 
 from .graph import TermGraph, iter_bits
 
@@ -186,13 +188,14 @@ def dsatur_coloring(g: TermGraph) -> list[int]:
     return classes
 
 
-def _most_shared(rows: Sequence[int], mask: int, candidates: int) -> tuple[int, int]:
+def _most_shared(
+    rows: Sequence[int], mask: int, candidates: int, limit: int
+) -> tuple[int, int]:
     """``(count, one-bit mask)`` of the candidate whose row shares the most
     vertices with ``mask``, the smallest index on ties; ``(-1, 0)`` when
-    there is no candidate.  The scan stops at a count equal to the size of
-    ``mask``, which no count can exceed.
+    there is no candidate.  The scan stops at a count equal to ``limit``,
+    which must be at least every count (the size of ``mask`` always is).
     """
-    limit = mask.bit_count()
     best, pick = -1, 0
     while candidates:
         bit = candidates & -candidates
@@ -218,7 +221,7 @@ def _grow_class(rows: Sequence[int], uncolored: int, seed: int) -> int:
         blocked |= row & candidates
         candidates &= ~(row | bit)
         seed ^= bit
-        bit = seed & -seed or _most_shared(rows, blocked, candidates)[1]
+        bit = seed & -seed or _most_shared(rows, blocked, candidates, blocked.bit_count())[1]
     return class_mask
 
 
@@ -265,23 +268,25 @@ def db_coloring(g: TermGraph) -> list[int]:
     The pair is found by lazy greedy evaluation over rows instead of a
     count of every pair.  ``bound[a]`` is an upper bound on the count of
     each pair ``(a, b)`` with ``b > a`` a non-neighbor of ``a`` (a partner);
-    it starts at the degree of ``a``, which no count exceeds.  A heap pops
-    the row of highest bound, smallest index first.  A row whose degree
-    fell below its bound goes back at its degree; a row not yet rescanned
-    this round is rescanned, its bound set to its exact best count (the
-    first partner reaching it is kept), and goes back; a row already
-    rescanned this round holds the winning pair.  That is exact: its count
+    it starts at the degree of ``a``, which no count exceeds.  ``level[k]``
+    is the bitmask of rows whose bound is ``k``, and the next row is the
+    lowest bit of the highest non-empty level.  A row whose degree fell
+    below its bound moves to its degree; a row not in ``exact`` (the rows
+    rescanned since the last merge) is rescanned, its bound set to its
+    exact best count (the first partner reaching it is kept, and one
+    reaching the row's level ends the scan), and joins ``exact``; a row
+    already in ``exact`` holds the winning pair.  That is exact: its count
     is at least every other row's bound, and a tied row of smaller index
-    would have been popped, rescanned and returned first.
+    would have been taken, rescanned and returned first.
 
     Merging ``v`` into ``u`` changes the count of a pair avoiding both
     only by losing ``v`` and gaining ``u``, so it rises, by exactly 1, only
     when one endpoint was adjacent to ``u`` alone and the other to ``v``
     alone.  Hence a row adjacent to just one of them gains 1 on its bound
     when it has a partner adjacent to just the other, a row below ``u``
-    folds in its fresh count with ``u``, and ``u`` restarts at its degree.
-    No row ever gains a partner, so a row rescanned with none leaves the
-    heap for good.
+    folds in its fresh count with ``u``, and ``u`` is rescanned at once.
+    No row ever gains a partner, so a row rescanned with none leaves every
+    level for good.
     """
     # Merging v into u < v unites their rows in u and adds u to the rows of
     # v's other neighbors; the bit of v stays in those rows, so every read
@@ -290,54 +295,87 @@ def db_coloring(g: TermGraph) -> list[int]:
     active = (1 << g.n) - 1  # supervertices, each named by its smallest vertex
     members = [1 << v for v in range(g.n)]
     bound = list(g.degrees)
-    heap = [(-degree, a) for a, degree in enumerate(bound)]
-    heapify(heap)
+    # Every bound is below n: a degree is, every count is below n - 1, and a
+    # merge raises a bound by 1 only from at most the winner's count.
+    level = [0] * g.n  # level[k]: the rows whose bound is k
+    for a, degree in enumerate(bound):
+        level[degree] |= 1 << a
+    top = max(bound, default=-1)  # no level above top holds a row
     partner = [0] * g.n  # as a one-bit mask
-    scanned = [-1] * g.n  # the round in which each row was last rescanned
-    merges = 0
-    while heap:
-        key, a = heap[0]
-        if -key != bound[a]:
-            heappop(heap)
+    exact = 0  # the rows rescanned since the last merge
+    while top >= 0:
+        at_top = level[top]
+        if not at_top:
+            top -= 1
             continue
-        if scanned[a] == merges:
-            u, bit_u, bit_v = a, 1 << a, partner[a]
-            v = bit_v.bit_length() - 1
-            row_u, row_v = rows[u] & active, rows[v] & active
-            only_u, only_v = row_u & ~row_v, row_v & ~row_u
-            for w in iter_bits(only_v):
-                rows[w] |= bit_u
-            row_u = rows[u] = row_u | row_v
-            rows[v] = 0
-            members[u] |= members[v]
-            active ^= bit_v
-            merges += 1
-            bound[u] = row_u.bit_count()
-            heapreplace(heap, (-bound[u], u))
+        bit_a = at_top & -at_top
+        level[top] = at_top ^ bit_a
+        a = bit_a.bit_length() - 1
+        if not exact & bit_a:
+            row = rows[a] & active
+            degree = row.bit_count()
+            if degree < top:
+                bound[a] = degree
+                level[degree] |= bit_a
+                continue
+            count, partner[a] = _most_shared(rows, row, active >> (a + 1) << (a + 1) & ~row, top)
+            # Back at top, a would be the lowest exact row there: the winner.
+            if count < top:
+                bound[a] = count
+                if count >= 0:
+                    level[count] |= bit_a
+                exact |= bit_a
+                continue
+        u, bit_u, bit_v = a, bit_a, partner[a]
+        v = bit_v.bit_length() - 1
+        if bound[v] >= 0:
+            level[bound[v]] ^= bit_v
             bound[v] = -1
-            for side, other in ((only_u, only_v), (only_v, only_u)):
-                for b in iter_bits(side):
-                    if (other & ~rows[b]) >> (b + 1):
-                        bound[b] += 1
-                        heappush(heap, (-bound[b], b))
-            for b in iter_bits(active & ~row_u & (bit_u - 1)):
-                count = (rows[b] & row_u).bit_count()
-                if count > bound[b]:
-                    bound[b] = count
-                    heappush(heap, (-count, b))
-            continue
-        row = rows[a] & active
-        degree = row.bit_count()
-        if degree < bound[a]:
-            bound[a] = degree
-            heapreplace(heap, (-degree, a))
-            continue
-        bound[a], partner[a] = _most_shared(rows, row, active >> (a + 1) << (a + 1) & ~row)
-        scanned[a] = merges
-        if partner[a]:
-            heapreplace(heap, (-bound[a], a))
-        else:
-            heappop(heap)
+        row_u, row_v = rows[u] & active, rows[v] & active
+        only_u, only_v = row_u & ~row_v, row_v & ~row_u
+        side = only_v
+        while side:
+            bit = side & -side
+            side ^= bit
+            rows[bit.bit_length() - 1] |= bit_u
+        row_u = rows[u] = row_u | row_v
+        rows[v] = 0
+        members[u] |= members[v]
+        active ^= bit_v
+        for side, other in ((only_u, only_v), (only_v, only_u)):
+            side &= (1 << other.bit_length()) - 1  # only these have a member of other above
+            while side:
+                bit = side & -side
+                side ^= bit
+                b = bit.bit_length() - 1
+                if other & ~rows[b] > bit:
+                    k = bound[b]
+                    level[k] ^= bit
+                    k += 1
+                    level[k] |= bit
+                    bound[b] = k
+                    if k > top:
+                        top = k
+        lower = active & ~row_u & (bit_u - 1)
+        while lower:
+            bit = lower & -lower
+            lower ^= bit
+            b = bit.bit_length() - 1
+            count = (rows[b] & row_u).bit_count()
+            if count > bound[b]:
+                level[bound[b]] ^= bit
+                level[count] |= bit
+                bound[b] = count
+                if count > top:
+                    top = count
+        count, partner[u] = _most_shared(
+            rows, row_u, active >> (u + 1) << (u + 1) & ~row_u, row_u.bit_count())
+        bound[u] = count
+        if count >= 0:
+            level[count] |= bit_u
+            if count > top:
+                top = count
+        exact = bit_u
     if any(rows[v] & active != active & ~(1 << v) for v in iter_bits(active)):
         raise AssertionError("merge process terminated on a non-complete graph")
     return [members[sv] for sv in iter_bits(active)]

@@ -535,6 +535,12 @@ class TestErrors:
         (b"1.0 [Z0]\r\n2.0 [Z1]\r\n3.0 [Z2\xff]\r\n", "line 3, column 8"),
         (b"\r\r\n1.0 [Z1\xff]", "line 3, column 8"),
         (b"1.0 [Z0]\n# \xc3\xa9\xe2\x82\xac \xff\n", "line 2, column 6"),
+        # The parser drops one byte-order mark at the start and counts
+        # line 1's columns after it; later lines keep their columns.
+        (b"\xef\xbb\xbf1.0 [X0 \xff]\n", "line 1, column 9"),
+        (b"\xef\xbb\xbf\xff\n", "line 1, column 1"),
+        (b"\xef\xbb\xbf\xef\xbb\xbf\xff\n", "line 1, column 2"),
+        (b"\xef\xbb\xbf1.0 [Z0]\n2.0 [Z1\xff]\n", "line 2, column 8"),
     ])
     def test_non_utf8_byte_located_like_parse_errors(self, tmp_path, capsys, data, where):
         # Lines end at \n, \r\n or \r; columns count characters, not bytes.

@@ -172,6 +172,50 @@ class TestScanOracle:
         assert rlf_coloring(comp) == oracles.scan_rlf_coloring(comp)
         assert cosine_coloring(comp) == oracles.merge_cosine_coloring(comp)
 
+    @pytest.mark.parametrize("name", ["random-60", "random-150", "random-300", "all-mid shape"])
+    def test_db_random_word_complements(self, name):
+        # Dense complements with many merges: the bound levels rise and
+        # fall over a wide range.  The last input has the shape of the
+        # benchmark's 240-word random input.
+        if name == "all-mid shape":
+            h = oracles.random_hamiltonian(random.Random(240), 240, 12, max_weight=4)
+        else:
+            h = parse_hamiltonian((GOLDEN / f"{name}.ham").read_text())
+        comp = build_qwc_graph(h).complement()
+        assert db_coloring(comp) == oracles.scan_db_coloring(comp)
+
+    @pytest.mark.parametrize("size, count", [(1, 9), (2, 7), (3, 5), (4, 4), (6, 3)])
+    def test_db_tie_heavy_graphs(self, size, count):
+        # Many rows share the top level: disjoint equal cliques, complete
+        # multipartite graphs with equal parts, and cycles.
+        n = size * count
+        pairs = list(itertools.combinations(range(n), 2))
+        same_part = [(a, b) for a, b in pairs if a // size == b // size]
+        across = [(a, b) for a, b in pairs if a // size != b // size]
+        for g in (
+            oracles.graph_from_edges(n, same_part),
+            oracles.graph_from_edges(n, across),
+            cycle_graph(n),
+        ):
+            assert db_coloring(g) == oracles.scan_db_coloring(g)
+
+    def test_db_merged_rows_run_out_of_partners_first(self):
+        # 0 and 1 share every other vertex, so they merge first; the merged
+        # 0 is then adjacent to all, and leaves while 2..7 still merge.  In
+        # the second graph each of 0..3 merges with its own vertex above.
+        hub = oracles.graph_from_edges(8, [(h, w) for h in (0, 1) for w in range(2, 8)])
+        assert db_coloring(hub) == oracles.scan_db_coloring(hub) == [0b11, 0b11111100]
+        pairs = oracles.graph_from_edges(
+            8, [(a, b) for a, b in itertools.combinations(range(8), 2) if b != a + 4]
+        )
+        assert db_coloring(pairs) == oracles.scan_db_coloring(pairs)
+        assert len(db_coloring(pairs)) == 4
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_db_tiny_graphs(self, n):
+        g = edgeless_graph(n)
+        assert db_coloring(g) == oracles.scan_db_coloring(g) == [1 << v for v in range(n)]
+
 
 @st.composite
 def merge_steps(draw):
@@ -306,7 +350,7 @@ class TestMostShared:
             default=(-1, None),
         )
         expected = (best[0], 0 if best[1] is None else 1 << -best[1])
-        assert _most_shared(rows, mask, candidates) == expected
+        assert _most_shared(rows, mask, candidates, mask.bit_count()) == expected
 
 
 class TestRlf:
