@@ -24,6 +24,10 @@ has ``db`` solved in this process instead.  An exception here, including
 SIGKILL or SIGTERM leaves the child to finish its solve and die at its
 pipe write.
 
+``--bkt-budget`` counts the vertices ``bkt``'s greedy colorings color over
+its whole cover, alone or under ``--algorithm all``; a cover that would
+exceed it is reported as an error in its place.
+
 Exit codes: 0 success, 1 usage, input-read or output error, 2 parse error, 3
 budget/capacity error.  Reports are deterministic; wall-clock timings are
 emitted only with ``run --timings``, keeping reruns byte-identical.
@@ -45,7 +49,7 @@ from pathlib import Path
 from .cover import CoverStats, Heuristic, _check_partition, basis_of_group, compute_stats
 from .graph import CapacityError, TermGraph, build_qwc_graph, iter_bits
 from .pauli import Hamiltonian, ParseError, PauliAxis, parse_hamiltonian
-from .removal import DEFAULT_NODE_BUDGET, BudgetExceededError
+from .removal import DEFAULT_BKT_BUDGET, BudgetExceededError
 from .solvers import solve_mcc
 
 __all__ = ["console_main", "main"]
@@ -54,10 +58,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
-
-# `--algorithm all` skips the only super-polynomial solver on graphs
-# larger than this unless overridden.
-DEFAULT_BKT_SKIP_ABOVE = 5000
 
 # `--algorithm all` solves db in a forked child on graphs of at least this
 # many terms.  A fork, pipe and reap round trip takes about 1.3 ms on a
@@ -111,7 +111,6 @@ class _HeuristicResult:
     stats: CoverStats | None = None
     wall_ms: float = 0.0
     error: str | None = None
-    skipped: str | None = None
 
 
 @functools.cache
@@ -128,10 +127,8 @@ def _parser() -> _Parser:
         p.add_argument("--algorithm", choices=algorithm_names, default="all")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--bkt-budget", type=_int_at_least(1), default=DEFAULT_NODE_BUDGET,
-                       help="node budget for each exact clique search, one per extracted clique")
-        p.add_argument("--bkt-skip-above", type=_int_at_least(0), default=DEFAULT_BKT_SKIP_ABOVE,
-                       help="with --algorithm all, skip bkt on graphs larger than this")
+        p.add_argument("--bkt-budget", type=_int_at_least(1), default=DEFAULT_BKT_BUDGET,
+                       help="vertices bkt's colorings may color over its whole cover")
 
     run = sub.add_parser("run", help="solve one file and print the full report")
     add_common(run)
@@ -162,20 +159,13 @@ def _load(path: str) -> Hamiltonian:
     return parse_hamiltonian(text)
 
 
-def _solve(
-    g: TermGraph, heuristic: Heuristic, args: argparse.Namespace, explicit: bool
-) -> _HeuristicResult:
-    """Solve one heuristic: a skip, a budget error, or an unchecked cover
-    and its wall milliseconds."""
+def _solve(g: TermGraph, heuristic: Heuristic, args: argparse.Namespace) -> _HeuristicResult:
+    """Solve one heuristic: a budget error, or an unchecked cover and its
+    wall milliseconds."""
     result = _HeuristicResult(heuristic)
-    if heuristic is Heuristic.BKT and not explicit and g.n > args.bkt_skip_above:
-        result.skipped = (
-            f"graph has {g.n} vertices, above --bkt-skip-above={args.bkt_skip_above}"
-        )
-        return result
     started = time.perf_counter()
     try:
-        result.cover = solve_mcc(g, heuristic, node_budget=args.bkt_budget)
+        result.cover = solve_mcc(g, heuristic, budget=args.bkt_budget)
     except BudgetExceededError as exc:
         result.error = str(exc)
         return result
@@ -256,7 +246,7 @@ def _solve_beside_child(h: Hamiltonian, g: TermGraph, args: argparse.Namespace,
     writing its whole cover has ``db`` solved here instead."""
     chunks = []
     try:
-        results = [_check(h, g.n, _solve(g, heuristic, args, False), bases)
+        results = [_check(h, g.n, _solve(g, heuristic, args), bases)
                    for heuristic in Heuristic if heuristic is not Heuristic.DB]
         while chunk := os.read(read, 1 << 16):
             chunks.append(chunk)
@@ -273,7 +263,7 @@ def _solve_beside_child(h: Hamiltonian, g: TermGraph, args: argparse.Namespace,
     except (EOFError, ValueError, TypeError):
         status = 1
     if status:
-        db = _solve(g, Heuristic.DB, args, False)
+        db = _solve(g, Heuristic.DB, args)
     else:
         db = _HeuristicResult(Heuristic.DB, cover, wall_ms=wall_ms)
     results.insert(list(Heuristic).index(Heuristic.DB), _check(h, g.n, db, bases))
@@ -281,15 +271,15 @@ def _solve_beside_child(h: Hamiltonian, g: TermGraph, args: argparse.Namespace,
 
 
 def _solve_file(
-    path: str, args: argparse.Namespace, heuristics: list[Heuristic], explicit: bool
+    path: str, args: argparse.Namespace, heuristics: list[Heuristic]
 ) -> tuple[Hamiltonian, _Bases, list[_HeuristicResult]]:
     h = _load(path)
     g = build_qwc_graph(h)
     bases: _Bases = {}
-    child = None if explicit else _fork_db(g)
+    child = _fork_db(g) if len(heuristics) > 1 else None
     if child is not None:
         return h, bases, _solve_beside_child(h, g, args, bases, *child)
-    return h, bases, [_check(h, g.n, _solve(g, hx, args, explicit), bases) for hx in heuristics]
+    return h, bases, [_check(h, g.n, _solve(g, hx, args), bases) for hx in heuristics]
 
 
 def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
@@ -299,8 +289,8 @@ def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
     once at the end; each distinct group's object is rendered once, into a
     dict local to the call.
 
-    ``json.dumps`` renders only the free-text strings (the input path,
-    skip and error messages) and the floats; heuristic names, axis letters
+    ``json.dumps`` renders only the free-text strings (the input path and
+    error messages) and the floats; heuristic names, axis letters
     and integers need no escaping.  Every group is non-empty, since its
     cover has passed the partition check.
     """
@@ -309,9 +299,6 @@ def _render_run_json(path: str, h: Hamiltonian, bases: _Bases,
            ',\n  "total_terms": ', str(h.n_terms), ',\n  "results": [']
     for number, r in enumerate(results):
         out += (",\n    {" if number else "\n    {", '\n      "heuristic": "', r.heuristic.value, '"')
-        if r.skipped is not None:
-            out += (',\n      "skipped": ', json.dumps(r.skipped), "\n    }")
-            continue
         if r.error is not None:
             out += (',\n      "error": ', json.dumps(r.error), "\n    }")
             continue
@@ -349,9 +336,6 @@ def _render_run_text(path: str, h: Hamiltonian, bases: _Bases,
     rendered: dict[int, str] = {}
     lines = [f"input: {path}", f"qubits: {h.n_qubits}", f"terms: {h.n_terms}"]
     for r in results:
-        if r.skipped is not None:
-            lines.append(f"== {r.heuristic.value}: skipped ({r.skipped})")
-            continue
         if r.error is not None:
             lines.append(f"== {r.heuristic.value}: error ({r.error})")
             continue
@@ -374,40 +358,34 @@ def _render_compare_text(rows: list[tuple[str, int, list[_HeuristicResult]]],
                          heuristics: list[Heuristic]) -> str:
     lines = ["input total | " + " ".join([h.value for h in heuristics])]
     for path, total, results in rows:
-        cells = []
-        for r in results:
-            if r.stats is not None:
-                cells.append(str(r.stats.n_groups))
-            elif r.skipped is not None:
-                cells.append("skip")
-            else:
-                cells.append("err")
+        cells = ["err" if r.stats is None else str(r.stats.n_groups) for r in results]
         lines.append(f"{path} {total} | " + " ".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def _render_compare_json(rows: list[tuple[str, int, list[_HeuristicResult]]],
                          heuristics: list[Heuristic]) -> str:
-    report = []
-    for path, total, results in rows:
-        entry: dict = {"input": path, "total_terms": total, "groups": {}}
-        for r in results:
-            # Skipped and failed heuristics both read null.
-            entry["groups"][r.heuristic.value] = None if r.stats is None else r.stats.n_groups
-        report.append(entry)
+    # A failed heuristic reads null.
+    report = [{"input": path, "total_terms": total, "groups": {
+        r.heuristic.value: None if r.stats is None else r.stats.n_groups for r in results
+    }} for path, total, results in rows]
     return json.dumps({"inputs": report}, indent=2) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
     # UTF-8 like the input; surrogateescape restores a path's undecodable
-    # bytes, also on a UTF-8 stdout whose errors handler is strict.
+    # bytes, also on a UTF-8 stdout whose errors handler is strict.  Any
+    # other stdout that cannot encode the report is an unwritable output.
     if output is None:
         stdout = sys.stdout
         if hasattr(stdout, "buffer") and codecs.lookup(stdout.encoding).name == "utf-8":
             stdout.flush()
             stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
-        else:
+            return
+        try:
             stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise _UsageError(f"cannot write report to stdout: {exc}") from None
         return
     try:
         Path(output).write_text(text, encoding="utf-8", errors="surrogateescape")
@@ -433,14 +411,14 @@ def main(argv: list[str] | None = None) -> int:
             if len(args.input) != 1:
                 parser.error("'run' takes exactly one --input; use 'compare' for several")
             path = args.input[0]
-            h, bases, results = _solve_file(path, args, heuristics, explicit)
+            h, bases, results = _solve_file(path, args, heuristics)
             render = _render_run_json if args.format == "json" else _render_run_text
             _emit(render(path, h, bases, results, args), args.output)
             return _exit_code(results, explicit)
         rows = []
         all_results: list[_HeuristicResult] = []
         for path in args.input:
-            h, _, results = _solve_file(path, args, heuristics, explicit)
+            h, _, results = _solve_file(path, args, heuristics)
             rows.append((path, h.n_terms, results))
             all_results.extend(results)
         render = _render_compare_json if args.format == "json" else _render_compare_text

@@ -2,7 +2,8 @@
 
 Two clique finders are provided: an exact branch-and-bound maximum-clique
 search with greedy-coloring bounds (worst-case exponential, guarded by a
-node budget) and a polynomial recursive pivot construction that returns a
+budget of colored vertices that one cover spends across all its
+extractions) and a polynomial recursive pivot construction that returns a
 maximal clique.  Extracting a clique, removing it, and repeating yields an
 approximate minimum clique cover; even with the exact finder the result
 can exceed the true minimum.
@@ -50,18 +51,34 @@ from .cover import Heuristic
 from .graph import TermGraph, _planes, iter_bits
 
 __all__ = [
-    "DEFAULT_NODE_BUDGET",
+    "DEFAULT_BKT_BUDGET",
     "BudgetExceededError",
     "clique_removal_cover",
     "max_clique_bkt",
     "ramsey_clique",
 ]
 
-DEFAULT_NODE_BUDGET = 10_000_000
+# bkt's work is counted in colored vertices: each greedy coloring (one at
+# the root of each search, one per search node) spends its candidate count,
+# one ``available &= other[v]`` step of :func:`_color_classes` each.  One
+# unbudgeted cover per input (Python 3.11, shared 2-vCPU host; random n: n
+# random words of weight <= 4; jw/bk-q: the molecular words of q qubits):
+#   input          terms  nodes          colored        s            s/node     s/colored
+#   random 400       400  3,027          1.67e5         0.043        1.4e-5     2.6e-7
+#   random 1k      1,000  27,132         4.04e6         1.03         3.8e-5     2.5e-7
+#   jw-12 / bk-12  1,818  5,330 / 4,497  3.53 / 2.90e5  0.085/0.070  1.6e-5     2.4e-7
+#   jw-14 / bk-14  3,381  20,593/13,768  2.07 / 1.17e6  0.57 / 0.41  2.8/3.0e-5 2.8/3.5e-7
+#   random 2k      2,000  446,416        1.39e8         36.2         8.1e-5     2.6e-7
+#   jw-16          5,792  189,563        3.60e7         14.7         7.8e-5     4.1e-7
+# Time per colored vertex holds within 2.4-4.1e-7 s while time per node
+# spreads 6x, so the budget bounds a cover's time at any size.  Random 1k
+# colors 4.0-5.5e6 vertices on seeds 1000-1004: 3e7 leaves those 5x spare
+# (jw/bk-14 15-25x) and stops random 2k and jw-16 after about 8-12 s.
+DEFAULT_BKT_BUDGET = 30_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact search expanded more nodes than allowed.
+    """Exact search colored more vertices than its budget allows.
 
     Nothing falls back to another finder: under ``--algorithm all`` the
     CLI reports the error in place of the ``bkt`` cover, and otherwise it
@@ -69,11 +86,11 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-def _check_budget(node_budget: int) -> None:
-    if isinstance(node_budget, bool):
-        raise TypeError(f"node budget must be an integer, not a bool: {node_budget}")
-    if index(node_budget) < 0:
-        raise ValueError(f"node budget must be at least 0, got {node_budget}")
+def _check_budget(budget: int) -> None:
+    if isinstance(budget, bool):
+        raise TypeError(f"budget must be an integer, not a bool: {budget}")
+    if index(budget) < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
 
 
 def _alive_mask(g: TermGraph, alive: int | None) -> int:
@@ -104,10 +121,11 @@ def _color_classes(other: tuple[int, ...], candidates: int) -> list[int]:
     return classes
 
 
-def _search(g: TermGraph, candidates: int, bound: int, node_budget: int) -> int:
+def _search(g: TermGraph, candidates: int, bound: int, budget: int, spent: int) -> tuple[int, int]:
     """The first maximum clique among the nonempty ``candidates`` of
     ``g`` in depth-first order, as a bitmask, where ``bound`` is an upper
-    bound on its size.
+    bound on its size, and the colored vertices spent so far: ``spent``
+    plus those of this search.
 
     Candidates are greedily colored into class masks at every node
     (:func:`_color_classes`), and the lowest vertex of the last class is
@@ -124,17 +142,17 @@ def _search(g: TermGraph, candidates: int, bound: int, node_budget: int) -> int:
     return.
 
     Raises:
-        BudgetExceededError: more than ``node_budget`` search nodes.
+        BudgetExceededError: a coloring would take ``spent`` past ``budget``.
     """
     rows, other = g.rows, g.complement().rows
-    if not node_budget:
-        raise _exceeded(node_budget)
+    spent += candidates.bit_count()
+    if spent > budget:
+        raise _exceeded(budget)
     classes = _color_classes(other, candidates)
     bound = min(bound, len(classes))
     # Frame: [run_mask, run_size, color classes still to visit,
     # remaining candidates].  Every frame starts with a class.
     stack: list[list] = [[0, 0, classes, candidates]]
-    nodes = 1
     best_mask = 0
     best_size = 0
     while stack:
@@ -152,9 +170,9 @@ def _search(g: TermGraph, candidates: int, bound: int, node_budget: int) -> int:
         frame[3] = remaining ^ bit
         extended = remaining & rows[bit.bit_length() - 1]
         if extended:
-            if nodes == node_budget:
-                raise _exceeded(node_budget)
-            nodes += 1
+            spent += extended.bit_count()
+            if spent > budget:
+                raise _exceeded(budget)
             classes = _color_classes(other, extended)
             stack.append([run_mask | bit, run_size + 1, classes, extended])
         elif run_size + 1 > best_size:
@@ -162,11 +180,11 @@ def _search(g: TermGraph, candidates: int, bound: int, node_budget: int) -> int:
             best_size = run_size + 1
             if best_size >= bound:
                 break
-    return best_mask
+    return best_mask, spent
 
 
-def _exceeded(node_budget: int) -> BudgetExceededError:
-    return BudgetExceededError(f"maximum-clique search exceeded {node_budget} nodes")
+def _exceeded(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"maximum-clique search exceeded {budget} colored vertices")
 
 
 def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callable[[int], int]]:
@@ -194,7 +212,7 @@ def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callab
 
 
 def max_clique_bkt(
-    g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, alive: int | None = None
+    g: TermGraph, budget: int = DEFAULT_BKT_BUDGET, *, alive: int | None = None
 ) -> int:
     """Exact maximum clique via coloring branch and bound, as a bitmask.
 
@@ -207,18 +225,18 @@ def max_clique_bkt(
     limited by the interpreter's recursion limit.
 
     Raises:
-        TypeError: ``node_budget`` is not an integer or is a ``bool``, or
+        TypeError: ``budget`` is not an integer or is a ``bool``, or
             ``alive`` is a ``bool``.
-        ValueError: ``node_budget`` is negative, no vertex is alive, or
+        ValueError: ``budget`` is negative, no vertex is alive, or
             ``alive`` has a bit outside the graph.
-        BudgetExceededError: more than ``node_budget`` search nodes.
+        BudgetExceededError: the colorings would color over ``budget`` vertices.
     """
-    _check_budget(node_budget)
+    _check_budget(budget)
     alive = _alive_mask(g, alive)
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
     degree, relabel, unlabel = _degree_order(g)
-    return unlabel(_search(degree, relabel(alive), g.n, node_budget))
+    return unlabel(_search(degree, relabel(alive), g.n, budget, 0)[0])
 
 
 def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
@@ -309,7 +327,7 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
 def clique_removal_cover(
     g: TermGraph,
     finder: Heuristic = Heuristic.BKT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_BKT_BUDGET,
 ) -> tuple[int, ...]:
     """Cover by repeated clique extraction, as group bitmasks.
 
@@ -317,14 +335,14 @@ def clique_removal_cover(
     records it, clears its vertices from the alive mask, and repeats until
     no vertex is alive.  Groups are reported in extraction order.  Each
     ``BKT`` group is the one :func:`max_clique_bkt` returns for the alive
-    vertices, and the node budget applies to each extraction.
+    vertices, and one budget of colored vertices spans every extraction.
 
     Raises:
-        TypeError: ``finder`` is ``BKT`` and ``node_budget`` is no integer
-            or is a ``bool``.
+        TypeError: ``finder`` is ``BKT`` and ``budget`` is no integer or
+            is a ``bool``.
         ValueError: ``finder`` is not a clique-removal method, or it is
-            ``BKT`` and ``node_budget`` is negative.
-        BudgetExceededError: propagated from the exact finder.
+            ``BKT`` and ``budget`` is negative.
+        BudgetExceededError: the colorings would color over ``budget`` vertices.
     """
     if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
         raise ValueError(f"not a clique-removal method: {finder}")
@@ -335,15 +353,16 @@ def clique_removal_cover(
             groups.append(ramsey_clique(g, alive=alive))
             alive ^= groups[-1]
         return tuple(groups)
-    _check_budget(node_budget)
+    _check_budget(budget)
     if not alive:
         return ()
     # Each alive set lies inside the last one, so the last clique's size
     # bounds the next clique.
     degree, _, unlabel = _degree_order(g)
     size = g.n
+    spent = 0
     while alive:
-        clique = _search(degree, alive, size, node_budget)
+        clique, spent = _search(degree, alive, size, budget, spent)
         groups.append(unlabel(clique))
         alive ^= clique
         size = clique.bit_count()

@@ -1,7 +1,8 @@
 """One front door, :func:`solve_mcc`, for all nine cover solvers.
 
-Seven color the complement graph, two extract cliques one at a time.  No
-solver checks its own cover.  Callers that need that run ``validate_cover``
+Seven color the complement graph, two extract cliques one at a time; the
+exact one, ``bkt``, spends one budget of colored vertices over its cover.
+No solver checks its own cover.  Callers that need that run ``validate_cover``
 against the graph, or, as ``qwcover run`` does, check the partition and
 derive each distinct group's basis from its words with ``basis_of_group``.
 """
@@ -21,7 +22,7 @@ from .coloring import (
 )
 from .cover import Heuristic
 from .graph import TermGraph
-from .removal import DEFAULT_NODE_BUDGET, clique_removal_cover
+from .removal import DEFAULT_BKT_BUDGET, clique_removal_cover
 
 __all__ = ["solve_mcc"]
 
@@ -41,15 +42,16 @@ def solve_mcc(
     g: TermGraph,
     heuristic: Heuristic,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_BKT_BUDGET,
 ) -> tuple[int, ...]:
     """Approximate (or, for small graphs and BKT, exactly extracted)
     minimum clique cover of ``g`` with the chosen heuristic, as group
     bitmasks.
 
     Coloring heuristics run on the complement graph, which ``g`` builds
-    once and shares across calls.  ``node_budget`` only affects BKT, where
-    :func:`clique_removal_cover` checks and spends it.
+    once and shares across calls.  ``budget`` only affects BKT, where
+    :func:`clique_removal_cover` checks it and spends it, in colored
+    vertices, across the whole cover.
 
     Raises:
         TypeError: ``heuristic`` is not a :class:`Heuristic`.
@@ -58,5 +60,5 @@ def solve_mcc(
         raise TypeError(f"heuristic must be a Heuristic, got {heuristic!r}")
     color = _COLORINGS.get(heuristic)
     if color is None:
-        return clique_removal_cover(g, heuristic, node_budget)
+        return clique_removal_cover(g, heuristic, budget)
     return cover_from_coloring(color(g.complement()))

@@ -13,8 +13,9 @@ relabels with a bit-matrix transpose, checked against the per-bit
 definition (:func:`per_bit_planes`) and the package's earlier string
 gather (:func:`string_gather_degree_order`);
 :func:`counted_max_clique_bkt` is that bounded search coloring into
-``(vertex, color)`` pairs, as the earlier search did, with its node count:
-the reference for the class-mask search's nodes; and
+``(vertex, color)`` pairs, as the earlier search did, with its node count
+and the length of its colorings' lists: the reference for the class-mask
+search's nodes and for the colored vertices its budget counts; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -54,7 +55,6 @@ import numpy as np
 
 from qwcover import (
     COEFFICIENT_PRUNE_THRESHOLD,
-    DEFAULT_NODE_BUDGET,
     MAX_QUBIT_INDEX,
     BasisConflictError,
     BudgetExceededError,
@@ -258,7 +258,7 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
 
 
 def full_search_max_clique_bkt(
-    g: TermGraph, node_budget: int = DEFAULT_NODE_BUDGET, *, alive: int | None = None
+    g: TermGraph, node_budget: int = 10_000_000, *, alive: int | None = None
 ) -> frozenset[int]:
     """Exact maximum clique via pivoting branch and bound.
 
@@ -412,16 +412,18 @@ def degree_order_clique_removal(g: TermGraph) -> tuple[frozenset[int], ...]:
 
 def counted_max_clique_bkt(
     g: TermGraph, *, alive: int | None = None, bound: int | None = None
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """The search of ``max_clique_bkt``, coloring into a list of
     ``(vertex, color)`` pairs as the package's earlier search did, as
-    ``(clique mask, nodes)``.
+    ``(clique mask, nodes, colored)``, where ``colored`` sums the lengths
+    of every coloring's list.
 
     One search on the degree-ordered graph, stopped at the first clique
     that reaches ``bound`` (the previous extraction's clique size inside a
     cover; default: the vertex count, as in a standalone call) or the root
     coloring's color count.  The reference for the class-mask search,
-    which must return the same clique after the same number of nodes.
+    which must return the same clique after the same number of nodes and
+    colored vertices.
     """
     alive = _alive_mask(g, alive)
     if not alive:
@@ -435,6 +437,7 @@ def counted_max_clique_bkt(
     # candidates].
     stack: list[list] = [[0, 0, order_of_root, candidates]]
     nodes = 1
+    colored = len(order_of_root)
     best_mask = 0
     best_size = 0
     while stack:
@@ -449,26 +452,28 @@ def counted_max_clique_bkt(
         extended = remaining & rows[v]
         if extended:
             nodes += 1
-            stack.append([run_mask | bit, run_size + 1, _color_order(rows, extended), extended])
+            child = _color_order(rows, extended)
+            colored += len(child)
+            stack.append([run_mask | bit, run_size + 1, child, extended])
         elif run_size + 1 > best_size:
             best_mask = run_mask | bit
             best_size = run_size + 1
             if best_size >= bound:
                 break
-    return mask_of(order[j] for j in iter_bits(best_mask)), nodes
+    return mask_of(order[j] for j in iter_bits(best_mask)), nodes, colored
 
 
-def counted_bkt_cover(g: TermGraph) -> list[tuple[int, int]]:
-    """``(clique, nodes)`` of every extraction of the ``bkt`` cover, each
-    search bounded by the previous clique's size."""
+def counted_bkt_cover(g: TermGraph) -> list[tuple[int, int, int]]:
+    """``(clique, nodes, colored)`` of every extraction of the ``bkt``
+    cover, each search bounded by the previous clique's size."""
     extractions = []
     alive = (1 << g.n) - 1
     bound = g.n
     while alive:
-        clique, nodes = counted_max_clique_bkt(g, alive=alive, bound=bound)
-        extractions.append((clique, nodes))
-        alive ^= clique
-        bound = clique.bit_count()
+        extraction = counted_max_clique_bkt(g, alive=alive, bound=bound)
+        extractions.append(extraction)
+        alive ^= extraction[0]
+        bound = extraction[0].bit_count()
     return extractions
 
 

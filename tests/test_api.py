@@ -10,7 +10,7 @@ MODULES = ("coloring", "cover", "graph", "pauli", "removal", "solvers")
 # The names the package exported when it still listed them itself.
 PUBLIC_NAMES = {
     "BasisConflictError", "BudgetExceededError", "COEFFICIENT_PRUNE_THRESHOLD",
-    "CapacityError", "CoverStats", "DEFAULT_NODE_BUDGET",
+    "CapacityError", "CoverStats", "DEFAULT_BKT_BUDGET",
     "Hamiltonian", "HamiltonianTerm", "Heuristic", "IMAGINARY_TOLERANCE",
     "InvalidCoverError", "MAX_GRAPH_VERTICES", "MAX_QUBIT_INDEX", "ParseError",
     "PauliAxis", "PauliWord", "TermGraph", "basis_of_group", "build_qwc_graph",

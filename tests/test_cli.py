@@ -159,24 +159,6 @@ class TestRun:
         _, second, _ = run_cli(capsys, "run", "--input", str(demo_file))
         assert first == second
 
-    def test_bkt_skipped_above_threshold_under_all(self, demo_file, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--input", str(demo_file), "--algorithm", "all",
-            "--format", "json", "--bkt-skip-above", "3",
-        )
-        assert code == 0
-        entries = {r["heuristic"]: r for r in json.loads(out)["results"]}
-        assert "skipped" in entries["bkt"]
-        assert entries["lf"]["n_groups"] == 2
-
-    def test_explicit_bkt_ignores_skip_threshold(self, demo_file, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--input", str(demo_file), "--algorithm", "bkt",
-            "--format", "json", "--bkt-skip-above", "3",
-        )
-        assert code == 0
-        assert json.loads(out)["results"][0]["n_groups"] == 2
-
     @pytest.mark.parametrize("name", GOLDEN_INPUTS)
     def test_each_distinct_group_derived_once(self, name, monkeypatch, capsys):
         derived = Counter()
@@ -230,9 +212,7 @@ def reference_run_report(path, h, bases, results, args) -> str:
     records = []
     for r in results:
         record = {"heuristic": r.heuristic.value}
-        if r.skipped is not None:
-            record["skipped"] = r.skipped
-        elif r.error is not None:
+        if r.error is not None:
             record["error"] = r.error
         else:
             record.update(
@@ -263,7 +243,7 @@ def _solved(heuristic, groups, wall_ms=0.0):
 @st.composite
 def run_reports(draw):
     """``(path, h, bases, results, args)`` for the JSON writer: any text as
-    the path and messages, results that are solved, skipped or failed,
+    the path and messages, results that are solved or failed,
     covers that partition ``0..n_terms-1`` (possibly empty, possibly an
     earlier result's partition), and one arbitrary basis (possibly empty)
     per distinct group, as the CLI derives them."""
@@ -273,10 +253,7 @@ def run_reports(draw):
     results = []
     partitions = []
     for heuristic in draw(st.lists(st.sampled_from(list(Heuristic)), min_size=1, unique=True)):
-        kind = draw(st.sampled_from(["solved", "skipped", "error"]))
-        if kind == "skipped":
-            results.append(_HeuristicResult(heuristic, skipped=draw(text)))
-        elif kind == "error":
+        if draw(st.booleans()):
             results.append(_HeuristicResult(heuristic, error=draw(text)))
         else:
             if partitions and draw(st.booleans()):
@@ -308,7 +285,7 @@ _PINNED_REPORT = (
     [
         _solved(Heuristic.LF, [[2, 0], [1]], 1.23456),
         _solved(Heuristic.SL, [[1], [0], [2]]),
-        _HeuristicResult(Heuristic.DB, skipped="graph has 3 vertices, above --bkt-skip-above=2"),
+        _HeuristicResult(Heuristic.DB, error=""),
         _solved(Heuristic.RAMSEY, [[1], [0, 2]]),
         _HeuristicResult(Heuristic.BKT, error='maximum-clique search exceeded 2 nodes "\u2026"'),
     ],
@@ -322,7 +299,7 @@ class TestRunJsonWriter:
     @example(case=_PINNED_REPORT)
     @example(case=(
         "empty.ham", SimpleNamespace(n_qubits=1, n_terms=0), {},
-        [_solved(Heuristic.GC, []), _HeuristicResult(Heuristic.RAMSEY, skipped="")],
+        [_solved(Heuristic.GC, []), _HeuristicResult(Heuristic.RAMSEY, error="")],
         SimpleNamespace(timings=False),
     ))
     def test_matches_json_dumps(self, case):
@@ -330,12 +307,12 @@ class TestRunJsonWriter:
 
     def test_cli_reports_keep_json_dumps_layout(self, tmp_path, capsys):
         # zero terms (every group list empty), an identity-only group
-        # (empty basis), a skipped bkt, timings, and a path that needs escaping
+        # (empty basis), timings, and a path that needs escaping
         inputs = {"z\u00e9ro \"q\" \\.ham": "0.0 [Z0]\n", "identity.ham": "1.0 []\n"}
         for name, text in inputs.items():
             path = tmp_path / name
             path.write_text(text)
-            for extra in ([], ["--timings"], ["--bkt-skip-above", "0"]):
+            for extra in ([], ["--timings"]):
                 code, out, _ = run_cli(
                     capsys, "run", "--input", str(path), "--format", "json", *extra,
                 )
@@ -379,16 +356,6 @@ class TestCompare:
                 "--format", "json",
             )
             assert json.loads(run_out)["results"][0]["n_groups"] == groups[name]
-
-    def test_skipped_bkt_is_a_skip_cell_and_null(self, demo_file, capsys):
-        argv = ["compare", "--input", str(demo_file), "--bkt-skip-above", "0"]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert out.splitlines()[1] == f"{demo_file} 7 | 2 2 2 2 2 2 2 2 skip"
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
-        groups = json.loads(out)["inputs"][0]["groups"]
-        assert groups == {**dict.fromkeys(ALL_NAMES, 2), "bkt": None}
 
     def test_failed_bkt_under_all_is_an_err_cell_and_null(self, dense_file, capsys):
         argv = ["compare", "--input", str(dense_file), "--bkt-budget", "2"]
@@ -495,21 +462,14 @@ class TestErrors:
         assert excinfo.value.code == 1
         assert "--bkt-budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("size", ["-1", "many"])
+    # The size cutoff is gone: --bkt-budget alone bounds bkt, so the flag
+    # is unknown whatever its value.
+    @pytest.mark.parametrize("size", ["-1", "many", "5"])
     def test_bad_bkt_skip_above_is_usage_error(self, demo_file, size, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--input", str(demo_file), "--bkt-skip-above", size])
         assert excinfo.value.code == 1
-        assert "--bkt-skip-above" in capsys.readouterr().err
-
-    def test_zero_bkt_skip_above_skips_bkt(self, demo_file, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--input", str(demo_file), "--format", "json",
-            "--bkt-skip-above", "0",
-        )
-        assert code == 0
-        entries = {r["heuristic"]: r for r in json.loads(out)["results"]}
-        assert "skipped" in entries["bkt"]
+        assert "unrecognized arguments: --bkt-skip-above" in capsys.readouterr().err
 
     def test_run_rejects_multiple_inputs(self, demo_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -573,6 +533,22 @@ class TestErrors:
         assert code == 1
         assert f"cannot write report to {target}" in err
         assert "no such input file" not in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_stdout_that_cannot_encode_the_path_is_an_output_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # A JSON report escapes the path; a text report holds it as it is.
+        path = tmp_path / "d\u00e9mo.ham"
+        path.write_text(DEMO_TEXT)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([command, "--input", str(path), "--algorithm", "lf"]) == 1
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("qwcover: error: cannot write report to stdout: 'ascii' codec")
+        assert err.count("\n") == 1
 
     def test_output_is_a_directory(self, demo_file, tmp_path, capsys):
         code, _, err = run_cli(

@@ -32,14 +32,15 @@ def complete_graph(n):
     return oracles.graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
-def assert_nodes_of_earlier_search(g, alive, clique):
-    """``max_clique_bkt`` finds ``clique`` within exactly the node budget
-    that the earlier search over ``(vertex, color)`` pairs needed."""
-    found, nodes = oracles.counted_max_clique_bkt(g, alive=alive)
+def assert_colored_of_earlier_search(g, alive, clique):
+    """``max_clique_bkt`` finds ``clique`` within exactly the budget of
+    colored vertices that the earlier search over ``(vertex, color)``
+    pairs colored, and not one fewer."""
+    found, _, colored = oracles.counted_max_clique_bkt(g, alive=alive)
     assert found == clique
-    assert max_clique_bkt(g, node_budget=nodes, alive=alive) == clique
+    assert max_clique_bkt(g, budget=colored, alive=alive) == clique
     with pytest.raises(BudgetExceededError):
-        max_clique_bkt(g, node_budget=nodes - 1, alive=alive)
+        max_clique_bkt(g, budget=colored - 1, alive=alive)
 
 
 class TestMaxCliqueBkt:
@@ -68,21 +69,21 @@ class TestMaxCliqueBkt:
     def test_budget_exceeded(self):
         g = oracles.random_gnp(30, 0.7, 8)
         with pytest.raises(BudgetExceededError, match="exceeded"):
-            max_clique_bkt(g, node_budget=3)
+            max_clique_bkt(g, budget=3)
 
     def test_zero_budget_exceeded_at_once(self):
-        with pytest.raises(BudgetExceededError, match="exceeded 0 nodes"):
-            max_clique_bkt(complete_graph(1), node_budget=0)
+        # the root's coloring already colors one vertex
+        with pytest.raises(BudgetExceededError, match="exceeded 0 colored vertices"):
+            max_clique_bkt(complete_graph(1), budget=0)
 
     def test_negative_budget_rejected(self):
         # A negative budget is an error, not a search without a limit.
         for alive in (None, 0):
-            with pytest.raises(ValueError, match="node budget must be at least 0, got -1"):
-                max_clique_bkt(complete_graph(5), node_budget=-1, alive=alive)
+            with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+                max_clique_bkt(complete_graph(5), budget=-1, alive=alive)
 
     def test_non_integer_budget_rejected(self):
-        # The search stops when its node count equals the budget, which a
-        # fractional budget never does: it would mean no limit.
+        # A budget counts colored vertices, so only an integer is one.
         g = build_qwc_graph(oracles.random_hamiltonian(random.Random(3), 40, 6, max_weight=3))
         with pytest.raises(BudgetExceededError):
             max_clique_bkt(g, 1)
@@ -92,7 +93,7 @@ class TestMaxCliqueBkt:
                     max_clique_bkt(g, budget, alive=alive)
 
     def test_bool_budget_rejected(self):
-        # True == 1, but a bool is not a node count
+        # True == 1, but a bool is not a count of colored vertices
         for budget in (True, False):
             for alive in (None, 0):
                 with pytest.raises(TypeError, match="not a bool"):
@@ -112,7 +113,7 @@ class TestMaxCliqueBkt:
             alive = (1 << n) - 1 if trial % 2 == 0 else rng.getrandbits(n) or 1
             expected = oracles.mask_of(oracles.degree_order_max_clique_bkt(g, alive=alive))
             assert max_clique_bkt(g, alive=alive) == expected, trial
-            assert_nodes_of_earlier_search(g, alive, expected)
+            assert_colored_of_earlier_search(g, alive, expected)
 
     @pytest.mark.parametrize("name", GOLDEN_INPUTS)
     def test_golden_covers_match_full_search(self, name):
@@ -121,18 +122,18 @@ class TestMaxCliqueBkt:
         alive = (1 << g.n) - 1
         while alive:
             clique = oracles.mask_of(oracles.degree_order_max_clique_bkt(g, alive=alive))
-            assert_nodes_of_earlier_search(g, alive, clique)
+            assert_colored_of_earlier_search(g, alive, clique)
             expected.append(clique)
             alive &= ~clique
         assert clique_removal_cover(g, Heuristic.BKT) == tuple(expected)
         # inside a cover each search is also bounded by the previous
-        # clique's size, and the budget applies to each extraction
+        # clique's size, and the budget spans every extraction
         extractions = oracles.counted_bkt_cover(g)
-        assert [clique for clique, _ in extractions] == expected
-        budget = max(nodes for _, nodes in extractions)
-        assert clique_removal_cover(g, Heuristic.BKT, node_budget=budget) == tuple(expected)
+        assert [clique for clique, _, _ in extractions] == expected
+        budget = sum(colored for _, _, colored in extractions)
+        assert clique_removal_cover(g, Heuristic.BKT, budget=budget) == tuple(expected)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, node_budget=budget - 1)
+            clique_removal_cover(g, Heuristic.BKT, budget=budget - 1)
 
     def test_deep_search_leaves_recursion_limit_alone(self):
         # the search descends once per clique member, past the default limit
@@ -351,45 +352,60 @@ class TestCliqueRemovalCover:
     def test_budget_propagates(self):
         g = oracles.random_gnp(30, 0.7, 9)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, node_budget=3)
+            clique_removal_cover(g, Heuristic.BKT, budget=3)
 
     def test_negative_budget_rejected(self):
         for g in (complete_graph(5), TermGraph([])):
-            with pytest.raises(ValueError, match="node budget must be at least 0, got -1"):
-                clique_removal_cover(g, Heuristic.BKT, node_budget=-1)
-            with pytest.raises(ValueError, match="node budget must be at least 0, got -2"):
-                solve_mcc(g, Heuristic.BKT, node_budget=-2)
+            with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+                clique_removal_cover(g, Heuristic.BKT, budget=-1)
+            with pytest.raises(ValueError, match="budget must be at least 0, got -2"):
+                solve_mcc(g, Heuristic.BKT, budget=-2)
         # Only the exact finder has a budget.
-        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=-1) == (0b11111,)
+        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, budget=-1) == (0b11111,)
 
     def test_non_integer_budget_rejected(self):
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         for g in (build_qwc_graph(h), complete_graph(5), TermGraph([])):
             with pytest.raises(TypeError):
-                clique_removal_cover(g, Heuristic.BKT, node_budget=705.5)
+                clique_removal_cover(g, Heuristic.BKT, budget=705.5)
             with pytest.raises(TypeError):
-                solve_mcc(g, Heuristic.BKT, node_budget=705.5)
-        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, node_budget=0.5) == (0b11111,)
+                solve_mcc(g, Heuristic.BKT, budget=705.5)
+        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, budget=0.5) == (0b11111,)
 
     def test_bool_budget_rejected(self):
-        # True == 1 would allow one search node and fail as "exceeded True nodes"
+        # True == 1 would allow one colored vertex and fail as "exceeded True ..."
         for g in (TermGraph([0b10, 0b01]), TermGraph([])):
             for budget in (True, False):
                 with pytest.raises(TypeError, match="not a bool"):
-                    clique_removal_cover(g, Heuristic.BKT, node_budget=budget)
+                    clique_removal_cover(g, Heuristic.BKT, budget=budget)
                 with pytest.raises(TypeError, match="not a bool"):
-                    solve_mcc(g, Heuristic.BKT, node_budget=budget)
+                    solve_mcc(g, Heuristic.BKT, budget=budget)
 
     def test_budget_spares_the_proof(self):
-        # the hardest extraction here needs 706 nodes and not one fewer; its
-        # clique number fell, so the search runs to the end there.  The
-        # search run to the end in label order needed 21,434.
+        # the whole cover colors 167,411 vertices in 3,027 search nodes
+        # and needs every one; its hardest extraction (706 nodes, 67,741
+        # colored) proves that the clique number fell, so the search runs
+        # to the end there.
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         g = build_qwc_graph(h)
-        cover = clique_removal_cover(g, Heuristic.BKT, node_budget=706)
+        extractions = oracles.counted_bkt_cover(g)
+        assert sum(colored for _, _, colored in extractions) == 167_411
+        cover = clique_removal_cover(g, Heuristic.BKT, budget=167_411)
         validate_cover(g, cover)
+        assert cover == tuple(clique for clique, _, _ in extractions)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, node_budget=705)
+            clique_removal_cover(g, Heuristic.BKT, budget=167_410)
+
+    def test_budget_spans_the_cover(self):
+        # each extraction's search fits the budget alone, but the cover's
+        # extractions together color more, so the cover fails
+        g = build_qwc_graph(parse_hamiltonian((GOLDEN / "random-60.ham").read_text()))
+        colored = [colored for _, _, colored in oracles.counted_bkt_cover(g)]
+        budget = max(colored)
+        assert len(colored) > 1 and sum(colored) > budget
+        with pytest.raises(BudgetExceededError):
+            clique_removal_cover(g, Heuristic.BKT, budget)
+        assert len(clique_removal_cover(g, Heuristic.BKT, sum(colored))) == len(colored)
 
     def test_matches_relabelling_reference(self, demo_graph):
         rng = random.Random(6)
