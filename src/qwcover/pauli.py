@@ -258,7 +258,8 @@ class HamiltonianTerm:
     reads back.
 
     Raises:
-        TypeError: the coefficient is a ``bool`` or not a real number.
+        TypeError: the coefficient is a ``bool`` or not a real number, or
+            the word is not a :class:`PauliWord`.
         ValueError: the coefficient is not finite.
     """
 
@@ -266,6 +267,8 @@ class HamiltonianTerm:
     word: PauliWord
 
     def __post_init__(self) -> None:
+        if not isinstance(self.word, PauliWord):
+            raise TypeError(f"word must be a PauliWord, got {self.word!r}")
         coefficient = self.coefficient
         if type(coefficient) is not float and type(coefficient) is not int:
             coefficient = _as_float(coefficient)
@@ -282,19 +285,22 @@ class Hamiltonian:
     """An ordered list of weighted Pauli words over ``n_qubits`` qubits.
 
     Direct construction checks that the input is normalized (unique words,
-    indices within range); :func:`parse_hamiltonian` merges duplicates and
-    prunes negligible coefficients.  Term order is significant: it is
-    preserved from the input and defines the input-order coloring heuristic.
+    indices within range, at most ``MAX_QUBIT_INDEX + 1`` qubits, as the
+    parser reads back) and stores ``terms``, any iterable, as a tuple;
+    :func:`parse_hamiltonian` merges duplicates and prunes negligible
+    coefficients.  Term order is significant: it is preserved from the
+    input and defines the input-order coloring heuristic.
     """
 
     terms: tuple[HamiltonianTerm, ...]
     n_qubits: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):
             raise TypeError(f"n_qubits must be an int, got {self.n_qubits!r}")
-        if self.n_qubits < 0:
-            raise ValueError("n_qubits must be non-negative")
+        if not 0 <= self.n_qubits <= MAX_QUBIT_INDEX + 1:
+            raise ValueError(f"n_qubits must be in 0..{MAX_QUBIT_INDEX + 1}, got {self.n_qubits}")
         seen: set[PauliWord] = set()
         for term in self.terms:
             word = term.word

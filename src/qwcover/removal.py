@@ -1,12 +1,13 @@
 """Cover construction by repeated clique extraction.
 
-Two clique finders are provided: an exact branch-and-bound maximum-clique
-search with greedy-coloring bounds (worst-case exponential, guarded by a
-budget of colored vertices that one cover spends across all its
-extractions) and a polynomial recursive pivot construction that returns a
-maximal clique.  Extracting a clique, removing it, and repeating yields an
-approximate minimum clique cover; even with the exact finder the result
-can exceed the true minimum.
+Two clique finders back the two removal covers, ``bkt`` and ``ramsey``,
+which :func:`~qwcover.solvers.solve_mcc` runs: an exact branch-and-bound
+maximum-clique search with greedy-coloring bounds (worst-case exponential,
+guarded by a budget of colored vertices that one cover spends across all
+its extractions) and a polynomial recursive pivot construction that
+returns a maximal clique, public as :func:`ramsey_clique`.  Extracting a
+clique, removing it, and repeating yields an approximate minimum clique
+cover; even with the exact finder the result can exceed the true minimum.
 
 Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
 over its rows, and each finder searches the subgraph it induces, reading
@@ -47,16 +48,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import index
 
-from .cover import Heuristic
 from .graph import TermGraph, _planes, iter_bits
 
-__all__ = [
-    "DEFAULT_BKT_BUDGET",
-    "BudgetExceededError",
-    "clique_removal_cover",
-    "max_clique_bkt",
-    "ramsey_clique",
-]
+__all__ = ["DEFAULT_BKT_BUDGET", "BudgetExceededError", "ramsey_clique"]
 
 # bkt's work is counted in colored vertices: each greedy coloring (one at
 # the root of each search, one per search node) spends its candidate count,
@@ -84,13 +78,6 @@ class BudgetExceededError(RuntimeError):
     CLI reports the error in place of the ``bkt`` cover, and otherwise it
     exits with status 3.
     """
-
-
-def _check_budget(budget: int) -> None:
-    if isinstance(budget, bool):
-        raise TypeError(f"budget must be an integer, not a bool: {budget}")
-    if index(budget) < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
 
 
 def _alive_mask(g: TermGraph, alive: int | None) -> int:
@@ -187,11 +174,11 @@ def _exceeded(budget: int) -> BudgetExceededError:
     return BudgetExceededError(f"maximum-clique search exceeded {budget} colored vertices")
 
 
-def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callable[[int], int]]:
-    """``g`` relabelled by ascending degree, ties by label, with the
-    relabelling of a mask and its inverse: vertex ``order[j]`` becomes
-    ``j``, so the highest degree gets the highest label and is colored and
-    branched on first.
+def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int]]:
+    """``g`` relabelled by ascending degree, ties by label, with the map
+    of a relabelled mask back to ``g``'s labels: vertex ``order[j]``
+    becomes ``j``, so the highest degree gets the highest label and is
+    colored and branched on first.
 
     Bit ``u`` of column ``k`` of the rows taken in degree order is the
     edge ``(order[u], k)``, so, adjacency being symmetric, column ``k`` is
@@ -201,42 +188,10 @@ def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int], Callab
     order = sorted(range(g.n), key=g.degrees.__getitem__)
     columns = _planes([g.rows[v] for v in order], g.n)
 
-    def relabel(mask: int) -> int:
-        label = dict(zip(order, range(g.n)))
-        return sum(1 << label[v] for v in iter_bits(mask))
-
     def unlabel(mask: int) -> int:
         return sum(1 << order[j] for j in iter_bits(mask))
 
-    return TermGraph([columns[v] for v in order]), relabel, unlabel
-
-
-def max_clique_bkt(
-    g: TermGraph, budget: int = DEFAULT_BKT_BUDGET, *, alive: int | None = None
-) -> int:
-    """Exact maximum clique via coloring branch and bound, as a bitmask.
-
-    Searches the subgraph induced by the ``alive`` bitmask (default: every
-    vertex) on the graph relabelled by ascending degree, ties by label, and
-    returns the first maximum clique in that search's depth-first order
-    (:func:`_search`), so ties between maximum cliques always resolve the
-    same way.  The degree order depends on the whole graph, not on
-    ``alive``.  The search runs on an explicit stack, so clique size is not
-    limited by the interpreter's recursion limit.
-
-    Raises:
-        TypeError: ``budget`` is not an integer or is a ``bool``, or
-            ``alive`` is a ``bool``.
-        ValueError: ``budget`` is negative, no vertex is alive, or
-            ``alive`` has a bit outside the graph.
-        BudgetExceededError: the colorings would color over ``budget`` vertices.
-    """
-    _check_budget(budget)
-    alive = _alive_mask(g, alive)
-    if not alive:
-        raise ValueError("maximum clique of an empty graph is undefined")
-    degree, relabel, unlabel = _degree_order(g)
-    return unlabel(_search(degree, relabel(alive), g.n, budget, 0)[0])
+    return TermGraph([columns[v] for v in order]), unlabel
 
 
 def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
@@ -324,46 +279,45 @@ def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
     return clique
 
 
-def clique_removal_cover(
-    g: TermGraph,
-    finder: Heuristic = Heuristic.BKT,
-    budget: int = DEFAULT_BKT_BUDGET,
-) -> tuple[int, ...]:
-    """Cover by repeated clique extraction, as group bitmasks.
-
-    Finds a clique among the alive vertices with the selected finder,
-    records it, clears its vertices from the alive mask, and repeats until
-    no vertex is alive.  Groups are reported in extraction order.  Each
-    ``BKT`` group is the one :func:`max_clique_bkt` returns for the alive
-    vertices, and one budget of colored vertices spans every extraction.
-
-    Raises:
-        TypeError: ``finder`` is ``BKT`` and ``budget`` is no integer or
-            is a ``bool``.
-        ValueError: ``finder`` is not a clique-removal method, or it is
-            ``BKT`` and ``budget`` is negative.
-        BudgetExceededError: the colorings would color over ``budget`` vertices.
-    """
-    if finder not in (Heuristic.BKT, Heuristic.RAMSEY):
-        raise ValueError(f"not a clique-removal method: {finder}")
+def _ramsey_cover(g: TermGraph) -> tuple[int, ...]:
+    """``ramsey``'s cover, as group bitmasks in extraction order: the
+    :func:`ramsey_clique` of the alive vertices, cleared from the alive
+    mask, until no vertex is alive."""
     groups: list[int] = []
     alive = (1 << g.n) - 1
-    if finder is Heuristic.RAMSEY:
-        while alive:
-            groups.append(ramsey_clique(g, alive=alive))
-            alive ^= groups[-1]
-        return tuple(groups)
-    _check_budget(budget)
-    if not alive:
-        return ()
+    while alive:
+        groups.append(ramsey_clique(g, alive=alive))
+        alive ^= groups[-1]
+    return tuple(groups)
+
+
+def _bkt_cover(g: TermGraph, budget: int) -> tuple[int, ...]:
+    """``bkt``'s cover, as group bitmasks in extraction order: the first
+    maximum clique of the alive vertices in :func:`_search`'s order on
+    the degree-ordered graph, cleared from the alive mask, until no vertex
+    is alive.  One budget of colored vertices spans every extraction, and
+    its error says how many groups came before it and how many terms they
+    cover."""
+    if isinstance(budget, bool):
+        raise TypeError(f"budget must be an integer, not a bool: {budget}")
+    if index(budget) < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    groups: list[int] = []
+    alive = (1 << g.n) - 1
+    degree, unlabel = _degree_order(g)
     # Each alive set lies inside the last one, so the last clique's size
     # bounds the next clique.
-    degree, _, unlabel = _degree_order(g)
     size = g.n
     spent = 0
-    while alive:
-        clique, spent = _search(degree, alive, size, budget, spent)
-        groups.append(unlabel(clique))
-        alive ^= clique
-        size = clique.bit_count()
+    try:
+        while alive:
+            clique, spent = _search(degree, alive, size, budget, spent)
+            groups.append(unlabel(clique))
+            alive ^= clique
+            size = clique.bit_count()
+    except BudgetExceededError as exc:
+        covered = g.n - alive.bit_count()
+        raise BudgetExceededError(
+            f"{exc} after {len(groups)} groups covering {covered} of {g.n} terms"
+        ) from None
     return tuple(groups)

@@ -2,6 +2,8 @@
 
 Seven color the complement graph, two extract cliques one at a time; the
 exact one, ``bkt``, spends one budget of colored vertices over its cover.
+Only this module decides which solver runs: the removal loops it calls
+are private to :mod:`qwcover.removal`.
 No solver checks its own cover.  Callers that need that run ``validate_cover``
 against the graph, or, as ``qwcover run`` does, check the partition and
 derive each distinct group's basis from its words with ``basis_of_group``.
@@ -22,7 +24,7 @@ from .coloring import (
 )
 from .cover import Heuristic
 from .graph import TermGraph
-from .removal import DEFAULT_BKT_BUDGET, clique_removal_cover
+from .removal import DEFAULT_BKT_BUDGET, _bkt_cover, _ramsey_cover
 
 __all__ = ["solve_mcc"]
 
@@ -49,16 +51,20 @@ def solve_mcc(
     bitmasks.
 
     Coloring heuristics run on the complement graph, which ``g`` builds
-    once and shares across calls.  ``budget`` only affects BKT, where
-    :func:`clique_removal_cover` checks it and spends it, in colored
-    vertices, across the whole cover.
+    once and shares across calls.  ``budget`` only affects BKT, which
+    spends it, in colored vertices, across the whole cover.
 
     Raises:
-        TypeError: ``heuristic`` is not a :class:`Heuristic`.
+        TypeError: ``heuristic`` is not a :class:`Heuristic`, or it is
+            BKT and ``budget`` is no integer or is a ``bool``.
+        ValueError: ``heuristic`` is BKT and ``budget`` is negative.
+        BudgetExceededError: ``heuristic`` is BKT and its colorings would
+            color over ``budget`` vertices.
     """
     if not isinstance(heuristic, Heuristic):
         raise TypeError(f"heuristic must be a Heuristic, got {heuristic!r}")
-    color = _COLORINGS.get(heuristic)
-    if color is None:
-        return clique_removal_cover(g, heuristic, budget)
-    return cover_from_coloring(color(g.complement()))
+    if heuristic is Heuristic.BKT:
+        return _bkt_cover(g, budget)
+    if heuristic is Heuristic.RAMSEY:
+        return _ramsey_cover(g)
+    return cover_from_coloring(_COLORINGS[heuristic](g.complement()))

@@ -15,7 +15,10 @@ gather (:func:`string_gather_degree_order`);
 :func:`counted_max_clique_bkt` is that bounded search coloring into
 ``(vertex, color)`` pairs, as the earlier search did, with its node count
 and the length of its colorings' lists: the reference for the class-mask
-search's nodes and for the colored vertices its budget counts; and
+search's nodes and for the colored vertices its budget counts;
+:func:`bkt_search` is no oracle but the package's own ``bkt`` search,
+run alone on any alive mask, so that one search can be held against
+those references outside a cover; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -55,6 +58,7 @@ import numpy as np
 
 from qwcover import (
     COEFFICIENT_PRUNE_THRESHOLD,
+    DEFAULT_BKT_BUDGET,
     MAX_QUBIT_INDEX,
     BasisConflictError,
     BudgetExceededError,
@@ -78,7 +82,7 @@ from qwcover.pauli import (
     _as_axis,
     _parse_coefficient,
 )
-from qwcover.removal import _alive_mask
+from qwcover.removal import _alive_mask, _degree_order, _search
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -381,11 +385,18 @@ def degree_order(g: TermGraph) -> list[int]:
 
 
 @lru_cache(maxsize=4)
+def _cached_degree_order(g: TermGraph) -> tuple[int, ...]:
+    """:func:`degree_order`, built once per graph for the extractions of
+    a cover."""
+    return tuple(degree_order(g))
+
+
+@lru_cache(maxsize=4)
 def _degree_ordered(g: TermGraph) -> tuple[tuple[int, ...], TermGraph]:
     """:func:`degree_order` and the graph it relabels, built once per graph
     for the extractions of a cover."""
-    order = degree_order(g)
-    return tuple(order), induced_subgraph(g, order)
+    order = _cached_degree_order(g)
+    return order, induced_subgraph(g, list(order))
 
 
 def _to_degree_order(order: tuple[int, ...], alive: int) -> int:
@@ -394,7 +405,7 @@ def _to_degree_order(order: tuple[int, ...], alive: int) -> int:
 
 def degree_order_max_clique_bkt(g: TermGraph, *, alive: int | None = None) -> frozenset[int]:
     """:func:`full_search_max_clique_bkt` on the degree-ordered graph, in
-    ``g``'s labels: the reference for the clique ``max_clique_bkt``
+    ``g``'s labels: the reference for the clique :func:`bkt_search`
     returns."""
     alive = _alive_mask(g, alive)
     order, ordered = _degree_ordered(g)
@@ -413,14 +424,14 @@ def degree_order_clique_removal(g: TermGraph) -> tuple[frozenset[int], ...]:
 def counted_max_clique_bkt(
     g: TermGraph, *, alive: int | None = None, bound: int | None = None
 ) -> tuple[int, int, int]:
-    """The search of ``max_clique_bkt``, coloring into a list of
+    """The search of :func:`bkt_search`, coloring into a list of
     ``(vertex, color)`` pairs as the package's earlier search did, as
     ``(clique mask, nodes, colored)``, where ``colored`` sums the lengths
     of every coloring's list.
 
     One search on the degree-ordered graph, stopped at the first clique
     that reaches ``bound`` (the previous extraction's clique size inside a
-    cover; default: the vertex count, as in a standalone call) or the root
+    cover; default: the vertex count, as in :func:`bkt_search`) or the root
     coloring's color count.  The reference for the class-mask search,
     which must return the same clique after the same number of nodes and
     colored vertices.
@@ -461,6 +472,23 @@ def counted_max_clique_bkt(
             if best_size >= bound:
                 break
     return mask_of(order[j] for j in iter_bits(best_mask)), nodes, colored
+
+
+def bkt_search(g: TermGraph, budget: int = DEFAULT_BKT_BUDGET, *, alive: int | None = None) -> int:
+    """The clique of one search of the package's ``bkt`` over the
+    ``alive`` vertices (default: every vertex), as a bitmask in ``g``'s
+    labels: the package's degree-ordered graph, ``alive`` moved to its
+    labels by :func:`degree_order`, the package's ``_search`` bounded only
+    by the vertex count, as a cover's first extraction is, and the
+    package's map back.
+
+    Raises:
+        BudgetExceededError: the search would color over ``budget`` vertices.
+    """
+    degree, unlabel = _degree_order(g)
+    alive = (1 << g.n) - 1 if alive is None else alive
+    candidates = _to_degree_order(_cached_degree_order(g), alive)
+    return unlabel(_search(degree, candidates, g.n, budget, 0)[0])
 
 
 def counted_bkt_cover(g: TermGraph) -> list[tuple[int, int, int]]:

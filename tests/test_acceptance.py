@@ -30,7 +30,6 @@ from qwcover import (
     PauliWord,
     basis_of_group,
     build_qwc_graph,
-    clique_removal_cover,
     compute_stats,
     parse_hamiltonian,
     qubit_wise_commute,
@@ -86,7 +85,7 @@ def test_criterion_2_non_minimal_cover_is_legal(demo_hamiltonian, demo_graph):
 def test_criterion_3_exact_removal_can_exceed_minimum():
     """A graph where removing the true maximum clique yields a worse cover."""
     g = removal_trap_graph()
-    removal = clique_removal_cover(g, Heuristic.BKT)
+    removal = solve_mcc(g, Heuristic.BKT)
     validate_cover(g, removal)
     optimum = oracles.exact_mcc(g)
     validate_cover(g, optimum)

@@ -14,9 +14,9 @@ PUBLIC_NAMES = {
     "Hamiltonian", "HamiltonianTerm", "Heuristic", "IMAGINARY_TOLERANCE",
     "InvalidCoverError", "MAX_GRAPH_VERTICES", "MAX_QUBIT_INDEX", "ParseError",
     "PauliAxis", "PauliWord", "TermGraph", "basis_of_group", "build_qwc_graph",
-    "clique_removal_cover", "compute_stats", "cosine_coloring", "cover_from_coloring",
+    "compute_stats", "cosine_coloring", "cover_from_coloring",
     "db_coloring", "dsatur_coloring", "format_hamiltonian", "input_order",
-    "iter_bits", "largest_first_order", "max_clique_bkt",
+    "iter_bits", "largest_first_order",
     "parse_hamiltonian", "qubit_wise_commute", "ramsey_clique", "rlf_coloring",
     "sequential_coloring", "smallest_last_order", "solve_mcc", "validate_cover",
 }
@@ -45,6 +45,6 @@ def test_cli_names_not_exported():
 
 
 def test_public_names_unchanged():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36
     assert set(qwcover.__all__) == PUBLIC_NAMES
 

@@ -224,6 +224,31 @@ class TestHamiltonianConstruction:
         with pytest.raises(ValueError, match="n_qubits"):
             Hamiltonian((HamiltonianTerm(1.0, W("X5")),), 2)
 
+    def test_qubit_count_above_the_parsers_limit_rejected(self):
+        # format_hamiltonian would write a header the parser rejects
+        limit = MAX_QUBIT_INDEX + 1
+        h = Hamiltonian((), limit)
+        assert parse_hamiltonian(format_hamiltonian(h)) == h
+        for n_qubits in (limit + 1, 70000):
+            with pytest.raises(ValueError, match=f"n_qubits must be in 0..{limit}"):
+                Hamiltonian((), n_qubits)
+
+    def test_terms_stored_as_a_tuple(self):
+        # a generator would be used up by the duplicate check, and a list
+        # would leave the frozen Hamiltonian unhashable
+        terms = [HamiltonianTerm(1.0, W("X0")), HamiltonianTerm(-0.5, W("Z1"))]
+        built = [Hamiltonian(iter(terms), 2), Hamiltonian(terms, 2), Hamiltonian(tuple(terms), 2)]
+        for h in built:
+            assert h.terms == tuple(terms)
+            assert h.n_terms == 2
+            assert h == parse_hamiltonian(format_hamiltonian(h))
+            assert hash(h) == hash(built[-1])
+
+    @pytest.mark.parametrize("word", ["X0", None, {0: "X"}])
+    def test_word_that_is_not_a_pauli_word_rejected(self, word):
+        with pytest.raises(TypeError, match="word must be a PauliWord"):
+            HamiltonianTerm(1.0, word)
+
     def test_non_finite_coefficient_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             HamiltonianTerm(math.inf, W("X0"))

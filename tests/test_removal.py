@@ -14,8 +14,6 @@ from qwcover import (
     Heuristic,
     TermGraph,
     build_qwc_graph,
-    clique_removal_cover,
-    max_clique_bkt,
     parse_hamiltonian,
     ramsey_clique,
     solve_mcc,
@@ -33,75 +31,50 @@ def complete_graph(n):
 
 
 def assert_colored_of_earlier_search(g, alive, clique):
-    """``max_clique_bkt`` finds ``clique`` within exactly the budget of
+    """``bkt``'s search finds ``clique`` within exactly the budget of
     colored vertices that the earlier search over ``(vertex, color)``
     pairs colored, and not one fewer."""
     found, _, colored = oracles.counted_max_clique_bkt(g, alive=alive)
     assert found == clique
-    assert max_clique_bkt(g, budget=colored, alive=alive) == clique
+    assert oracles.bkt_search(g, budget=colored, alive=alive) == clique
     with pytest.raises(BudgetExceededError):
-        max_clique_bkt(g, budget=colored - 1, alive=alive)
+        oracles.bkt_search(g, budget=colored - 1, alive=alive)
 
 
 class TestMaxCliqueBkt:
+    # One search of bkt, run alone on any alive mask through
+    # oracles.bkt_search; a cover runs it once per extraction.
     def test_complete_graph(self):
-        assert max_clique_bkt(complete_graph(5)) == 0b11111
+        assert oracles.bkt_search(complete_graph(5)) == 0b11111
 
     def test_edgeless_graph_lowest_index(self):
-        assert max_clique_bkt(oracles.graph_from_edges(4, [])) == 0b1
+        assert oracles.bkt_search(oracles.graph_from_edges(4, [])) == 0b1
 
     def test_demo_graph(self, demo_graph):
-        assert max_clique_bkt(demo_graph) == 0b1111
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            max_clique_bkt(TermGraph([]))
+        assert oracles.bkt_search(demo_graph) == 0b1111
 
     def test_matches_brute_force(self):
         rng = random.Random(2)
         for trial in range(40):
             n = rng.randint(1, 12)
             g = oracles.random_gnp(n, rng.uniform(0.2, 0.9), 300 + trial)
-            found = max_clique_bkt(g)
+            found = oracles.bkt_search(g)
             assert oracles.is_clique(g, found)
             assert found.bit_count() == len(oracles.brute_force_max_clique(g)), trial
 
     def test_budget_exceeded(self):
         g = oracles.random_gnp(30, 0.7, 8)
         with pytest.raises(BudgetExceededError, match="exceeded"):
-            max_clique_bkt(g, budget=3)
+            oracles.bkt_search(g, budget=3)
 
     def test_zero_budget_exceeded_at_once(self):
         # the root's coloring already colors one vertex
         with pytest.raises(BudgetExceededError, match="exceeded 0 colored vertices"):
-            max_clique_bkt(complete_graph(1), budget=0)
-
-    def test_negative_budget_rejected(self):
-        # A negative budget is an error, not a search without a limit.
-        for alive in (None, 0):
-            with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
-                max_clique_bkt(complete_graph(5), budget=-1, alive=alive)
-
-    def test_non_integer_budget_rejected(self):
-        # A budget counts colored vertices, so only an integer is one.
-        g = build_qwc_graph(oracles.random_hamiltonian(random.Random(3), 40, 6, max_weight=3))
-        with pytest.raises(BudgetExceededError):
-            max_clique_bkt(g, 1)
-        for budget in (1.5, 1.0):
-            for alive in (None, 0):
-                with pytest.raises(TypeError):
-                    max_clique_bkt(g, budget, alive=alive)
-
-    def test_bool_budget_rejected(self):
-        # True == 1, but a bool is not a count of colored vertices
-        for budget in (True, False):
-            for alive in (None, 0):
-                with pytest.raises(TypeError, match="not a bool"):
-                    max_clique_bkt(complete_graph(2), budget, alive=alive)
+            oracles.bkt_search(complete_graph(1), budget=0)
 
     def test_deterministic(self):
         g = oracles.random_gnp(14, 0.6, 77)
-        assert max_clique_bkt(g) == max_clique_bkt(g)
+        assert oracles.bkt_search(g) == oracles.bkt_search(g)
 
     def test_matches_full_search(self):
         # the search stopped at an upper bound returns the clique of the
@@ -112,7 +85,7 @@ class TestMaxCliqueBkt:
             g = oracles.random_gnp(n, rng.choice([0.3, 0.5, 0.7, 0.8, 0.9]), 2000 + trial)
             alive = (1 << n) - 1 if trial % 2 == 0 else rng.getrandbits(n) or 1
             expected = oracles.mask_of(oracles.degree_order_max_clique_bkt(g, alive=alive))
-            assert max_clique_bkt(g, alive=alive) == expected, trial
+            assert oracles.bkt_search(g, alive=alive) == expected, trial
             assert_colored_of_earlier_search(g, alive, expected)
 
     @pytest.mark.parametrize("name", GOLDEN_INPUTS)
@@ -125,37 +98,35 @@ class TestMaxCliqueBkt:
             assert_colored_of_earlier_search(g, alive, clique)
             expected.append(clique)
             alive &= ~clique
-        assert clique_removal_cover(g, Heuristic.BKT) == tuple(expected)
+        assert solve_mcc(g, Heuristic.BKT) == tuple(expected)
         # inside a cover each search is also bounded by the previous
         # clique's size, and the budget spans every extraction
         extractions = oracles.counted_bkt_cover(g)
         assert [clique for clique, _, _ in extractions] == expected
         budget = sum(colored for _, _, colored in extractions)
-        assert clique_removal_cover(g, Heuristic.BKT, budget=budget) == tuple(expected)
+        assert solve_mcc(g, Heuristic.BKT, budget=budget) == tuple(expected)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, budget=budget - 1)
+            solve_mcc(g, Heuristic.BKT, budget=budget - 1)
 
     def test_deep_search_leaves_recursion_limit_alone(self):
         # the search descends once per clique member, past the default limit
         limit = sys.getrecursionlimit()
         g = complete_graph(1100)
-        for finder in (max_clique_bkt, ramsey_clique):
+        for finder in (oracles.bkt_search, ramsey_clique):
             assert finder(g) == (1 << 1100) - 1
             assert sys.getrecursionlimit() == limit
 
     def test_alive_mask_outside_graph_rejected(self):
         g = complete_graph(3)
-        for finder in (max_clique_bkt, ramsey_clique):
-            with pytest.raises(ValueError, match="outside"):
-                finder(g, alive=1 << 3)
+        with pytest.raises(ValueError, match="outside"):
+            ramsey_clique(g, alive=1 << 3)
 
     def test_bool_alive_mask_rejected(self):
         # True == 1, the mask of vertex 0, but a bool is not a bitmask
         g = complete_graph(3)
-        for finder in (max_clique_bkt, ramsey_clique):
-            for alive in (True, False):
-                with pytest.raises(TypeError, match="not a bool"):
-                    finder(g, alive=alive)
+        for alive in (True, False):
+            with pytest.raises(TypeError, match="not a bool"):
+                ramsey_clique(g, alive=alive)
 
 
 class TestDegreeOrder:
@@ -168,7 +139,7 @@ class TestDegreeOrder:
             n = rng.randint(1, 30)
             graphs.append(oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1700 + trial))
         for number, g in enumerate(graphs):
-            degree, relabel, unlabel = _degree_order(g)
+            degree, unlabel = _degree_order(g)
             # new label j is old label order[j]
             order = sorted(range(g.n), key=lambda v: (g.degrees[v], v))
 
@@ -179,21 +150,20 @@ class TestDegreeOrder:
             complement = g.complement()
             assert degree.complement().rows == tuple(moved(complement.rows[v]) for v in order), number
             for mask in [0, (1 << g.n) - 1] + [rng.getrandbits(g.n) for _ in range(5)]:
-                assert relabel(mask) == moved(mask), (number, mask)
                 assert unlabel(moved(mask)) == mask, (number, mask)
 
     def test_rows_are_the_induced_subgraph_in_degree_order(self):
         rng = random.Random(70)
         for n in [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70] + [rng.randint(0, 70) for _ in range(20)]:
             g = oracles.random_gnp(n, rng.uniform(0.05, 0.95), 7000 + n)
-            degree, _, _ = _degree_order(g)
+            degree, _ = _degree_order(g)
             assert degree.rows == oracles.induced_subgraph(g, oracles.degree_order(g)).rows, n
 
     def test_matrix_past_one_column_chunk_matches_string_gather(self):
         h = oracles.random_hamiltonian(random.Random(800), 800, 12, max_weight=4)
         g = build_qwc_graph(h)
         assert g.n * -(-g.n // 8) > _CHUNK_BYTES  # more than one column chunk
-        degree, _, _ = _degree_order(g)
+        degree, _ = _degree_order(g)
         assert degree.rows == oracles.string_gather_degree_order(g)
 
 
@@ -214,7 +184,7 @@ class TestRamseyClique:
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 600 + trial)
             found = ramsey_clique(g)
             assert oracles.is_clique(g, found)
-            assert found.bit_count() <= max_clique_bkt(g).bit_count()
+            assert found.bit_count() <= oracles.bkt_search(g).bit_count()
 
     def test_result_is_maximal(self):
         rng = random.Random(4)
@@ -299,50 +269,46 @@ class TestRamseyCoverMatchesRecursiveDefinition:
                 max_weight=rng.randint(2, 4),
             )
             g = build_qwc_graph(h)
-            assert clique_removal_cover(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
+            assert solve_mcc(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
 
     def test_sparse_random_graphs(self):
         # few neighbors, so most pivot branches are too small to win
         rng = random.Random(26)
         for trial in range(30):
             g = oracles.random_gnp(rng.randint(1, 150), rng.uniform(0.05, 0.2), 3100 + trial)
-            assert clique_removal_cover(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
+            assert solve_mcc(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
 
     def test_disjoint_equal_cliques(self):
         # every chain clique ties with the first, which must win
         rng = random.Random(27)
         for k, size in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (8, 5), (3, 9), (12, 6)]:
             g = disjoint_cliques(k, size, rng)
-            cover = clique_removal_cover(g, Heuristic.RAMSEY)
+            cover = solve_mcc(g, Heuristic.RAMSEY)
             assert cover == recursive_ramsey_cover(g), (k, size)
             assert sorted(group.bit_count() for group in cover) == [size] * k
 
 
 class TestCliqueRemovalCover:
     def test_demo_graph_bkt(self, demo_graph):
-        cover = clique_removal_cover(demo_graph, Heuristic.BKT)
+        cover = solve_mcc(demo_graph, Heuristic.BKT)
         assert set(cover) == DEMO_MINIMUM_GROUPS
 
     def test_demo_graph_ramsey(self, demo_graph):
-        cover = clique_removal_cover(demo_graph, Heuristic.RAMSEY)
+        cover = solve_mcc(demo_graph, Heuristic.RAMSEY)
         assert set(cover) == DEMO_MINIMUM_GROUPS
 
     def test_edgeless_graph_singletons(self):
         g = oracles.graph_from_edges(4, [])
-        cover = clique_removal_cover(g, Heuristic.BKT)
+        cover = solve_mcc(g, Heuristic.BKT)
         assert cover == (0b0001, 0b0010, 0b0100, 0b1000)
 
     def test_groups_in_extraction_order(self, demo_graph):
-        cover = clique_removal_cover(demo_graph, Heuristic.BKT)
+        cover = solve_mcc(demo_graph, Heuristic.BKT)
         assert cover[0] == 0b1111  # the maximum clique
 
     def test_empty_graph(self):
-        cover = clique_removal_cover(TermGraph([]), Heuristic.BKT)
+        cover = solve_mcc(TermGraph([]), Heuristic.BKT)
         assert cover == ()
-
-    def test_rejects_coloring_heuristics(self, demo_graph):
-        with pytest.raises(ValueError, match="clique-removal"):
-            clique_removal_cover(demo_graph, Heuristic.LF)
 
     @pytest.mark.parametrize("name", ["lf", "bkt"])
     def test_solve_mcc_rejects_a_heuristic_name(self, demo_graph, name):
@@ -352,32 +318,28 @@ class TestCliqueRemovalCover:
     def test_budget_propagates(self):
         g = oracles.random_gnp(30, 0.7, 9)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, budget=3)
+            solve_mcc(g, Heuristic.BKT, budget=3)
 
     def test_negative_budget_rejected(self):
+        # A negative budget is an error, not a search without a limit.
         for g in (complete_graph(5), TermGraph([])):
             with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
-                clique_removal_cover(g, Heuristic.BKT, budget=-1)
-            with pytest.raises(ValueError, match="budget must be at least 0, got -2"):
-                solve_mcc(g, Heuristic.BKT, budget=-2)
+                solve_mcc(g, Heuristic.BKT, budget=-1)
         # Only the exact finder has a budget.
-        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, budget=-1) == (0b11111,)
+        assert solve_mcc(complete_graph(5), Heuristic.RAMSEY, budget=-1) == (0b11111,)
 
     def test_non_integer_budget_rejected(self):
         h = oracles.random_hamiltonian(random.Random(400), 400, 13, max_weight=4)
         for g in (build_qwc_graph(h), complete_graph(5), TermGraph([])):
-            with pytest.raises(TypeError):
-                clique_removal_cover(g, Heuristic.BKT, budget=705.5)
-            with pytest.raises(TypeError):
-                solve_mcc(g, Heuristic.BKT, budget=705.5)
-        assert clique_removal_cover(complete_graph(5), Heuristic.RAMSEY, budget=0.5) == (0b11111,)
+            for budget in (705.5, 1.0):
+                with pytest.raises(TypeError):
+                    solve_mcc(g, Heuristic.BKT, budget=budget)
+        assert solve_mcc(complete_graph(5), Heuristic.RAMSEY, budget=0.5) == (0b11111,)
 
     def test_bool_budget_rejected(self):
         # True == 1 would allow one colored vertex and fail as "exceeded True ..."
         for g in (TermGraph([0b10, 0b01]), TermGraph([])):
             for budget in (True, False):
-                with pytest.raises(TypeError, match="not a bool"):
-                    clique_removal_cover(g, Heuristic.BKT, budget=budget)
                 with pytest.raises(TypeError, match="not a bool"):
                     solve_mcc(g, Heuristic.BKT, budget=budget)
 
@@ -390,11 +352,11 @@ class TestCliqueRemovalCover:
         g = build_qwc_graph(h)
         extractions = oracles.counted_bkt_cover(g)
         assert sum(colored for _, _, colored in extractions) == 167_411
-        cover = clique_removal_cover(g, Heuristic.BKT, budget=167_411)
+        cover = solve_mcc(g, Heuristic.BKT, budget=167_411)
         validate_cover(g, cover)
         assert cover == tuple(clique for clique, _, _ in extractions)
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, budget=167_410)
+            solve_mcc(g, Heuristic.BKT, budget=167_410)
 
     def test_budget_spans_the_cover(self):
         # each extraction's search fits the budget alone, but the cover's
@@ -404,8 +366,22 @@ class TestCliqueRemovalCover:
         budget = max(colored)
         assert len(colored) > 1 and sum(colored) > budget
         with pytest.raises(BudgetExceededError):
-            clique_removal_cover(g, Heuristic.BKT, budget)
-        assert len(clique_removal_cover(g, Heuristic.BKT, sum(colored))) == len(colored)
+            solve_mcc(g, Heuristic.BKT, budget=budget)
+        assert len(solve_mcc(g, Heuristic.BKT, budget=sum(colored))) == len(colored)
+
+    def test_budget_error_says_how_far_the_cover_got(self):
+        # The cover's 13 extractions color 639 vertices, so at 638 the
+        # last one fails with the other 12 groups, 58 of 60 terms, out.
+        g = build_qwc_graph(parse_hamiltonian((GOLDEN / "random-60.ham").read_text()))
+        extractions = oracles.counted_bkt_cover(g)
+        assert sum(colored for _, _, colored in extractions) == 639
+        assert sum(clique.bit_count() for clique, _, _ in extractions[:-1]) == 58
+        message = (
+            "maximum-clique search exceeded 638 colored vertices"
+            " after 12 groups covering 58 of 60 terms"
+        )
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            solve_mcc(g, Heuristic.BKT, budget=638)
 
     def test_matches_relabelling_reference(self, demo_graph):
         rng = random.Random(6)
@@ -427,7 +403,7 @@ class TestCliqueRemovalCover:
             }
             for finder, reference in references.items():
                 expected = tuple(map(oracles.mask_of, reference))
-                assert clique_removal_cover(g, finder) == expected, (number, finder)
+                assert solve_mcc(g, finder) == expected, (number, finder)
 
     def test_covers_partition_random_graphs(self):
         rng = random.Random(5)
@@ -435,7 +411,7 @@ class TestCliqueRemovalCover:
             n = rng.randint(1, 12)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1200 + trial)
             for finder in (Heuristic.BKT, Heuristic.RAMSEY):
-                cover = clique_removal_cover(g, finder)
+                cover = solve_mcc(g, finder)
                 validate_cover(g, cover)
 
     def test_bkt_groups_are_maximum_cliques_of_their_alive_sets(self):
@@ -446,11 +422,11 @@ class TestCliqueRemovalCover:
             n = rng.randint(1, 14)
             g = oracles.random_gnp(n, rng.uniform(0.2, 0.9), 2600 + trial)
             alive = (1 << n) - 1
-            for group in clique_removal_cover(g, Heuristic.BKT):
+            for group in solve_mcc(g, Heuristic.BKT):
                 residual = oracles.induced_subgraph(g, oracles.members(alive))
                 assert oracles.is_clique(g, group), trial
                 assert group.bit_count() == len(oracles.brute_force_max_clique(residual)), trial
-                assert max_clique_bkt(g, alive=alive) == group, trial
+                assert oracles.bkt_search(g, alive=alive) == group, trial
                 alive ^= group
             assert not alive, trial
 
@@ -459,8 +435,8 @@ class TestRemovalCanExceedMinimum:
     def test_trap_graph_strict_inequality(self):
         g = removal_trap_graph()
         # the unique maximum clique straddles both natural groups
-        assert max_clique_bkt(g) == 0b110111  # {0, 1, 2, 4, 5}
-        removal = clique_removal_cover(g, Heuristic.BKT)
+        assert oracles.bkt_search(g) == 0b110111  # {0, 1, 2, 4, 5}
+        removal = solve_mcc(g, Heuristic.BKT)
         validate_cover(g, removal)
         optimum = oracles.exact_mcc(g)
         validate_cover(g, optimum)
