@@ -8,7 +8,6 @@ complement-graph colorings and two clique-removal schemes.
 """
 
 # The public API is every name a module lists in its own ``__all__``.
-from .coloring import *
 from .cover import *
 from .graph import *
 from .pauli import *
@@ -18,6 +17,6 @@ from .solvers import *
 __version__ = "0.1.0"
 
 __all__ = (
-    coloring.__all__ + cover.__all__ + graph.__all__ + pauli.__all__
-    + removal.__all__ + solvers.__all__
+    cover.__all__ + graph.__all__ + pauli.__all__ + removal.__all__
+    + solvers.__all__
 )

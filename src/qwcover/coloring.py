@@ -43,23 +43,6 @@ from collections.abc import Sequence
 
 from .graph import TermGraph, iter_bits
 
-__all__ = [
-    "cosine_coloring",
-    "cover_from_coloring",
-    "db_coloring",
-    "dsatur_coloring",
-    "input_order",
-    "largest_first_order",
-    "rlf_coloring",
-    "sequential_coloring",
-    "smallest_last_order",
-]
-
-
-def input_order(g: TermGraph) -> tuple[int, ...]:
-    """Vertices exactly as given, i.e. Hamiltonian input order."""
-    return tuple(range(g.n))
-
 
 def largest_first_order(g: TermGraph) -> tuple[int, ...]:
     """Vertices by non-increasing degree, ties by ascending index."""
@@ -129,14 +112,12 @@ def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
 
 
 def sequential_coloring(g: TermGraph, order: Sequence[int]) -> list[int]:
-    """Greedy coloring along ``order``.
+    """Greedy coloring along ``order``, a permutation of the vertices.
 
     The first vertex gets color 0; each later vertex gets the lowest color
     absent among its already-colored neighbors, opening a new color only
     when every existing one is blocked.
     """
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the graph's vertices")
     class_masks: list[int] = []
     for v in order:
         row = g.rows[v]

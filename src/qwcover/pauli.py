@@ -129,8 +129,8 @@ class PauliWord:
             are dropped, but still count as listing their qubit.
 
     Raises:
-        TypeError: on a qubit index that is not an integer, or is a
-            ``bool``.
+        TypeError: on a string (:meth:`from_string` reads one), or a qubit
+            index that is not an integer, or is a ``bool``.
         ValueError: on a qubit index outside ``0..MAX_QUBIT_INDEX`` or a
             qubit listed twice.
     """
@@ -138,6 +138,8 @@ class PauliWord:
     __slots__ = ("_x_mask", "_z_mask", "_hash")
 
     def __init__(self, factors: Mapping[int, PauliAxis | str] | Iterable[tuple[int, PauliAxis | str]] = ()):
+        if isinstance(factors, str):
+            raise TypeError(f"a string of factors goes to PauliWord.from_string: {factors!r}")
         pairs = factors.items() if isinstance(factors, Mapping) else factors
         listed = x_mask = z_mask = 0
         for qubit, axis in pairs:
@@ -284,9 +286,10 @@ class HamiltonianTerm:
 class Hamiltonian:
     """An ordered list of weighted Pauli words over ``n_qubits`` qubits.
 
-    Direct construction checks that the input is normalized (unique words,
-    indices within range, at most ``MAX_QUBIT_INDEX + 1`` qubits, as the
-    parser reads back) and stores ``terms``, any iterable, as a tuple;
+    Direct construction checks that each term is a :class:`HamiltonianTerm`
+    (a ``TypeError`` otherwise) and that the input is normalized (unique
+    words, indices within range, at most ``MAX_QUBIT_INDEX + 1`` qubits, as
+    the parser reads back) and stores ``terms``, any iterable, as a tuple;
     :func:`parse_hamiltonian` merges duplicates and prunes negligible
     coefficients.  Term order is significant: it is preserved from the
     input and defines the input-order coloring heuristic.
@@ -302,7 +305,9 @@ class Hamiltonian:
         if not 0 <= self.n_qubits <= MAX_QUBIT_INDEX + 1:
             raise ValueError(f"n_qubits must be in 0..{MAX_QUBIT_INDEX + 1}, got {self.n_qubits}")
         seen: set[PauliWord] = set()
-        for term in self.terms:
+        for i, term in enumerate(self.terms):
+            if not isinstance(term, HamiltonianTerm):
+                raise TypeError(f"term {i} must be a HamiltonianTerm, got {term!r}")
             word = term.word
             if word in seen:
                 raise ValueError(f"duplicate Pauli word [{word}]")
@@ -442,7 +447,10 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             that overflows), a header smaller than the largest used index,
             or neither a term line nor a header (located at the last line
             read, line 1 if none).
+        TypeError: ``source`` is ``bytes`` or ``bytearray``; decode it first.
     """
+    if isinstance(source, (bytes, bytearray)):
+        raise TypeError("source must be text, not bytes: decode it first, e.g. source.decode()")
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     declared_qubits: int | None = None
     header_line = 0

@@ -5,18 +5,18 @@ which :func:`~qwcover.solvers.solve_mcc` runs: an exact branch-and-bound
 maximum-clique search with greedy-coloring bounds (worst-case exponential,
 guarded by a budget of colored vertices that one cover spends across all
 its extractions) and a polynomial recursive pivot construction that
-returns a maximal clique, public as :func:`ramsey_clique`.  Extracting a
-clique, removing it, and repeating yields an approximate minimum clique
-cover; even with the exact finder the result can exceed the true minimum.
+returns a maximal clique (:func:`ramsey_clique`).  Extracting a clique,
+removing it, and repeating yields an approximate minimum clique cover;
+even with the exact finder the result can exceed the true minimum.
 
 Removal never rebuilds the graph: the cover keeps one ``alive`` bitmask
 over its rows, and each finder searches the subgraph it induces, reading
 each residual neighborhood as ``rows[v] & alive`` and each residual
 non-neighborhood as ``alive & other[v]``, where ``other`` holds the rows of
-the graph's cached :meth:`~TermGraph.complement` (every vertex but ``v`` and
-its neighbors).
-So no search loop complements a mask.  Each finder returns its clique as a
-bitmask, which the cover records as a group and clears from ``alive``.
+the graph's cached :meth:`~TermGraph.complement` (every vertex but ``v``
+and its neighbors).  So no search loop complements a mask.  Each finder
+returns its clique as a bitmask, which the cover records as a group and
+clears from ``alive``.
 
 The exact finder searches the graph relabelled once per cover by ascending
 degree, so that the highest degree is colored and branched on first.  The
@@ -26,10 +26,10 @@ adjacency is symmetric, column ``k`` of that matrix is row ``k`` in the new
 labels.  The finder colors the candidates of every search node greedily
 into class bitmasks (as in the bitset algorithm BBMC of San Segundo et
 al.) and returns the first maximum clique in its search's depth-first
-order, one search per extraction.  That search stops at the first clique that reaches an upper
-bound on the clique size, the root coloring's class count or the previous
-extraction's size, so where the clique size holds it skips the nodes that
-would only prove the clique maximum.
+order, one search per extraction.  That search stops at the first clique
+that reaches an upper bound on the clique size, the root coloring's class
+count or the previous extraction's size, so where the clique size holds it
+skips the nodes that would only prove the clique maximum.
 
 The polynomial finder evaluates the recursive pivot construction R of
 Boppana and Halldórsson as a branch and bound that returns exactly R's
@@ -50,7 +50,7 @@ from operator import index
 
 from .graph import TermGraph, _planes, iter_bits
 
-__all__ = ["DEFAULT_BKT_BUDGET", "BudgetExceededError", "ramsey_clique"]
+__all__ = ["DEFAULT_BKT_BUDGET", "BudgetExceededError"]
 
 # bkt's work is counted in colored vertices: each greedy coloring (one at
 # the root of each search, one per search node) spends its candidate count,
@@ -78,15 +78,6 @@ class BudgetExceededError(RuntimeError):
     CLI reports the error in place of the ``bkt`` cover, and otherwise it
     exits with status 3.
     """
-
-
-def _alive_mask(g: TermGraph, alive: int | None) -> int:
-    full = (1 << g.n) - 1
-    if isinstance(alive, bool):
-        raise TypeError(f"alive must be a vertex bitmask, not a bool: {alive}")
-    if alive is not None and alive & ~full:
-        raise ValueError("alive mask references vertices outside the graph")
-    return full if alive is None else alive
 
 
 def _color_classes(other: tuple[int, ...], candidates: int) -> list[int]:
@@ -251,22 +242,17 @@ def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
     return clique
 
 
-def ramsey_clique(g: TermGraph, *, alive: int | None = None) -> int:
+def ramsey_clique(g: TermGraph, alive: int) -> int:
     """Maximal clique in polynomial time, as a bitmask (0 when no vertex is
     alive).
 
-    Searches the subgraph induced by the ``alive`` bitmask (default: every
-    vertex).  The recursive pivot construction can return a clique that is
-    not maximal, so the result is greedily extended (ascending index over
-    the alive vertices) until no alive vertex is adjacent to all members:
-    the members' common neighbors among the alive vertices, narrowed by
-    each vertex added, give the next one as their lowest bit.
-
-    Raises:
-        TypeError: ``alive`` is a ``bool``.
-        ValueError: ``alive`` has a bit outside the graph.
+    Searches the subgraph induced by the ``alive`` bitmask.  The recursive
+    pivot construction can return a clique that is not maximal, so the
+    result is greedily extended (ascending index over the alive vertices)
+    until no alive vertex is adjacent to all members: the members' common
+    neighbors among the alive vertices, narrowed by each vertex added, give
+    the next one as their lowest bit.
     """
-    alive = _alive_mask(g, alive)
     rows = g.rows
     clique = _ramsey_clique_mask(g, alive)
     common = alive
@@ -286,7 +272,7 @@ def _ramsey_cover(g: TermGraph) -> tuple[int, ...]:
     groups: list[int] = []
     alive = (1 << g.n) - 1
     while alive:
-        groups.append(ramsey_clique(g, alive=alive))
+        groups.append(ramsey_clique(g, alive))
         alive ^= groups[-1]
     return tuple(groups)
 

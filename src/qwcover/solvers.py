@@ -2,11 +2,12 @@
 
 Seven color the complement graph, two extract cliques one at a time; the
 exact one, ``bkt``, spends one budget of colored vertices over its cover.
-Only this module decides which solver runs: the removal loops it calls
-are private to :mod:`qwcover.removal`.
-No solver checks its own cover.  Callers that need that run ``validate_cover``
-against the graph, or, as ``qwcover run`` does, check the partition and
-derive each distinct group's basis from its words with ``basis_of_group``.
+Only this module decides which solver runs: the package exports neither
+the colorings of :mod:`qwcover.coloring` nor the clique finders and
+removal loops of :mod:`qwcover.removal`.  No solver checks its own cover.
+Callers that need that run ``validate_cover`` against the graph, or, as
+``qwcover run`` does, check the partition and derive each distinct
+group's basis from its words with ``basis_of_group``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .coloring import (
     cover_from_coloring,
     db_coloring,
     dsatur_coloring,
-    input_order,
     largest_first_order,
     rlf_coloring,
     sequential_coloring,
@@ -30,7 +30,7 @@ __all__ = ["solve_mcc"]
 
 # Each coloring heuristic as a function of the complement graph.
 _COLORINGS = {
-    Heuristic.GC: lambda comp: sequential_coloring(comp, input_order(comp)),
+    Heuristic.GC: lambda comp: sequential_coloring(comp, range(comp.n)),
     Heuristic.LF: lambda comp: sequential_coloring(comp, largest_first_order(comp)),
     Heuristic.SL: lambda comp: sequential_coloring(comp, smallest_last_order(comp)),
     Heuristic.DSATUR: dsatur_coloring,

@@ -70,11 +70,10 @@ from qwcover import (
     PauliAxis,
     PauliWord,
     TermGraph,
-    cover_from_coloring,
     iter_bits,
     qubit_wise_commute,
-    ramsey_clique,
 )
+from qwcover.coloring import cover_from_coloring
 from qwcover.pauli import (
     _HEADER_RE,
     _NEGATIVE_FACTOR_RE,
@@ -82,7 +81,7 @@ from qwcover.pauli import (
     _as_axis,
     _parse_coefficient,
 )
-from qwcover.removal import _alive_mask, _degree_order, _search
+from qwcover.removal import _degree_order, _search, ramsey_clique
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -250,7 +249,7 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
         find = full_search_max_clique_bkt
     else:
         def find(sub: TermGraph) -> frozenset[int]:
-            return frozenset(members(ramsey_clique(sub)))
+            return frozenset(members(ramsey_clique(sub, (1 << sub.n) - 1)))
     kept = list(range(g.n))
     groups = []
     while kept:
@@ -277,7 +276,7 @@ def full_search_max_clique_bkt(
         ValueError: no vertex is alive.
         BudgetExceededError: more than ``node_budget`` search nodes.
     """
-    alive = _alive_mask(g, alive)
+    alive = (1 << g.n) - 1 if alive is None else alive
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
     rows = g.rows
@@ -407,7 +406,7 @@ def degree_order_max_clique_bkt(g: TermGraph, *, alive: int | None = None) -> fr
     """:func:`full_search_max_clique_bkt` on the degree-ordered graph, in
     ``g``'s labels: the reference for the clique :func:`bkt_search`
     returns."""
-    alive = _alive_mask(g, alive)
+    alive = (1 << g.n) - 1 if alive is None else alive
     order, ordered = _degree_ordered(g)
     found = full_search_max_clique_bkt(ordered, alive=_to_degree_order(order, alive))
     return frozenset(order[j] for j in found)
@@ -436,7 +435,7 @@ def counted_max_clique_bkt(
     which must return the same clique after the same number of nodes and
     colored vertices.
     """
-    alive = _alive_mask(g, alive)
+    alive = (1 << g.n) - 1 if alive is None else alive
     if not alive:
         raise ValueError("maximum clique of an empty graph is undefined")
     order, ordered = _degree_ordered(g)

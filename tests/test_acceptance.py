@@ -33,11 +33,11 @@ from qwcover import (
     compute_stats,
     parse_hamiltonian,
     qubit_wise_commute,
-    sequential_coloring,
     solve_mcc,
     validate_cover,
 )
 from qwcover.cli import main as cli_main
+from qwcover.coloring import sequential_coloring
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

@@ -5,20 +5,17 @@ import importlib
 import qwcover
 import qwcover.cli
 
-MODULES = ("coloring", "cover", "graph", "pauli", "removal", "solvers")
+MODULES = ("cover", "graph", "pauli", "removal", "solvers")
 
-# The names the package exported when it still listed them itself.
+# The public names, pinned: each change to the API changes this set.
 PUBLIC_NAMES = {
     "BasisConflictError", "BudgetExceededError", "COEFFICIENT_PRUNE_THRESHOLD",
     "CapacityError", "CoverStats", "DEFAULT_BKT_BUDGET",
     "Hamiltonian", "HamiltonianTerm", "Heuristic", "IMAGINARY_TOLERANCE",
     "InvalidCoverError", "MAX_GRAPH_VERTICES", "MAX_QUBIT_INDEX", "ParseError",
     "PauliAxis", "PauliWord", "TermGraph", "basis_of_group", "build_qwc_graph",
-    "compute_stats", "cosine_coloring", "cover_from_coloring",
-    "db_coloring", "dsatur_coloring", "format_hamiltonian", "input_order",
-    "iter_bits", "largest_first_order",
-    "parse_hamiltonian", "qubit_wise_commute", "ramsey_clique", "rlf_coloring",
-    "sequential_coloring", "smallest_last_order", "solve_mcc", "validate_cover",
+    "compute_stats", "format_hamiltonian", "iter_bits", "parse_hamiltonian",
+    "qubit_wise_commute", "solve_mcc", "validate_cover",
 }
 
 
@@ -44,7 +41,13 @@ def test_cli_names_not_exported():
         assert not hasattr(qwcover, name)
 
 
+def test_names_the_benchmark_tracer_wraps_resolve():
+    # perfbench/spans.py wraps these unexported module globals by name.
+    assert callable(qwcover.solvers.cover_from_coloring)
+    assert callable(qwcover.removal.ramsey_clique)
+
+
 def test_public_names_unchanged():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 26
     assert set(qwcover.__all__) == PUBLIC_NAMES
 

@@ -12,17 +12,8 @@ from qwcover import (
     Heuristic,
     InvalidCoverError,
     build_qwc_graph,
-    cosine_coloring,
-    cover_from_coloring,
-    db_coloring,
-    dsatur_coloring,
-    input_order,
     iter_bits,
-    largest_first_order,
     parse_hamiltonian,
-    rlf_coloring,
-    sequential_coloring,
-    smallest_last_order,
     solve_mcc,
     validate_cover,
 )
@@ -32,13 +23,21 @@ from qwcover.coloring import (
     _keep_max,
     _keep_min,
     _most_shared,
+    cosine_coloring,
+    cover_from_coloring,
+    db_coloring,
+    dsatur_coloring,
+    largest_first_order,
+    rlf_coloring,
+    sequential_coloring,
+    smallest_last_order,
 )
 from qwcover.graph import _planes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ALL_COLORINGS = {
-    "gc": lambda g: sequential_coloring(g, input_order(g)),
+    "gc": lambda g: sequential_coloring(g, range(g.n)),
     "lf": lambda g: sequential_coloring(g, largest_first_order(g)),
     "sl": lambda g: sequential_coloring(g, smallest_last_order(g)),
     "dsatur": dsatur_coloring,
@@ -67,7 +66,7 @@ def cycle_graph(n):
 class TestSequential:
     def test_edgeless_one_color(self):
         g = edgeless_graph(6)
-        assert len(sequential_coloring(g, input_order(g))) == 1
+        assert len(sequential_coloring(g, range(g.n))) == 1
 
     def test_complete_n_colors(self):
         g = complete_graph(5)
@@ -81,21 +80,12 @@ class TestSequential:
         coloring = sequential_coloring(g, [1, 0, 2])
         assert coloring == [0b010, 0b101]
 
-    def test_rejects_non_permutation(self):
-        g = edgeless_graph(3)
-        with pytest.raises(ValueError, match="permutation"):
-            sequential_coloring(g, [0, 1, 1])
-
     def test_demo_complement_lf_two_colors(self, demo_graph):
         comp = demo_graph.complement()
         assert len(sequential_coloring(comp, largest_first_order(comp))) == 2
 
 
 class TestOrders:
-    def test_input_order_is_identity(self, demo_graph):
-        assert input_order(demo_graph) == tuple(range(7))
-        assert input_order(edgeless_graph(0)) == ()
-
     def test_lf_star_center_first(self):
         star = oracles.graph_from_edges(5, [(0, i) for i in range(1, 5)])
         assert largest_first_order(star)[0] == 0
@@ -132,7 +122,7 @@ class TestOrders:
 
     def test_orders_are_permutations(self):
         g = oracles.random_gnp(12, 0.5, 5)
-        for order_fn in (input_order, largest_first_order, smallest_last_order):
+        for order_fn in (largest_first_order, smallest_last_order):
             assert sorted(order_fn(g)) == list(range(12))
 
 

@@ -83,6 +83,13 @@ class TestPauliWord:
         with pytest.raises(TypeError):
             PauliWord({qubit: "X"})
 
+    # Iterating a string gives its characters, and "" gives no factor at
+    # all, which would be the identity.
+    @pytest.mark.parametrize("text", ["Z0", "X0 Y1", ""])
+    def test_string_rejected_for_from_string(self, text):
+        with pytest.raises(TypeError, match="PauliWord.from_string"):
+            PauliWord(text)
+
     def test_factors_sorted_and_round_trip(self):
         word = W("Z3 X0 Y7")
         assert str(word) == "X0 Z3 Y7"
@@ -243,6 +250,12 @@ class TestHamiltonianConstruction:
             assert h.n_terms == 2
             assert h == parse_hamiltonian(format_hamiltonian(h))
             assert hash(h) == hash(built[-1])
+
+    @pytest.mark.parametrize("term", [("a",), 1.0, W("X0"), None])
+    def test_term_that_is_not_a_hamiltonian_term_rejected(self, term):
+        good = HamiltonianTerm(1.0, W("Z0"))
+        with pytest.raises(TypeError, match="term 1 must be a HamiltonianTerm"):
+            Hamiltonian([good, term], 2)
 
     @pytest.mark.parametrize("word", ["X0", None, {0: "X"}])
     def test_word_that_is_not_a_pauli_word_rejected(self, word):
@@ -442,6 +455,12 @@ class TestParsing:
     def test_accepts_iterable_of_lines(self):
         h = parse_hamiltonian(iter(["1.0 [Z0]\n", "2.0 [X1]\n"]))
         assert h.n_terms == 2
+
+    # Iterating bytes gives integers, not lines.
+    @pytest.mark.parametrize("source", [b"1.0 [Z0]\n", bytearray(b"1.0 [Z0]\n")])
+    def test_bytes_rejected_with_a_hint_to_decode(self, source):
+        with pytest.raises(TypeError, match="decode"):
+            parse_hamiltonian(source)
 
     @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

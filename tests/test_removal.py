@@ -15,12 +15,11 @@ from qwcover import (
     TermGraph,
     build_qwc_graph,
     parse_hamiltonian,
-    ramsey_clique,
     solve_mcc,
     validate_cover,
 )
 from qwcover.graph import _CHUNK_BYTES
-from qwcover.removal import _degree_order, _ramsey_clique_mask
+from qwcover.removal import _degree_order, _ramsey_clique_mask, ramsey_clique
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
@@ -28,6 +27,11 @@ GOLDEN_INPUTS = sorted(path.name for path in GOLDEN.glob("*.ham"))
 
 def complete_graph(n):
     return oracles.graph_from_edges(n, itertools.combinations(range(n), 2))
+
+
+def ramsey_whole(g):
+    """``ramsey_clique`` with every vertex alive."""
+    return ramsey_clique(g, (1 << g.n) - 1)
 
 
 def assert_colored_of_earlier_search(g, alive, clique):
@@ -112,21 +116,9 @@ class TestMaxCliqueBkt:
         # the search descends once per clique member, past the default limit
         limit = sys.getrecursionlimit()
         g = complete_graph(1100)
-        for finder in (oracles.bkt_search, ramsey_clique):
+        for finder in (oracles.bkt_search, ramsey_whole):
             assert finder(g) == (1 << 1100) - 1
             assert sys.getrecursionlimit() == limit
-
-    def test_alive_mask_outside_graph_rejected(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError, match="outside"):
-            ramsey_clique(g, alive=1 << 3)
-
-    def test_bool_alive_mask_rejected(self):
-        # True == 1, the mask of vertex 0, but a bool is not a bitmask
-        g = complete_graph(3)
-        for alive in (True, False):
-            with pytest.raises(TypeError, match="not a bool"):
-                ramsey_clique(g, alive=alive)
 
 
 class TestDegreeOrder:
@@ -169,20 +161,20 @@ class TestDegreeOrder:
 
 class TestRamseyClique:
     def test_complete_graph(self):
-        assert ramsey_clique(complete_graph(6)) == 0b111111
+        assert ramsey_whole(complete_graph(6)) == 0b111111
 
     def test_edgeless_graph(self):
-        assert ramsey_clique(oracles.graph_from_edges(5, [])) == 0b1
+        assert ramsey_whole(oracles.graph_from_edges(5, [])) == 0b1
 
     def test_empty_graph(self):
-        assert ramsey_clique(TermGraph([])) == 0
+        assert ramsey_whole(TermGraph([])) == 0
 
     def test_always_a_clique_and_never_bigger_than_maximum(self):
         rng = random.Random(3)
         for trial in range(40):
             n = rng.randint(1, 10)
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 600 + trial)
-            found = ramsey_clique(g)
+            found = ramsey_whole(g)
             assert oracles.is_clique(g, found)
             assert found.bit_count() <= oracles.bkt_search(g).bit_count()
 
@@ -191,7 +183,7 @@ class TestRamseyClique:
         for trial in range(30):
             n = rng.randint(1, 11)
             g = oracles.random_gnp(n, rng.uniform(0.2, 0.8), 900 + trial)
-            found = set(oracles.members(ramsey_clique(g)))
+            found = set(oracles.members(ramsey_whole(g)))
             for v in set(range(n)) - found:
                 assert not found <= set(oracles.members(g.rows[v])) | {v}, (trial, v)
 
@@ -202,7 +194,7 @@ class TestRamseyClique:
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1200 + trial)
             alive = rng.getrandbits(n) if n else 0
             expected = oracles.recursive_ramsey_clique(g, alive)
-            assert ramsey_clique(g, alive=alive) == oracles.mask_of(expected), trial
+            assert ramsey_clique(g, alive) == oracles.mask_of(expected), trial
 
     @pytest.mark.parametrize("seed", [68, 297, 1230, 2160])
     def test_extension_adds_to_a_non_maximal_pivot_clique(self, seed):
@@ -215,11 +207,11 @@ class TestRamseyClique:
         pivot = oracles.recursive_ramsey_pivot_clique(g, alive)
         expected = oracles.recursive_ramsey_clique(g, alive)
         assert len(expected) > len(pivot)
-        assert ramsey_clique(g, alive=alive) == oracles.mask_of(expected)
+        assert ramsey_clique(g, alive) == oracles.mask_of(expected)
 
     def test_deep_recursion_safe(self):
         # complete graph drives the pivot chain through every vertex
-        assert ramsey_clique(complete_graph(1100)).bit_count() == 1100
+        assert ramsey_whole(complete_graph(1100)).bit_count() == 1100
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -230,7 +222,7 @@ class TestRamseyClique:
         g = oracles.graph_from_edges(n, edges)
         alive = data.draw(st.integers(0, (1 << n) - 1))
         expected = oracles.mask_of(oracles.recursive_ramsey_clique(g, alive))
-        assert ramsey_clique(g, alive=alive) == expected
+        assert ramsey_clique(g, alive) == expected
         # before the greedy extension, which can hide a wrong pivot clique
         pivot = oracles.mask_of(oracles.recursive_ramsey_pivot_clique(g, alive))
         assert _ramsey_clique_mask(g, alive) == pivot
