@@ -2,20 +2,22 @@
 
 A minimum clique cover of the QWC graph G is a minimum proper coloring of
 its complement: vertices sharing a color are pairwise non-adjacent in the
-complement, hence pairwise adjacent in G.  Everything here coloring the
-complement therefore yields a cover through :func:`cover_from_coloring`.
+complement, hence pairwise adjacent in G.  DSATUR, RLF, DB and COSINE
+color the complement.  GC, LF and SL grow greedy cliques of G itself
+(:func:`greedy_cliques`), the classes of first-fit coloring of the
+complement along their orders, and never build it.  Either way,
+:func:`cover_from_coloring` turns the classes into a cover.
 
 All tie-breaking is by ascending vertex index (pairs lexicographically),
 so every solver is deterministic; none of them uses randomness.
 
-Smallest-last, DSATUR and RLF select on per-vertex counts (residual
-degree, saturation) that they keep as bit-sliced counters over the row
-bitsets: plane ``j`` holds bit ``j`` of every vertex's count, so updating
-the counts of a whole neighborhood, or narrowing a candidate set to its
-minimum or maximum count, costs O(log n) big-integer operations instead of
-one Python call per vertex.  Each starts its residual degrees from a copy
-of the graph's :attr:`~qwcover.graph.TermGraph.degree_planes`, built once
-per graph.
+Per-vertex counts (LF's and SL's priorities, residual degrees,
+saturation) are bit-sliced counters over the row bitsets: plane ``j``
+holds bit ``j`` of every vertex's count, so updating the counts of a
+whole neighborhood, or narrowing a candidate set to its maximum count,
+costs O(log n) big-integer operations instead of one Python call per
+vertex.  Residual degrees start from a copy of the graph's
+:attr:`~qwcover.graph.TermGraph.degree_planes`, built once per graph.
 
 A coloring is the list of its color classes as vertex bitmasks, color
 ``c`` at index ``c``.  RLF and COSINE grow one class at a time on the
@@ -44,11 +46,6 @@ from collections.abc import Sequence
 from .graph import TermGraph, iter_bits
 
 
-def largest_first_order(g: TermGraph) -> tuple[int, ...]:
-    """Vertices by non-increasing degree, ties by ascending index."""
-    return tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
-
-
 def _decrement(planes: list[int], mask: int) -> None:
     """Subtract 1 from every count in ``mask``; each must be positive."""
     borrow = mask
@@ -71,15 +68,6 @@ def _increment(planes: list[int], mask: int) -> None:
         planes.append(carry)
 
 
-def _keep_min(planes: list[int], candidates: int) -> int:
-    """The members of ``candidates`` whose count is smallest."""
-    for plane in reversed(planes):
-        low = candidates & ~plane
-        if low:
-            candidates = low
-    return candidates
-
-
 def _keep_max(planes: list[int], candidates: int) -> int:
     """The members of ``candidates`` whose count is largest."""
     for plane in reversed(planes):
@@ -89,46 +77,60 @@ def _keep_max(planes: list[int], candidates: int) -> int:
     return candidates
 
 
-def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
-    """Degeneracy ordering: repeatedly move the vertex of smallest degree
-    in the shrinking graph to the back (ties by ascending index); what
-    remains at the front is processed first.
+def largest_first_priority(g: TermGraph) -> list[int]:
+    """``lf``'s priority planes on ``g``: fewest neighbors first, which is
+    largest degree first in the complement, as the bit-sliced complements
+    of the degree planes."""
+    full = (1 << g.n) - 1
+    return [full ^ plane for plane in g.degree_planes]
 
-    Residual degrees are bit-sliced counters, so each of the n steps costs
-    O(log n) bitset operations.
+
+def smallest_last_priority(g: TermGraph) -> list[int]:
+    """``sl``'s priority planes on ``g``: each vertex's step in a peel that
+    repeatedly removes the remaining vertex with the most remaining
+    neighbors, ties by ascending index.  In the complement that vertex has
+    the fewest, so the peel, last removed first, is the complement's
+    smallest-last (degeneracy) order.  Each removal lowers its remaining
+    neighbors' degree counters and raises every remaining step counter.
     """
     rows = g.rows
     remaining = (1 << g.n) - 1
     degree = list(g.degree_planes)
-    order = [0] * g.n
-    for position in range(g.n - 1, -1, -1):
-        smallest = _keep_min(degree, remaining)
-        bit = smallest & -smallest
-        v = bit.bit_length() - 1
-        order[position] = v
+    step: list[int] = []
+    while remaining:
+        most = _keep_max(degree, remaining)
+        bit = most & -most
         remaining ^= bit
-        _decrement(degree, rows[v] & remaining)
-    return tuple(order)
+        _decrement(degree, rows[bit.bit_length() - 1] & remaining)
+        _increment(step, remaining)
+    return step
 
 
-def sequential_coloring(g: TermGraph, order: Sequence[int]) -> list[int]:
-    """Greedy coloring along ``order``, a permutation of the vertices.
+def greedy_cliques(rows: Sequence[int], priority: Sequence[int] = ()) -> list[int]:
+    """Greedy cliques of the graph with rows ``rows``, one at a time, as a
+    coloring of its complement: each takes, from the vertices no earlier
+    one holds, the available vertex of largest ``priority`` (bit-sliced
+    planes, ties by ascending index) and narrows to its neighbors, until
+    none is available.
 
-    The first vertex gets color 0; each later vertex gets the lowest color
-    absent among its already-colored neighbors, opening a new color only
-    when every existing one is blocked.
+    These are first-fit coloring's classes of the complement along the
+    priority order, in order: first fit puts a vertex in class 0 exactly
+    when no earlier class-0 vertex is its complement neighbor, and every
+    other vertex meets the same rule at class 1 among the rest, and so on.
     """
-    class_masks: list[int] = []
-    for v in order:
-        row = g.rows[v]
-        for c, members in enumerate(class_masks):
-            if not members & row:
-                break
-        else:
-            c = len(class_masks)
-            class_masks.append(0)
-        class_masks[c] |= 1 << v
-    return class_masks
+    classes: list[int] = []
+    uncolored = (1 << len(rows)) - 1
+    while uncolored:
+        clique = 0
+        available = uncolored
+        while available:
+            pick = _keep_max(priority, available) if available & (available - 1) else available
+            bit = pick & -pick
+            clique |= bit
+            available &= rows[bit.bit_length() - 1]
+        classes.append(clique)
+        uncolored ^= clique
+    return classes
 
 
 def dsatur_coloring(g: TermGraph) -> list[int]:

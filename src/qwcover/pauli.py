@@ -447,10 +447,12 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
             that overflows), a header smaller than the largest used index,
             or neither a term line nor a header (located at the last line
             read, line 1 if none).
-        TypeError: ``source`` is ``bytes`` or ``bytearray``; decode it first.
+        TypeError: ``source`` is binary (``bytes``, ``bytearray``,
+            ``memoryview``, a file opened in binary mode) or yields a line
+            that is not a string; decode it first.
     """
-    if isinstance(source, (bytes, bytearray)):
-        raise TypeError("source must be text, not bytes: decode it first, e.g. source.decode()")
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        source = (source,)  # one binary line, refused below
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     declared_qubits: int | None = None
     header_line = 0
@@ -459,6 +461,8 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     support = 0  # every qubit a word has used
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise TypeError(f"source must be text, not {type(raw).__name__}: decode it first")
         if line_no == 1 and raw.startswith("\ufeff"):
             raw = raw[1:]
         line = raw.rstrip("\n")

@@ -1,7 +1,9 @@
 """One front door, :func:`solve_mcc`, for all nine cover solvers.
 
-Seven color the complement graph, two extract cliques one at a time; the
-exact one, ``bkt``, spends one budget of colored vertices over its cover.
+Three grow greedy cliques of the graph itself (the classes that first-fit
+coloring of the complement would give), four color the complement graph,
+and two extract cliques one at a time; the exact one, ``bkt``, spends one
+budget of colored vertices over its cover.
 Only this module decides which solver runs: the package exports neither
 the colorings of :mod:`qwcover.coloring` nor the clique finders and
 removal loops of :mod:`qwcover.removal`.  No solver checks its own cover.
@@ -17,10 +19,10 @@ from .coloring import (
     cover_from_coloring,
     db_coloring,
     dsatur_coloring,
-    largest_first_order,
+    greedy_cliques,
+    largest_first_priority,
     rlf_coloring,
-    sequential_coloring,
-    smallest_last_order,
+    smallest_last_priority,
 )
 from .cover import Heuristic
 from .graph import TermGraph
@@ -28,15 +30,16 @@ from .removal import DEFAULT_BKT_BUDGET, _bkt_cover, _ramsey_cover
 
 __all__ = ["solve_mcc"]
 
-# Each coloring heuristic as a function of the complement graph.
+# Each coloring heuristic as a function of the graph: GC, LF and SL grow
+# greedy cliques of it, the other four color its complement.
 _COLORINGS = {
-    Heuristic.GC: lambda comp: sequential_coloring(comp, range(comp.n)),
-    Heuristic.LF: lambda comp: sequential_coloring(comp, largest_first_order(comp)),
-    Heuristic.SL: lambda comp: sequential_coloring(comp, smallest_last_order(comp)),
-    Heuristic.DSATUR: dsatur_coloring,
-    Heuristic.RLF: rlf_coloring,
-    Heuristic.DB: db_coloring,
-    Heuristic.COSINE: cosine_coloring,
+    Heuristic.GC: lambda g: greedy_cliques(g.rows),
+    Heuristic.LF: lambda g: greedy_cliques(g.rows, largest_first_priority(g)),
+    Heuristic.SL: lambda g: greedy_cliques(g.rows, smallest_last_priority(g)),
+    Heuristic.DSATUR: lambda g: dsatur_coloring(g.complement()),
+    Heuristic.RLF: lambda g: rlf_coloring(g.complement()),
+    Heuristic.DB: lambda g: db_coloring(g.complement()),
+    Heuristic.COSINE: lambda g: cosine_coloring(g.complement()),
 }
 
 
@@ -50,9 +53,10 @@ def solve_mcc(
     minimum clique cover of ``g`` with the chosen heuristic, as group
     bitmasks.
 
-    Coloring heuristics run on the complement graph, which ``g`` builds
-    once and shares across calls.  ``budget`` only affects BKT, which
-    spends it, in colored vertices, across the whole cover.
+    GC, LF and SL grow cliques of ``g`` itself; the other coloring
+    heuristics run on the complement graph, which ``g`` builds once and
+    shares across calls.  ``budget`` only affects BKT, which spends it,
+    in colored vertices, across the whole cover.
 
     Raises:
         TypeError: ``heuristic`` is not a :class:`Heuristic`, or it is
@@ -67,4 +71,4 @@ def solve_mcc(
         return _bkt_cover(g, budget)
     if heuristic is Heuristic.RAMSEY:
         return _ramsey_cover(g)
-    return cover_from_coloring(_COLORINGS[heuristic](g.complement()))
+    return cover_from_coloring(_COLORINGS[heuristic](g))

@@ -18,7 +18,11 @@ and the length of its colorings' lists: the reference for the class-mask
 search's nodes and for the colored vertices its budget counts;
 :func:`bkt_search` is no oracle but the package's own ``bkt`` search,
 run alone on any alive mask, so that one search can be held against
-those references outside a cover; and
+those references outside a cover;
+:func:`sequential_coloring`, with :func:`largest_first_order` and
+:func:`smallest_last_order`, is the package's earlier first-fit coloring
+of the complement, the reference for the greedy cliques that ``gc``,
+``lf`` and ``sl`` grow on the graph itself; and
 :func:`scan_smallest_last_order` / :func:`scan_dsatur_coloring` are the
 package's earlier full-scan orderings, the reference for its bit-sliced
 counters, :func:`scan_db_coloring` is its earlier full-scan pair choice,
@@ -50,7 +54,7 @@ import itertools
 import math
 import random
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache, reduce
 from operator import itemgetter
 
@@ -73,7 +77,7 @@ from qwcover import (
     iter_bits,
     qubit_wise_commute,
 )
-from qwcover.coloring import cover_from_coloring
+from qwcover.coloring import _decrement, cover_from_coloring
 from qwcover.pauli import (
     _HEADER_RE,
     _NEGATIVE_FACTOR_RE,
@@ -532,6 +536,62 @@ def recursive_ramsey_clique(g: TermGraph, alive: int) -> frozenset[int]:
         if alive >> v & 1 and v not in clique and all(g.rows[v] >> u & 1 for u in clique):
             clique.add(v)
     return frozenset(clique)
+
+
+def largest_first_order(g: TermGraph) -> tuple[int, ...]:
+    """Vertices by non-increasing degree, ties by ascending index."""
+    return tuple(sorted(range(g.n), key=lambda v: (-g.degrees[v], v)))
+
+
+def _keep_min(planes: list[int], candidates: int) -> int:
+    """The members of ``candidates`` whose count is smallest."""
+    for plane in reversed(planes):
+        low = candidates & ~plane
+        if low:
+            candidates = low
+    return candidates
+
+
+def smallest_last_order(g: TermGraph) -> tuple[int, ...]:
+    """Degeneracy ordering: repeatedly move the vertex of smallest degree
+    in the shrinking graph to the back (ties by ascending index); what
+    remains at the front is processed first.
+
+    Residual degrees are bit-sliced counters, so each of the n steps costs
+    O(log n) bitset operations.
+    """
+    rows = g.rows
+    remaining = (1 << g.n) - 1
+    degree = list(g.degree_planes)
+    order = [0] * g.n
+    for position in range(g.n - 1, -1, -1):
+        smallest = _keep_min(degree, remaining)
+        bit = smallest & -smallest
+        v = bit.bit_length() - 1
+        order[position] = v
+        remaining ^= bit
+        _decrement(degree, rows[v] & remaining)
+    return tuple(order)
+
+
+def sequential_coloring(g: TermGraph, order: Sequence[int]) -> list[int]:
+    """Greedy coloring along ``order``, a permutation of the vertices.
+
+    The first vertex gets color 0; each later vertex gets the lowest color
+    absent among its already-colored neighbors, opening a new color only
+    when every existing one is blocked.
+    """
+    class_masks: list[int] = []
+    for v in order:
+        row = g.rows[v]
+        for c, members in enumerate(class_masks):
+            if not members & row:
+                break
+        else:
+            c = len(class_masks)
+            class_masks.append(0)
+        class_masks[c] |= 1 << v
+    return class_masks
 
 
 def scan_smallest_last_order(g: TermGraph) -> tuple[int, ...]:

@@ -37,7 +37,6 @@ from qwcover import (
     validate_cover,
 )
 from qwcover.cli import main as cli_main
-from qwcover.coloring import sequential_coloring
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -144,7 +143,7 @@ def test_criterion_5_no_ordering_beats_chromatic_number():
         g = oracles.random_gnp(n, density, 7000 + seed)
         chi = oracles.chromatic_number_dp(g)
         best = min(
-            len(sequential_coloring(g, order))
+            len(oracles.sequential_coloring(g, order))
             for order in itertools.permutations(range(n))
         )
         assert best >= chi, (n, density, seed)

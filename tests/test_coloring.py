@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from pathlib import Path
@@ -21,25 +22,40 @@ from qwcover.coloring import (
     _decrement,
     _increment,
     _keep_max,
-    _keep_min,
     _most_shared,
     cosine_coloring,
     cover_from_coloring,
     db_coloring,
     dsatur_coloring,
-    largest_first_order,
+    greedy_cliques,
     rlf_coloring,
-    sequential_coloring,
-    smallest_last_order,
+    smallest_last_priority,
 )
-from qwcover.graph import _planes
+from qwcover.graph import TermGraph, _planes
+from qwcover.solvers import _COLORINGS
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+
+# The order of the first-fit coloring of the complement that each
+# greedy-clique heuristic stands for.
+FIRST_FIT_ORDERS = {
+    Heuristic.GC: lambda comp: range(comp.n),
+    Heuristic.LF: oracles.largest_first_order,
+    Heuristic.SL: oracles.smallest_last_order,
+}
+
+
+def greedy_clique_coloring(heuristic):
+    """The coloring of a graph that ``heuristic`` grows as greedy cliques
+    of its complement, the QWC graph ``solve_mcc`` would be given."""
+    return lambda comp: _COLORINGS[heuristic](comp.complement())
+
 
 ALL_COLORINGS = {
-    "gc": lambda g: sequential_coloring(g, range(g.n)),
-    "lf": lambda g: sequential_coloring(g, largest_first_order(g)),
-    "sl": lambda g: sequential_coloring(g, smallest_last_order(g)),
+    "gc": greedy_clique_coloring(Heuristic.GC),
+    "lf": greedy_clique_coloring(Heuristic.LF),
+    "sl": greedy_clique_coloring(Heuristic.SL),
     "dsatur": dsatur_coloring,
     "rlf": rlf_coloring,
     "db": db_coloring,
@@ -64,47 +80,51 @@ def cycle_graph(n):
 
 
 class TestSequential:
+    """The earlier first-fit coloring, the reference for the greedy cliques."""
+
     def test_edgeless_one_color(self):
         g = edgeless_graph(6)
-        assert len(sequential_coloring(g, range(g.n))) == 1
+        assert len(oracles.sequential_coloring(g, range(g.n))) == 1
 
     def test_complete_n_colors(self):
         g = complete_graph(5)
         for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1]):
-            assert len(sequential_coloring(g, order)) == 5
+            assert len(oracles.sequential_coloring(g, order)) == 5
 
     def test_lowest_available_color_chosen(self):
         # path 0-1-2: coloring order (1, 0, 2) gives 1->0, then both ends
         # see only color 0 and reuse color 1? no: lowest absent is 1,1
         g = path_graph(3)
-        coloring = sequential_coloring(g, [1, 0, 2])
+        coloring = oracles.sequential_coloring(g, [1, 0, 2])
         assert coloring == [0b010, 0b101]
 
     def test_demo_complement_lf_two_colors(self, demo_graph):
         comp = demo_graph.complement()
-        assert len(sequential_coloring(comp, largest_first_order(comp))) == 2
+        assert len(oracles.sequential_coloring(comp, oracles.largest_first_order(comp))) == 2
 
 
 class TestOrders:
+    """The earlier first-fit orders, the references for LF's and SL's priorities."""
+
     def test_lf_star_center_first(self):
         star = oracles.graph_from_edges(5, [(0, i) for i in range(1, 5)])
-        assert largest_first_order(star)[0] == 0
+        assert oracles.largest_first_order(star)[0] == 0
 
     def test_lf_regular_graph_index_order(self):
-        assert largest_first_order(cycle_graph(6)) == tuple(range(6))
+        assert oracles.largest_first_order(cycle_graph(6)) == tuple(range(6))
 
     def test_lf_path_tie_break(self):
         # degrees (1, 2, 1): middle vertex first, then ties by index
-        assert largest_first_order(path_graph(3)) == (1, 0, 2)
+        assert oracles.largest_first_order(path_graph(3)) == (1, 0, 2)
 
     def test_sl_path(self):
         # peeling: 0 (deg 1, lowest index) goes to the back, then 1, then 2
-        assert smallest_last_order(path_graph(3)) == (2, 1, 0)
+        assert oracles.smallest_last_order(path_graph(3)) == (2, 1, 0)
 
     def test_sl_complete_and_edgeless(self):
         # all degrees tie at every step: 0 peeled first, placed last
-        assert smallest_last_order(complete_graph(4)) == (3, 2, 1, 0)
-        assert smallest_last_order(edgeless_graph(4)) == (3, 2, 1, 0)
+        assert oracles.smallest_last_order(complete_graph(4)) == (3, 2, 1, 0)
+        assert oracles.smallest_last_order(edgeless_graph(4)) == (3, 2, 1, 0)
 
     def test_sl_is_reverse_min_degree_peeling(self):
         # independent re-derivation with explicit set bookkeeping
@@ -118,12 +138,90 @@ class TestOrders:
             )
             peel.append(v)
             remaining.discard(v)
-        assert smallest_last_order(g) == tuple(reversed(peel))
+        assert oracles.smallest_last_order(g) == tuple(reversed(peel))
 
     def test_orders_are_permutations(self):
         g = oracles.random_gnp(12, 0.5, 5)
-        for order_fn in (largest_first_order, smallest_last_order):
+        for order_fn in (oracles.largest_first_order, oracles.smallest_last_order):
             assert sorted(order_fn(g)) == list(range(12))
+
+
+def sl_order(g):
+    """SL's first-fit order on the complement of ``g``: the peel of ``g``
+    that its priorities record, last removed first."""
+    step = unslice(smallest_last_priority(g), g.n)
+    return tuple(sorted(range(g.n), key=step.__getitem__, reverse=True))
+
+
+def assert_first_fit_classes(g, label=None):
+    """GC, LF and SL on ``g`` give the earlier first-fit coloring of its
+    complement: the same classes in the same order, and the same cover
+    from ``solve_mcc`` on a fresh copy, which builds no complement."""
+    comp = g.complement()
+    for heuristic, order in FIRST_FIT_ORDERS.items():
+        first_fit = oracles.sequential_coloring(comp, order(comp))
+        assert _COLORINGS[heuristic](g) == first_fit, (label, heuristic)
+        fresh = TermGraph(g.rows)
+        assert solve_mcc(fresh, heuristic) == cover_from_coloring(first_fit), (label, heuristic)
+        assert fresh._complement is None, (label, heuristic)
+
+
+class TestGreedyCliques:
+    """GC, LF and SL grow greedy cliques of the QWC graph, which are the
+    classes of first-fit coloring of its complement along their orders."""
+
+    def test_random_graphs(self):
+        rng = random.Random(34)
+        for trial in range(400):
+            n = rng.randint(0, 60)
+            g = oracles.random_gnp(n, rng.choice([0, 0.1, 0.3, 0.5, 0.7, 0.9, 1]), trial)
+            assert_first_fit_classes(g, trial)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+    def test_edgeless_and_complete_graphs(self, n):
+        assert_first_fit_classes(edgeless_graph(n))
+        assert_first_fit_classes(complete_graph(n))
+        assert solve_mcc(complete_graph(n), Heuristic.SL) == ((1 << n) - 1,) * (n > 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+    def test_regular_graphs(self, n):
+        # Every degree ties: cycles, circulants, disjoint equal cliques and
+        # complete multipartite graphs with equal parts.
+        pairs = list(itertools.combinations(range(2 * n), 2))
+        for g in (
+            cycle_graph(n),
+            oracles.graph_from_edges(n, [(i, (i + k) % n) for i in range(n) for k in (1, 2)]),
+            oracles.graph_from_edges(2 * n, [(a, b) for a, b in pairs if a // n == b // n]),
+            oracles.graph_from_edges(2 * n, [(a, b) for a, b in pairs if a % n != b % n]),
+        ):
+            assert_first_fit_classes(g, g)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.ham")), ids=lambda p: p.stem)
+    def test_golden_inputs(self, path):
+        assert_first_fit_classes(build_qwc_graph(parse_hamiltonian(path.read_text())))
+
+    def test_benchmark_poly_large_inputs(self, monkeypatch):
+        # The 600-word random input and the 875-term jw-10 molecule.
+        monkeypatch.syspath_prepend(str(TESTS.parent / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        texts = {r.input.name: r.input.text for r in corpus.build("poly-large", 1)}
+        assert len(texts) == 2 and "jw-10" in texts
+        for name, text in texts.items():
+            assert_first_fit_classes(build_qwc_graph(parse_hamiltonian(text)), name)
+
+    @pytest.mark.parametrize("heuristic", list(FIRST_FIT_ORDERS), ids=lambda h: h.value)
+    def test_builds_no_complement(self, heuristic, demo_hamiltonian):
+        g = build_qwc_graph(demo_hamiltonian)
+        cover = solve_mcc(g, heuristic)
+        assert g._complement is None
+        assert set(cover) == DEMO_MINIMUM_GROUPS
+
+    def test_sl_peels_the_qwc_graph(self):
+        # Path 0-1-2 in the complement is the QWC graph with the one edge
+        # 0-2: the peel takes 0 (one neighbor, lowest index), then 1, then
+        # 2, so SL's order is the complement's (2, 1, 0).
+        g = oracles.graph_from_edges(3, [(0, 2)])
+        assert sl_order(g) == oracles.smallest_last_order(path_graph(3)) == (2, 1, 0)
 
 
 class TestDsatur:
@@ -146,7 +244,7 @@ class TestScanOracle:
         for trial in range(1000):
             n = rng.randint(0, 70)
             g = oracles.random_gnp(n, rng.choice([0, 0.15, 0.5, 0.85, 1]), trial)
-            assert smallest_last_order(g) == oracles.scan_smallest_last_order(g), trial
+            assert sl_order(g.complement()) == oracles.scan_smallest_last_order(g), trial
             assert dsatur_coloring(g) == oracles.scan_dsatur_coloring(g), trial
             assert db_coloring(g) == oracles.scan_db_coloring(g), trial
             assert rlf_coloring(g) == oracles.scan_rlf_coloring(g), trial
@@ -155,8 +253,9 @@ class TestScanOracle:
     @pytest.mark.parametrize("name", ["jw-8", "bk-8"])
     def test_golden_molecule_complements(self, name):
         h = parse_hamiltonian((GOLDEN / f"{name}.ham").read_text())
-        comp = build_qwc_graph(h).complement()
-        assert smallest_last_order(comp) == oracles.scan_smallest_last_order(comp)
+        g = build_qwc_graph(h)
+        comp = g.complement()
+        assert sl_order(g) == oracles.scan_smallest_last_order(comp)
         assert dsatur_coloring(comp) == oracles.scan_dsatur_coloring(comp)
         assert db_coloring(comp) == oracles.scan_db_coloring(comp)
         assert rlf_coloring(comp) == oracles.scan_rlf_coloring(comp)
@@ -302,7 +401,7 @@ class TestBitSlicedCounters:
                     model[u] += 1 if grow else -1
             assert unslice(planes, n) == model
             members = [u for u in range(n) if candidates >> u & 1]
-            for keep, best in ((_keep_min, min), (_keep_max, max)):
+            for keep, best in ((oracles._keep_min, min), (_keep_max, max)):
                 target = best((model[u] for u in members), default=None)
                 expected = sum(1 << u for u in members if model[u] == target)
                 assert keep(planes, candidates) == expected
@@ -314,7 +413,8 @@ class TestBitSlicedCounters:
 
     def test_empty_graph(self):
         assert _planes([]) == []
-        assert smallest_last_order(edgeless_graph(0)) == ()
+        assert smallest_last_priority(edgeless_graph(0)) == []
+        assert greedy_cliques(()) == []
         assert dsatur_coloring(edgeless_graph(0)) == []
 
 

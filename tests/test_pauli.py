@@ -457,10 +457,30 @@ class TestParsing:
         assert h.n_terms == 2
 
     # Iterating bytes gives integers, not lines.
-    @pytest.mark.parametrize("source", [b"1.0 [Z0]\n", bytearray(b"1.0 [Z0]\n")])
+    @pytest.mark.parametrize("source", [b"1.0 [Z0]\n", bytearray(b"1.0 [Z0]\n"), b""])
     def test_bytes_rejected_with_a_hint_to_decode(self, source):
         with pytest.raises(TypeError, match="decode"):
             parse_hamiltonian(source)
+
+    @pytest.mark.parametrize(
+        "make_source, kind",
+        [
+            (lambda path: path.open("rb"), "bytes"),
+            (lambda path: path.read_bytes().splitlines(keepends=True), "bytes"),
+            (lambda path: memoryview(path.read_bytes()), "memoryview"),
+            (lambda path: memoryview(b""), "memoryview"),
+            (lambda path: ["1.0 [Z0]\n", b"2.0 [Z1]\n"], "bytes"),
+        ],
+        ids=["binary-file", "bytes-lines", "memoryview", "empty-memoryview", "one-bytes-line"],
+    )
+    def test_binary_line_sources_rejected_with_a_hint_to_decode(self, make_source, kind):
+        source = make_source(TESTS / "golden" / "demo.ham")
+        try:
+            with pytest.raises(TypeError, match=f"source must be text, not {kind}: decode it first"):
+                parse_hamiltonian(source)
+        finally:
+            if isinstance(source, io.IOBase):
+                source.close()
 
     @pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
