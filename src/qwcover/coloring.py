@@ -52,8 +52,9 @@ def _decrement(planes: list[int], mask: int) -> None:
     for j, plane in enumerate(planes):
         if not borrow:
             return
-        planes[j] = plane ^ borrow
-        borrow &= ~plane
+        # On borrow's bits the new plane is ~plane: no negative temporary.
+        planes[j] = plane = plane ^ borrow
+        borrow &= plane
 
 
 def _increment(planes: list[int], mask: int) -> None:

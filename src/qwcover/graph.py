@@ -150,8 +150,11 @@ class TermGraph:
 
     Row ``i`` holds the neighbor set of vertex ``i`` as an integer bitset.
     Adjacency is symmetric and irreflexive: the constructor rejects
-    self-loops, and :func:`build_qwc_graph` and :meth:`complement` keep
-    rows symmetric.
+    self-loops and rows that reach past vertex ``n - 1``, for outside
+    callers.  :func:`build_qwc_graph` and :meth:`complement` lay out their
+    graphs without those checks, since their rows cannot fail them: each
+    row is masked to the ``n`` vertices with the vertex's own bit cleared,
+    and the QWC relation and its complement are symmetric.
     """
 
     __slots__ = ("n", "_rows", "_degrees", "_degree_planes", "_complement")
@@ -168,11 +171,16 @@ class TermGraph:
                 raise ValueError(f"row {i} references vertices outside 0..{n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop on vertex {i}")
-        self.n = n
+        self._lay_out(rows)
+
+    def _lay_out(self, rows: Sequence[int]) -> TermGraph:
+        """Set the fields from rows that pass the constructor's checks."""
+        self.n = len(rows)
         self._rows = tuple(rows)
         self._degrees: tuple[int, ...] | None = None
         self._degree_planes: tuple[int, ...] | None = None
         self._complement: TermGraph | None = None
+        return self
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -203,7 +211,7 @@ class TermGraph:
         built once per graph."""
         if self._complement is None:
             full = (1 << self.n) - 1
-            self._complement = TermGraph(
+            self._complement = object.__new__(TermGraph)._lay_out(
                 [full & ~(row | (1 << i)) for i, row in enumerate(self._rows)]
             )
         return self._complement
@@ -251,4 +259,4 @@ def build_qwc_graph(h: Hamiltonian) -> TermGraph:
                 blocked |= clashes[low.bit_length() - 1]
                 factors ^= low
         rows.append(full ^ blocked)
-    return TermGraph(rows)
+    return object.__new__(TermGraph)._lay_out(rows)

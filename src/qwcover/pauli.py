@@ -19,25 +19,24 @@ with common electronic-structure dumps::
 Qubit indices are zero-based everywhere in this package.
 
 A word is its x and z bitmasks, and one table maps each axis to its two
-bits and back.  Each distinct factor token is checked once per parse:
-:func:`parse_hamiltonian` keeps a dict from each factor token it has read,
-such as ``Z3``, to its qubit's bit and its x and z bits, and only the
-repeated-qubit test runs on every occurrence, against the word's masks.
-The parser builds its Hamiltonian without re-checking the merged words;
-the classes check only what library callers pass them.
+bits and back.  :func:`parse_hamiltonian` reads a text in one regex pass
+that splits each well-formed term line into its coefficient and factors;
+only blank, comment, header and malformed lines take the per-line checks.
+A per-parse dict maps each factor token read, such as ``Z3``, to its bits,
+so each is checked once.  An error names its line as a text-mode file
+counts lines, and the 1-based column in that line of what is at fault.
+Parsed terms are laid out unchecked; the classes check library input.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
 import operator
 import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import islice
 
 __all__ = [
     "COEFFICIENT_PRUNE_THRESHOLD",
@@ -169,7 +168,7 @@ class PauliWord:
     def from_string(cls, text: str) -> "PauliWord":
         """Build a word from factor notation such as ``"Z0 Z1 X4"``, read as
         the factors of a Hamiltonian file's line 1 (so errors are ParseErrors)."""
-        return _parse_word(text, 0, 1, {})
+        return _parse_word(text, 0, 1)
 
     @property
     def x_mask(self) -> int:
@@ -330,46 +329,36 @@ class Hamiltonian:
 
 _HEADER_RE = re.compile(r"#\s*qubits\s*:\s*([0-9]+)\s*$")
 _TERM_RE = re.compile(r"(?P<coef>\([^()\[\]]*\)|[^\s\[]+)\s*\[(?P<body>[^\]]*)\]\s*(?P<tail>\S?.*)$")
+# A line: a term line that _TERM_RE reads with an empty tail, as its
+# coefficient and factor body, else the whole line.  _LINE_RE splits a text
+# at "\n"; _ELEMENT_RE matches one element of a line source whole, breaks and all.
+_LINE = r"^(?:[^\S\n]*(?P<coef>\([^()\[\]\n]*\)|[^\s\[#][^\s\[]*)[^\S\n]*\[(?P<body>[^\]\n]*)\][^\S\n]*$|.*)"
+_LINE_RE, _ELEMENT_RE = re.compile(_LINE, re.M), re.compile(_LINE, re.M | re.S)
 _FACTOR_RE = re.compile(r"([XYZxyz])([0-9]+)")
 _NEGATIVE_FACTOR_RE = re.compile(r"[XYZxyzIi]-[0-9]+$")
 
-# A checked factor: its qubit's bit, and that bit or 0 for each of the
-# word's x and z masks.
-_Factor = tuple[int, int, int]
-
 
 def _parse_coefficient(token: str, line_no: int, column: int) -> float:
+    """The finite real ``token`` writes, plainly or as ``(re,im)`` with a negligible ``im``."""
     if not token.isascii() or "_" in token:  # float() takes 1_0 and non-ASCII digits
         raise ParseError(f"invalid coefficient {token!r}", line_no, column)
-    if token.startswith("(") and token.endswith(")"):
-        parts = token[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(
-                f"complex coefficient must be '(re,im)', got {token!r}", line_no, column
-            )
-        try:
-            real, imag = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"invalid complex coefficient {token!r}", line_no, column) from None
-        if not abs(imag) <= IMAGINARY_TOLERANCE:  # NaN fails every comparison
-            raise ParseError(
-                f"coefficient has non-negligible imaginary part {imag!r}", line_no, column
-            )
-        value = real
-    else:
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(f"invalid coefficient {token!r}", line_no, column) from None
+    kind = "complex " if token.startswith("(") and token.endswith(")") else ""
+    parts = token[1:-1].split(",") if kind else [token, "0"]
+    if len(parts) != 2:
+        raise ParseError(f"complex coefficient must be '(re,im)', got {token!r}", line_no, column)
+    try:
+        value, imag = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"invalid {kind}coefficient {token!r}", line_no, column) from None
+    if not abs(imag) <= IMAGINARY_TOLERANCE:  # NaN fails every comparison
+        raise ParseError(f"coefficient has non-negligible imaginary part {imag!r}", line_no, column)
     if not math.isfinite(value):
         raise ParseError(f"non-finite coefficient {token!r}", line_no, column)
     return value
 
 
 def _bounded_int(digits: str, limit: int) -> int | None:
-    """The decimal ``digits`` as an int, or None when it exceeds ``limit``;
-    the digit count is checked after leading zeros are stripped, so no huge
-    integer is ever built."""
+    """The decimal ``digits`` as an int, or None above ``limit``, never building a huge int."""
     significant = digits.lstrip("0") or "0"
     if len(significant) > len(str(limit)):
         return None
@@ -377,8 +366,8 @@ def _bounded_int(digits: str, limit: int) -> int | None:
     return value if value <= limit else None
 
 
-def _check_factor(token: str) -> _Factor | str:
-    """The checked factor that ``token`` names, or why it names none."""
+def _check_factor(token: str) -> tuple[int, int, int] | str:
+    """The qubit bit and x and z bits of the factor ``token`` names, or why it names none."""
     factor = _FACTOR_RE.fullmatch(token)
     if factor is None:
         if _NEGATIVE_FACTOR_RE.fullmatch(token):
@@ -388,39 +377,30 @@ def _check_factor(token: str) -> _Factor | str:
     qubit = _bounded_int(digits, MAX_QUBIT_INDEX)
     if qubit is None:
         return f"qubit index above the limit {MAX_QUBIT_INDEX}"
-    x, z = _BITS[PauliAxis(letter.upper())]
-    return 1 << qubit, x << qubit, z << qubit
+    code = _NAMES.index(letter.upper())
+    return 1 << qubit, (code & 1) << qubit, (code >> 1) << qubit
 
 
-def _token_column(body: str, body_offset: int, index: int) -> int:
-    """The 1-based column of token ``index`` of ``body``, which starts at
-    ``body_offset``; ``str.split`` and ``\\S+`` find the same tokens."""
-    match = next(islice(re.finditer(r"\S+", body), index, None))
-    return body_offset + match.start() + 1
-
-
-def _parse_word(body: str, body_offset: int, line_no: int, factors: dict[str, _Factor]) -> PauliWord:
-    """The word whose factors ``body`` lists.  ``factors`` maps each token
-    already checked in this parse to its factor, and gains each new one; a
-    bad token ends the parse, so it is never stored."""
+def _parse_word(body: str, body_offset: int, line_no: int) -> PauliWord:
+    """The word ``body`` lists, or its first bad or repeated factor located from ``body_offset``."""
     x_mask = z_mask = 0
-    for index, token in enumerate(body.split()):
-        factor = factors.get(token)
-        if factor is None:
-            factor = _check_factor(token)
-            if isinstance(factor, str):
-                raise ParseError(factor, line_no, _token_column(body, body_offset, index))
-            factors[token] = factor
-        bit, x_bit, z_bit = factor
-        if (x_mask | z_mask) & bit:
-            raise ParseError(
-                f"qubit {bit.bit_length() - 1} assigned more than one factor in one word",
-                line_no,
-                _token_column(body, body_offset, index),
-            )
-        x_mask |= x_bit
-        z_mask |= z_bit
+    for token in re.finditer(r"\S+", body):  # the tokens str.split finds
+        factor = _check_factor(token[0])
+        if not isinstance(factor, str) and (x_mask | z_mask) & factor[0]:
+            factor = f"qubit {factor[0].bit_length() - 1} assigned more than one factor in one word"
+        if isinstance(factor, str):
+            raise ParseError(factor, line_no, body_offset + token.start() + 1)
+        x_mask |= factor[1]
+        z_mask |= factor[2]
     return object.__new__(PauliWord)._lay_out(x_mask, z_mask)
+
+
+def _element_matches(lines: Iterable[str]) -> Iterator[re.Match[str]]:
+    """Each element of a line source, checked and matched whole."""
+    for line_no, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise TypeError(f"source must be text, not {type(raw).__name__}: decode it first")
+        yield _ELEMENT_RE.fullmatch((raw.removeprefix("\ufeff") if line_no == 1 else raw).rstrip("\n"))
 
 
 def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
@@ -440,83 +420,103 @@ def parse_hamiltonian(source: str | Iterable[str]) -> Hamiltonian:
     count from the character after it; any other U+FEFF is text.
 
     Raises:
-        ParseError: malformed line, duplicate qubit within a word,
-            negative qubit index or one above :data:`MAX_QUBIT_INDEX`,
-            an imaginary part beyond tolerance or NaN, a repeated word whose
-            coefficients sum to a non-finite value (located at the line
-            that overflows), a header smaller than the largest used index,
-            or neither a term line nor a header (located at the last line
-            read, line 1 if none).
+        ParseError: malformed line, duplicate qubit within a word, negative
+            qubit index or one above :data:`MAX_QUBIT_INDEX`, an imaginary
+            part beyond tolerance or NaN, a repeated word whose coefficients
+            sum to a non-finite value (located at the line that overflows),
+            a header smaller than the largest used index, or neither a term
+            line nor a header (located at the last line read, line 1 if none).
         TypeError: ``source`` is binary (``bytes``, ``bytearray``,
             ``memoryview``, a file opened in binary mode) or yields a line
             that is not a string; decode it first.
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = (source,)  # one binary line, refused below
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    if isinstance(source, str):  # as many lines as a text-mode file: no final line break
+        text = source.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+        matches = _LINE_RE.finditer(text, 0, len(text) - text.endswith("\n"))
+    else:
+        matches = _element_matches(source)
     declared_qubits: int | None = None
-    header_line = 0
+    header_line = line_no = support = 0  # support: every qubit a word has used
     merged: dict[PauliWord, float] = {}
-    factors: dict[str, _Factor] = {}  # each factor token read so far, checked
-    support = 0  # every qubit a word has used
-    line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        if not isinstance(raw, str):
-            raise TypeError(f"source must be text, not {type(raw).__name__}: decode it first")
-        if line_no == 1 and raw.startswith("\ufeff"):
-            raw = raw[1:]
-        line = raw.rstrip("\n")
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            header = _HEADER_RE.match(stripped)
-            if header is not None:
-                if declared_qubits is not None:
-                    raise ParseError("duplicate 'qubits:' header", line_no)
-                declared_qubits = _bounded_int(header.group(1), MAX_QUBIT_INDEX + 1)
-                if declared_qubits is None:
-                    raise ParseError(
-                        f"declared qubit count above the limit {MAX_QUBIT_INDEX + 1}", line_no
-                    )
-                header_line = line_no
-            continue
-        indent = len(line) - len(line.lstrip())
-        match = _TERM_RE.match(stripped)
-        if match is None:
-            raise ParseError("expected 'coefficient [factors]'", line_no, indent + 1)
-        if match.group("tail").strip():
-            raise ParseError(
-                f"unexpected text after ']': {match.group('tail').strip()!r}",
-                line_no,
-                indent + match.start("tail") + 1,
-            )
-        coefficient = _parse_coefficient(match.group("coef"), line_no, indent + 1)
-        word = _parse_word(match.group("body"), indent + match.start("body"), line_no, factors)
-        support |= word._x_mask | word._z_mask
-        if word in merged:
-            total = merged[word] + coefficient
-            if not math.isfinite(total):
-                raise ParseError(
-                    f"coefficients of [{word}] sum to {total!r}", line_no, indent + 1
-                )
-            merged[word] = total
+    factors: dict[str, tuple[int, int, int]] = {}  # each factor token read so far, checked
+    for line_no, match in enumerate(matches, start=1):
+        term = match  # locates the coefficient and the body in match.string
+        coef, body = match.group("coef", "body")
+        if coef is None:  # any other line: blank, comment, header or an error
+            line = match[0]
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                if (header := _HEADER_RE.match(stripped)) is not None:
+                    if declared_qubits is not None:
+                        raise ParseError("duplicate 'qubits:' header", line_no)
+                    declared_qubits = _bounded_int(header.group(1), MAX_QUBIT_INDEX + 1)
+                    if declared_qubits is None:
+                        limit = MAX_QUBIT_INDEX + 1
+                        raise ParseError(f"declared qubit count above the limit {limit}", line_no)
+                    header_line = line_no
+                continue
+            indent = len(line) - len(line.lstrip())
+            start = match.start() + indent  # the stripped line, matched where it lies
+            term = _TERM_RE.match(match.string, start, start + len(stripped))
+            if term is None:
+                raise ParseError("expected 'coefficient [factors]'", line_no, indent + 1)
+            if tail := term.group("tail").strip():
+                column = term.start("tail") - match.start() + 1
+                raise ParseError(f"unexpected text after ']': {tail!r}", line_no, column)
+            coef, body = term.group("coef", "body")
+        try:
+            coefficient = float(coef)
+        except ValueError:
+            coefficient = math.nan  # read below, or refused
+        if not (math.isfinite(coefficient) and coef.isascii() and "_" not in coef):
+            coefficient = _parse_coefficient(coef, line_no, term.start("coef") - match.start() + 1)
+        x_mask = z_mask = 0
+        for token in body.split():
+            factor = factors.get(token)
+            if factor is None:
+                factor = _check_factor(token)
+                if isinstance(factor, str):
+                    break
+                factors[token] = factor
+            bit, x_bit, z_bit = factor
+            if (x_mask | z_mask) & bit:
+                break
+            x_mask |= x_bit
+            z_mask |= z_bit
         else:
-            merged[word] = coefficient
+            word = object.__new__(PauliWord)._lay_out(x_mask, z_mask)
+            total = merged.get(word)
+            if total is None:
+                merged[word] = coefficient
+                support |= x_mask | z_mask
+            elif math.isfinite(total := total + coefficient):
+                merged[word] = total
+            else:
+                column = term.start("coef") - match.start() + 1
+                raise ParseError(f"coefficients of [{word}] sum to {total!r}", line_no, column)
+            continue
+        # A bad or repeated factor token: reading the body again locates it.
+        _parse_word(body, term.start("body") - match.start(), line_no)
     if not merged and declared_qubits is None:
         raise ParseError("empty input: no Hamiltonian terms found", max(line_no, 1))
     max_seen = support.bit_length() - 1
     if declared_qubits is not None and max_seen >= declared_qubits:
-        raise ParseError(
-            f"header declares {declared_qubits} qubits but qubit {max_seen} is used",
-            header_line,
-        )
-    h = object.__new__(Hamiltonian)  # the merged words are unique and within n_qubits
-    object.__setattr__(h, "terms", tuple([
-        HamiltonianTerm(coefficient, word)
-        for word, coefficient in merged.items()
-        if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD
-    ]))
+        reason = f"header declares {declared_qubits} qubits but qubit {max_seen} is used"
+        raise ParseError(reason, header_line)
+    # Without the constructors: the words are unique and within n_qubits, the coefficients finite.
+    new, set_coefficient, set_word = object.__new__, HamiltonianTerm.coefficient.__set__, HamiltonianTerm.word.__set__
+    terms = []
+    for word, coefficient in merged.items():
+        if abs(coefficient) >= COEFFICIENT_PRUNE_THRESHOLD:
+            terms.append(term := new(HamiltonianTerm))
+            set_coefficient(term, coefficient)
+            set_word(term, word)
+    h = new(Hamiltonian)
+    object.__setattr__(h, "terms", tuple(terms))
     object.__setattr__(h, "n_qubits", max_seen + 1 if declared_qubits is None else declared_qubits)
     return h
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from qwcover import (
     PauliWord,
     TermGraph,
     build_qwc_graph,
+    format_hamiltonian,
     iter_bits,
     parse_hamiltonian,
     qubit_wise_commute,
@@ -236,6 +238,31 @@ class TestComplement:
 
     def test_demo_complement_is_two_colorable(self, demo_graph):
         assert oracles.chromatic_number_dp(demo_graph.complement()) == 2
+
+
+def built_graphs():
+    """Texts of every golden input and of seeded random inputs, the empty
+    and the identity-only Hamiltonian included."""
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.ham")):
+        yield pytest.param(path.read_text(), id=path.stem)
+    for seed in range(12):
+        rng = random.Random(seed)
+        h = oracles.random_hamiltonian(rng, rng.randint(1, 150), rng.randint(4, 12), max_weight=4)
+        yield pytest.param(format_hamiltonian(h), id=f"random-{seed}")
+    yield pytest.param("# qubits: 2\n", id="empty")
+    yield pytest.param("1.0 []\n", id="identity")
+
+
+class TestBuiltRowsPassTheChecks:
+    """build_qwc_graph and complement lay out their graphs without the
+    constructor's range and self-loop checks; their rows must pass them."""
+
+    @pytest.mark.parametrize("text", built_graphs())
+    def test_constructor_accepts_built_and_complement_rows(self, text):
+        g = build_qwc_graph(parse_hamiltonian(text))
+        for built in (g, g.complement()):
+            assert TermGraph(built.rows) == built
+            assert oracles.is_symmetric(built)
 
 
 

@@ -617,25 +617,40 @@ class TestParserFuzz:
             assert parse_hamiltonian(format_hamiltonian(h)) == h
 
 
+def layout(h):
+    """A Hamiltonian bit for bit: its qubit count, coefficients and masks."""
+    return h.n_qubits, [
+        (term.coefficient.hex(), tuple(term.word), term.word.x_mask, term.word.z_mask)
+        for term in h.terms
+    ]
+
+
+def text_sources(text):
+    """``text`` as each kind of source: the string, its lines as a list
+    with and without their line breaks, and a text-mode file."""
+    lines = io.StringIO(text, newline=None).readlines()
+    return {
+        "text": text,
+        "lines": lines,
+        "bare lines": [line.removesuffix("\n") for line in lines],
+        "file": io.StringIO(text, newline=None),
+    }
+
+
 def assert_parses_as_reference(text):
-    """The parser gives the earlier parser's terms, bit for bit, or its error."""
+    """The parser gives the earlier parser's terms, bit for bit, or its
+    error, from every kind of source."""
     try:
         expected = oracles.reference_parse_hamiltonian(text)
     except ParseError as error:
-        with pytest.raises(ParseError) as excinfo:
-            parse_hamiltonian(text)
-        got = excinfo.value
-        assert (got.reason, got.line, got.column) == (error.reason, error.line, error.column)
+        for kind, source in text_sources(text).items():
+            with pytest.raises(ParseError) as excinfo:
+                parse_hamiltonian(source)
+            got = excinfo.value
+            assert (got.reason, got.line, got.column) == (error.reason, error.line, error.column), kind
         return
-    h = parse_hamiltonian(text)
-
-    def layout(h):
-        return h.n_qubits, [
-            (term.coefficient.hex(), tuple(term.word), term.word.x_mask, term.word.z_mask)
-            for term in h.terms
-        ]
-
-    assert layout(h) == layout(expected)
+    for kind, source in text_sources(text).items():
+        assert layout(parse_hamiltonian(source)) == layout(expected), kind
 
 
 @st.composite
@@ -674,14 +689,62 @@ class TestParserReference:
             "1.0 [X0 Z65536 Z65536]\n",
             "1.0 [Z0\u00a0X1]\n2.0 [X1\x1cZ0]\n",
             "1.0 [Z0\u00a0X1\x1cZ0]\n",
+            "# 1.0 [Z0]\n  #2.0 [X1]\n3.0 [Y2]\n",  # comments shaped like term lines
         ],
     )
     def test_chosen_texts(self, text):
         assert_parses_as_reference(text)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["1.0 [Z0\nX1]\n", "2.0 [Y2]"],  # a body across the break
+            ["1.0 [Z0]\n2.0 [X1]\n"],
+            ["1.0 [Z0] x\n y\n"],
+            ["1.0\n[Z0]\n", "# qubits:\n 3\n"],
+            ["\n\n", " \n# c\n"],
+        ],
+    )
+    def test_line_source_elements_holding_line_breaks(self, lines):
+        # Each element of a line source is one line, whatever it holds.
+        try:
+            expected = layout(oracles.reference_parse_hamiltonian(lines))
+        except ParseError as error:
+            with pytest.raises(ParseError) as excinfo:
+                parse_hamiltonian(lines)
+            got = excinfo.value
+            assert (got.reason, got.line, got.column) == (error.reason, error.line, error.column)
+        else:
+            assert layout(parse_hamiltonian(lines)) == expected
+
     @pytest.mark.parametrize("path", sorted((TESTS / "golden").glob("*.ham")), ids=lambda p: p.stem)
     def test_golden_inputs(self, path):
         assert_parses_as_reference(path.read_text())
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("\n", 1), ("\n\n", 2), ("# c", 1), ("# c\n", 1), ("\r\n\r\n", 2), ("\ufeff", 1)],
+    )
+    def test_empty_input_is_located_at_the_last_line(self, text, line):
+        # As many lines as a text-mode file has, and line 1 when it has none.
+        assert max(len(io.StringIO(text, newline=None).readlines()), 1) == line
+        for kind, source in text_sources(text).items():
+            with pytest.raises(ParseError, match="empty input") as excinfo:
+                parse_hamiltonian(source)
+            assert (excinfo.value.line, excinfo.value.column) == (line, None), kind
+
+    @pytest.mark.parametrize("path", sorted((TESTS / "golden").glob("*.ham")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_golden_inputs_with_every_line_ending(self, path, end, tmp_path):
+        expected = layout(parse_hamiltonian(path.read_text()))
+        lines = [line + end for line in path.read_text().splitlines()]
+        text = "".join(lines)
+        (tmp_path / "input.ham").write_bytes(text.encode())
+        assert layout(parse_hamiltonian(text)) == expected
+        assert layout(parse_hamiltonian(lines)) == expected
+        for newline in (None, ""):  # translated, and kept at the end of each line
+            with open(tmp_path / "input.ham", encoding="utf-8", newline=newline) as file:
+                assert layout(parse_hamiltonian(file)) == expected
 
     def test_benchmark_seed_one_inputs(self, monkeypatch):
         monkeypatch.syspath_prepend(str(TESTS.parent / "perfbench"))
