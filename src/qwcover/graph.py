@@ -228,6 +228,16 @@ class TermGraph:
         return f"TermGraph(n={self.n}, edges={self.edge_count})"
 
 
+def _high_to_low(mask: int) -> Iterator[int]:
+    """Yield the indices of set bits, descending.  Each clears the highest
+    bit, so a sparse mask shrinks at once to its next bit, where
+    :func:`iter_bits` would rewrite the whole mask once per bit."""
+    while mask:
+        q = mask.bit_length() - 1
+        yield q
+        mask ^= 1 << q
+
+
 def build_qwc_graph(h: Hamiltonian) -> TermGraph:
     """Build the QWC graph of a Hamiltonian.
 
@@ -241,17 +251,28 @@ def build_qwc_graph(h: Hamiltonian) -> TermGraph:
         raise CapacityError(
             f"Hamiltonian has {n} terms, more than the {MAX_GRAPH_VERTICES}-vertex cap"
         )
-    words = [term.word for term in h.terms]
+    xs = [term.word.x_mask for term in h.terms]
+    zs = [term.word.z_mask for term in h.terms]
+    support = reduce(or_, xs, 0) | reduce(or_, zs, 0)
+    width = support.bit_count()
+    if support.bit_length() > width:
+        # Some qubit below the highest is unused: number the occupied
+        # qubits 0.. in order, so that the transpose and the factor loop
+        # below take time with the occupied qubits, not the highest index.
+        # Clashes sit on one qubit, so the rows stay the same.
+        place = [0] * support.bit_length()
+        for rank, q in enumerate(_high_to_low(support)):
+            place[q] = 1 << width - 1 - rank
+        xs = [sum([place[q] for q in _high_to_low(x)]) for x in xs]
+        zs = [sum([place[q] for q in _high_to_low(z)]) for z in zs]
     # Bit i of x_terms[q] is bit q of term i's x mask, and so for z; one
     # transpose gives both, the z masks shifted above the x masks.
-    width = max([word.support_mask for word in words], default=0).bit_length()
-    planes = _planes([word.x_mask | word.z_mask << width for word in words], 2 * width)
+    planes = _planes([x | z << width for x, z in zip(xs, zs)], 2 * width)
     x_terms, z_terms = planes[:width], planes[width:]
     y_clashes = [x ^ z for x, z in zip(x_terms, z_terms)]
     full = (1 << n) - 1
     rows = []
-    for i, word in enumerate(words):
-        x, z = word.x_mask, word.z_mask
+    for i, (x, z) in enumerate(zip(xs, zs)):
         blocked = 1 << i
         for clashes, factors in ((z_terms, x & ~z), (x_terms, z & ~x), (y_clashes, x & z)):
             while factors:

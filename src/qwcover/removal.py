@@ -40,7 +40,16 @@ the size its result must reach to matter to its parent (0 at the root),
 and keeps ``floor = max(best size so far, need - 1)``; a pivot whose branch
 has fewer than ``floor`` vertices cannot win and is skipped, and a child
 frame's ``need`` is its parent's ``floor``.  A frame returns R(m) exactly
-whenever |R(m)| reaches its ``need``, so the root returns R exactly.
+whenever |R(m)| reaches its ``need``, so the root returns R exactly, and
+a frame's pivot chain ends once its candidates number at most ``floor``.
+
+``ramsey``'s cover also stops walking terms that can no longer join a
+group.  A root pivot with no alive neighbor stays isolated as terms leave,
+and its one-term chain clique never beats the two or more of the chain's
+first pivot that has a neighbor, so later extractions search without it.
+Once an extraction finds no clique of two, no alive term has a neighbor,
+and the alive terms close the cover as single-term groups in ascending
+index, the order in which repeated extraction would return them.
 """
 
 from __future__ import annotations
@@ -185,9 +194,9 @@ def _degree_order(g: TermGraph) -> tuple[TermGraph, Callable[[int], int]]:
     return TermGraph([columns[v] for v in order]), unlabel
 
 
-def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
+def _ramsey_clique_mask(g: TermGraph, alive: int) -> tuple[int, int]:
     """Recursive pivot construction as a branch and bound on an explicit
-    stack.
+    stack, and the root pivots found isolated on the way.
 
     R(m) pivots on the lowest-index candidate v of m and returns the larger
     of {v} + R(m & N(v)) and R(m minus v and N(v)), preferring the pivot
@@ -201,17 +210,23 @@ def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
     matter to its parent, and keeps ``floor = max(best size, need - 1)``:
     a later A_i matters only if it is larger than ``floor``.  Since
     |A_i| <= 1 + |m_i & N(v_i)|, a pivot whose branch has fewer than
-    ``floor`` vertices is skipped (its chain step still runs).  A branch
-    of at most one vertex is its own R and is settled without a frame;
-    any other gets a child frame whose ``need`` is ``floor``.  Invariant:
-    a frame returns R(m) exactly whenever |R(m)| >= ``need``, and
-    otherwise some clique smaller than ``need``.  The root's ``need`` is
-    0, so it returns R(alive) exactly.
+    ``floor`` vertices is skipped (its chain step still runs), and the
+    chain ends once ``m_i`` has at most ``floor`` vertices, since every
+    later branch lies inside ``m_i`` minus its pivot.  A branch of at most
+    one vertex is its own R and is settled without a frame; any other gets
+    a child frame whose ``need`` is ``floor``.  Invariant: a frame returns
+    R(m) exactly whenever |R(m)| >= ``need``, and otherwise some clique
+    smaller than ``need``.  The root's ``need`` is 0, so it returns
+    R(alive) exactly.
+
+    The second result holds each skipped root pivot with no neighbor in
+    ``alive``: such a vertex stays without one while vertices only leave
+    ``alive``.
     """
     rows, other = g.rows, g.complement().rows
     # Frame: [candidates left, best clique, its size, need, pending pivot].
     stack: list[list[int]] = [[alive, 0, 0, 0, 0]]
-    clique = 0
+    clique = isolated = 0
     while stack:
         frame = stack[-1]
         left, best, size, need, pivot = frame
@@ -221,13 +236,15 @@ def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
             if clique.bit_count() > size:
                 best, size = clique, clique.bit_count()
         floor = max(size, need - 1)
-        while left:
+        while left.bit_count() > floor:
             pivot = left & -left
             v = pivot.bit_length() - 1
             inner = left & rows[v]
             left &= other[v]
             k = inner.bit_count()
             if k < floor:
+                if not (k or len(stack) > 1 or rows[v] & alive):
+                    isolated |= pivot
                 continue
             if k <= 1:
                 best = pivot | inner
@@ -239,22 +256,23 @@ def _ramsey_clique_mask(g: TermGraph, alive: int) -> int:
         else:
             clique = best
             stack.pop()
-    return clique
+    return clique, isolated
 
 
-def ramsey_clique(g: TermGraph, alive: int) -> int:
+def ramsey_clique(g: TermGraph, alive: int) -> tuple[int, int]:
     """Maximal clique in polynomial time, as a bitmask (0 when no vertex is
-    alive).
+    alive), and alive vertices found to have no alive neighbor.
 
     Searches the subgraph induced by the ``alive`` bitmask.  The recursive
     pivot construction can return a clique that is not maximal, so the
     result is greedily extended (ascending index over the alive vertices)
     until no alive vertex is adjacent to all members: the members' common
     neighbors among the alive vertices, narrowed by each vertex added, give
-    the next one as their lowest bit.
+    the next one as their lowest bit.  The isolated vertices are those
+    :func:`_ramsey_clique_mask` met as root pivots, not all of them.
     """
     rows = g.rows
-    clique = _ramsey_clique_mask(g, alive)
+    clique, isolated = _ramsey_clique_mask(g, alive)
     common = alive
     for v in iter_bits(clique):
         common &= rows[v]
@@ -262,18 +280,29 @@ def ramsey_clique(g: TermGraph, alive: int) -> int:
         low = common & -common
         clique |= low
         common &= rows[low.bit_length() - 1]
-    return clique
+    return clique, isolated
 
 
 def _ramsey_cover(g: TermGraph) -> tuple[int, ...]:
     """``ramsey``'s cover, as group bitmasks in extraction order: the
     :func:`ramsey_clique` of the alive vertices, cleared from the alive
-    mask, until no vertex is alive."""
+    mask, until no vertex is alive.
+
+    With the same groups (the module docstring says why): the vertices
+    that :func:`ramsey_clique` reports isolated are left out of later
+    searches, and once a search finds no clique of two, the alive vertices
+    close the cover one per group, in ascending index.
+    """
     groups: list[int] = []
-    alive = (1 << g.n) - 1
-    while alive:
-        groups.append(ramsey_clique(g, alive))
-        alive ^= groups[-1]
+    alive = searched = (1 << g.n) - 1
+    while searched:
+        clique, isolated = ramsey_clique(g, searched)
+        if not clique & clique - 1:
+            break
+        groups.append(clique)
+        alive ^= clique
+        searched ^= clique | isolated
+    groups.extend(1 << v for v in iter_bits(alive))
     return tuple(groups)
 
 

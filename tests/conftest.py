@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import os
 from pathlib import Path
 
@@ -65,6 +66,15 @@ def removal_trap_graph() -> TermGraph:
     edges += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
     edges += [(a, b) for a in (0, 1, 2) for b in (4, 5)]
     return oracles.graph_from_edges(8, edges)
+
+
+def benchmark_graphs(monkeypatch, workload: str) -> dict[str, TermGraph]:
+    """The QWC graphs of a benchmark workload's seed-1 inputs, by input
+    name, in request order."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    texts = {request.input.name: request.input.text for request in corpus.build(workload, 1)}
+    return {name: build_qwc_graph(parse_hamiltonian(text)) for name, text in texts.items()}
 
 
 def external_data_dir() -> Path:

@@ -253,7 +253,7 @@ def relabelling_clique_removal(g: TermGraph, finder: Heuristic) -> tuple[frozens
         find = full_search_max_clique_bkt
     else:
         def find(sub: TermGraph) -> frozenset[int]:
-            return frozenset(members(ramsey_clique(sub, (1 << sub.n) - 1)))
+            return frozenset(members(ramsey_clique(sub, (1 << sub.n) - 1)[0]))
     kept = list(range(g.n))
     groups = []
     while kept:

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 from pathlib import Path
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import DEMO_MINIMUM_GROUPS
+from conftest import DEMO_MINIMUM_GROUPS, benchmark_graphs
 from qwcover import (
     Heuristic,
     InvalidCoverError,
@@ -19,6 +18,7 @@ from qwcover import (
     validate_cover,
 )
 from qwcover.coloring import (
+    _SCANNED_CLASSES,
     _decrement,
     _increment,
     _keep_max,
@@ -202,12 +202,10 @@ class TestGreedyCliques:
 
     def test_benchmark_poly_large_inputs(self, monkeypatch):
         # The 600-word random input and the 875-term jw-10 molecule.
-        monkeypatch.syspath_prepend(str(TESTS.parent / "perfbench"))
-        corpus = importlib.import_module("corpus")
-        texts = {r.input.name: r.input.text for r in corpus.build("poly-large", 1)}
-        assert len(texts) == 2 and "jw-10" in texts
-        for name, text in texts.items():
-            assert_first_fit_classes(build_qwc_graph(parse_hamiltonian(text)), name)
+        graphs = benchmark_graphs(monkeypatch, "poly-large")
+        assert list(graphs) == ["random-600", "jw-10"]
+        for name, g in graphs.items():
+            assert_first_fit_classes(g, name)
 
     @pytest.mark.parametrize("heuristic", list(FIRST_FIT_ORDERS), ids=lambda h: h.value)
     def test_builds_no_complement(self, heuristic, demo_hamiltonian):
@@ -260,6 +258,44 @@ class TestScanOracle:
         assert db_coloring(comp) == oracles.scan_db_coloring(comp)
         assert rlf_coloring(comp) == oracles.scan_rlf_coloring(comp)
         assert cosine_coloring(comp) == oracles.merge_cosine_coloring(comp)
+
+    # Class counts one below, at and one above the end of DSATUR's scanned
+    # classes and each doubling of its tree.
+    DSATUR_CLASS_COUNTS = sorted(
+        {_SCANNED_CLASSES + (1 << j) + d for j in range(7) for d in (-1, 0, 1)}
+        | {_SCANNED_CLASSES - 1, _SCANNED_CLASSES}
+    )
+
+    @pytest.mark.parametrize("count", DSATUR_CLASS_COUNTS)
+    def test_dsatur_at_the_tree_boundaries(self, count):
+        # A complete graph opens a class per vertex; in disjoint equal
+        # cliques, labels shuffled, most vertices reuse a class.
+        complete = oracles.graph_from_edges(count, itertools.combinations(range(count), 2))
+        labels = list(range(3 * count))
+        random.Random(count).shuffle(labels)
+        cliques = oracles.graph_from_edges(
+            3 * count,
+            [
+                (labels[c * count + i], labels[c * count + j])
+                for c in range(3)
+                for i, j in itertools.combinations(range(count), 2)
+            ],
+        )
+        for g in (complete, cliques):
+            classes = dsatur_coloring(g)
+            assert classes == oracles.scan_dsatur_coloring(g)
+            assert len(classes) == count
+
+    def test_dsatur_on_the_benchmark_poly_large_complements(self, monkeypatch):
+        # jw-10's complement takes 240 classes, far into the tree.
+        for name, g in benchmark_graphs(monkeypatch, "poly-large").items():
+            comp = g.complement()
+            assert dsatur_coloring(comp) == oracles.scan_dsatur_coloring(comp), name
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dsatur_on_no_and_one_vertex(self, n):
+        g = TermGraph([0] * n)
+        assert dsatur_coloring(g) == oracles.scan_dsatur_coloring(g) == [1] * n
 
     @pytest.mark.parametrize("name", ["random-60", "random-150", "random-300", "all-mid shape"])
     def test_db_random_word_complements(self, name):

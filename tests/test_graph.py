@@ -128,6 +128,34 @@ class TestBuild:
             assert bool(g.rows[i] >> j & 1) == commute, (i, j)
         assert 0 < g.edge_count < g.n * (g.n - 1) // 2
 
+    def test_wide_sparse_words_transpose_only_their_occupied_qubits(self, monkeypatch):
+        # Words on qubits 0 and MAX_QUBIT_INDEX plus two random qubits give
+        # the rows of the same words relabelled onto their occupied qubits,
+        # and the transpose sees only those qubits.
+        rng = random.Random(9)
+        words = {}
+        while len(words) < 1000:
+            qubits = [0, MAX_QUBIT_INDEX, *rng.sample(range(1, MAX_QUBIT_INDEX), 2)]
+            words[PauliWord({q: rng.choice("XYZ") for q in qubits})] = None
+        occupied = sorted({q for word in words for q, _ in word})
+        rank = {q: r for r, q in enumerate(occupied)}
+        compacted = [PauliWord({rank[q]: axis for q, axis in word}) for word in words]
+        widths = []
+
+        def spy(values, width=None):
+            widths.append(width)
+            return _planes(values, width)
+
+        monkeypatch.setattr(qwcover.graph, "_planes", spy)
+        wide = build_qwc_graph(
+            Hamiltonian(tuple(HamiltonianTerm(1.0, w) for w in words), MAX_QUBIT_INDEX + 1)
+        )
+        assert widths == [2 * len(occupied)]
+        narrow = build_qwc_graph(
+            Hamiltonian(tuple(HamiltonianTerm(1.0, w) for w in compacted), len(occupied))
+        )
+        assert wide.rows == narrow.rows
+
 
 @st.composite
 def plane_inputs(draw):

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import DEMO_MINIMUM_GROUPS, removal_trap_graph
+from conftest import DEMO_MINIMUM_GROUPS, benchmark_graphs, removal_trap_graph
 from qwcover import (
     BudgetExceededError,
     Heuristic,
     TermGraph,
     build_qwc_graph,
+    iter_bits,
     parse_hamiltonian,
     solve_mcc,
     validate_cover,
@@ -30,8 +31,8 @@ def complete_graph(n):
 
 
 def ramsey_whole(g):
-    """``ramsey_clique`` with every vertex alive."""
-    return ramsey_clique(g, (1 << g.n) - 1)
+    """``ramsey_clique``'s clique with every vertex alive."""
+    return ramsey_clique(g, (1 << g.n) - 1)[0]
 
 
 def assert_colored_of_earlier_search(g, alive, clique):
@@ -194,7 +195,7 @@ class TestRamseyClique:
             g = oracles.random_gnp(n, rng.uniform(0.1, 0.9), 1200 + trial)
             alive = rng.getrandbits(n) if n else 0
             expected = oracles.recursive_ramsey_clique(g, alive)
-            assert ramsey_clique(g, alive) == oracles.mask_of(expected), trial
+            assert ramsey_clique(g, alive)[0] == oracles.mask_of(expected), trial
 
     @pytest.mark.parametrize("seed", [68, 297, 1230, 2160])
     def test_extension_adds_to_a_non_maximal_pivot_clique(self, seed):
@@ -207,7 +208,7 @@ class TestRamseyClique:
         pivot = oracles.recursive_ramsey_pivot_clique(g, alive)
         expected = oracles.recursive_ramsey_clique(g, alive)
         assert len(expected) > len(pivot)
-        assert ramsey_clique(g, alive) == oracles.mask_of(expected)
+        assert ramsey_clique(g, alive)[0] == oracles.mask_of(expected)
 
     def test_deep_recursion_safe(self):
         # complete graph drives the pivot chain through every vertex
@@ -222,10 +223,14 @@ class TestRamseyClique:
         g = oracles.graph_from_edges(n, edges)
         alive = data.draw(st.integers(0, (1 << n) - 1))
         expected = oracles.mask_of(oracles.recursive_ramsey_clique(g, alive))
-        assert ramsey_clique(g, alive) == expected
+        assert ramsey_clique(g, alive)[0] == expected
         # before the greedy extension, which can hide a wrong pivot clique
         pivot = oracles.mask_of(oracles.recursive_ramsey_pivot_clique(g, alive))
-        assert _ramsey_clique_mask(g, alive) == pivot
+        clique, isolated = _ramsey_clique_mask(g, alive)
+        assert clique == pivot
+        # the vertices reported isolated are alive and have no alive neighbor
+        assert isolated & ~alive == 0
+        assert all(not g.rows[v] & alive for v in iter_bits(isolated))
 
 
 def recursive_ramsey_cover(g):
@@ -278,6 +283,56 @@ class TestRamseyCoverMatchesRecursiveDefinition:
             cover = solve_mcc(g, Heuristic.RAMSEY)
             assert cover == recursive_ramsey_cover(g), (k, size)
             assert sorted(group.bit_count() for group in cover) == [size] * k
+
+
+class TestRamseyCoverShortcuts:
+    # The cover leaves isolated vertices out of its searches and ends with
+    # the alive vertices as single groups, in ascending index, once a
+    # search finds no clique of two; the groups stay those of repeated
+    # extraction on every alive vertex.
+    @pytest.mark.parametrize("where", ["below", "between", "above"])
+    def test_isolated_vertices_around_the_edges(self, where):
+        rng = random.Random(28)
+        for trial in range(20):
+            core = oracles.random_gnp(rng.randint(2, 30), rng.uniform(0.05, 0.5), 3200 + trial)
+            k = rng.randint(1, 8)
+            n = core.n + k
+            isolated = {
+                "below": range(k),
+                "between": rng.sample(range(1, n - 1), k),
+                "above": range(core.n, n),
+            }[where]
+            labels = sorted(set(range(n)).difference(isolated))
+            edges = [(labels[a], labels[b]) for a, b in oracles.edge_set(core)]
+            g = oracles.graph_from_edges(n, edges)
+            assert solve_mcc(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), trial
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    def test_edgeless_graphs(self, n):
+        g = oracles.graph_from_edges(n, [])
+        cover = solve_mcc(g, Heuristic.RAMSEY)
+        assert cover == recursive_ramsey_cover(g) == tuple(1 << v for v in range(n))
+
+    def test_benchmark_many_small_inputs(self, monkeypatch):
+        graphs = benchmark_graphs(monkeypatch, "many-small")
+        assert len(graphs) == 240
+        for name, g in graphs.items():
+            assert solve_mcc(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g), name
+
+    def test_benchmark_jw10(self, monkeypatch):
+        g = benchmark_graphs(monkeypatch, "poly-large")["jw-10"]
+        assert solve_mcc(g, Heuristic.RAMSEY) == recursive_ramsey_cover(g)
+
+    def test_single_groups_come_in_ascending_index(self, monkeypatch):
+        # In the 18-term random-3, term 13 is found isolated before the
+        # last group of two or more.  The searches that skip it then return
+        # 12 and 16 alone, so emitting only the term each search returns
+        # would give 12, 16, 13 where extraction gives 12, 13, 16: the same
+        # groups in a different report.
+        g = benchmark_graphs(monkeypatch, "many-small")["random-3"]
+        cover = solve_mcc(g, Heuristic.RAMSEY)
+        assert cover[-3:] == (1 << 12, 1 << 13, 1 << 16)
+        assert cover == recursive_ramsey_cover(g)
 
 
 class TestCliqueRemovalCover:
